@@ -37,6 +37,7 @@ from .linalg import (  # noqa: E402
     fractional_power,
     general_eigenvalues,
     hermitian_eigen,
+    largest_eigenpair,
     poly_roots,
     solver_for,
 )
@@ -88,7 +89,8 @@ __all__ = [
     "errors",
     # linalg
     "EigenDecomposition", "LinearSolver", "fractional_power",
-    "general_eigenvalues", "hermitian_eigen", "poly_roots", "solver_for",
+    "general_eigenvalues", "hermitian_eigen", "largest_eigenpair", "poly_roots",
+    "solver_for",
     # fov
     "FovBoundary", "convex_hull", "fov_boundary", "hull_contains",
     "hull_margin", "numerical_radius", "spectrum_in_fov_check",

@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernels used by every other module.
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): Hermitian
-and general eigendecompositions, polynomial roots through the balanced
+eigendecompositions (full, or the largest eigenpair alone), general
+eigenvalues, polynomial roots through the balanced
 companion matrix, fractional powers of Hermitian positive definite
 matrices, and reusable LU solvers.
 
@@ -102,6 +103,31 @@ def hermitian_eigen(m) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors, kind="hermitian")
 
 
+def largest_eigenpair(m) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of a Hermitian matrix.
+
+    Only that one pair is computed (LAPACK ``evr`` on the index subset
+    [n-1, n-1]); its residual ||M x - lam x||_inf is checked against
+    1e-9 * scaled_norm(M).
+    """
+    a = require_hermitian(m)
+    n = a.shape[0]
+    try:
+        values, vectors = scipy.linalg.eigh(a, subset_by_index=[n - 1, n - 1],
+                                            driver="evr", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"hermitian eigensolver failed: {exc}") from exc
+    lam = float(values[0])
+    x = vectors[:, 0]
+    nrm = scaled_norm(a)
+    resid = float(np.max(np.abs(a @ x - lam * x)))
+    if resid > 1e-9 * nrm:
+        raise NoConvergence(
+            f"eigen residual {resid:.3e} exceeds 1e-9 * ||M|| = {1e-9 * nrm:.3e}"
+        )
+    return lam, x
+
+
 def general_eigenvalues(m) -> np.ndarray:
     """Eigenvalue multiset of a general square matrix (unordered).
 
@@ -169,7 +195,9 @@ class LinearSolver:
     """Reusable LU factorization of a square matrix.
 
     Factor once with :func:`solver_for`, then call :meth:`solve` for each
-    right-hand side (vector or matrix).  Instances are immutable.
+    right-hand side (vector or matrix).  A non-finite right-hand side is
+    not rejected: it propagates into the solution, where the overflow
+    guard of the theta stepping loop sees it.  Instances are immutable.
     """
 
     def __init__(self, lu, piv, size: int, dtype):
@@ -184,7 +212,7 @@ class LinearSolver:
             raise InvalidParams(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.size}"
             )
-        return scipy.linalg.lu_solve((self._lu, self._piv), rhs)
+        return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
 
 
 def solver_for(m) -> LinearSolver:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fov, mol, solver, stability
+from . import fov, linalg, mol, solver, stability
 
 EXAMPLE31_A = np.array([
     [29.0, -7.0, 1.0],
@@ -198,7 +198,9 @@ def run_figures(outdir) -> TargetResult:
         path = out / f"fov_AinvB_l{l_val:+g}.csv"
         boundary.to_csv(path)
         files.append(str(path))
-        radius = fov.numerical_radius(t_mat)
+        # fov.numerical_radius(t_mat), without sweeping the matrix again
+        rho = float(np.max(np.abs(linalg.general_eigenvalues(t_mat))))
+        radius = max(boundary.max_modulus(), rho)
         ok = (radius < 1.0) if expect_inside else (radius >= 1.0)
         rows.append(Comparison(
             f"fov l={l_val:+g} numerical radius {'<' if expect_inside else '>='} 1",

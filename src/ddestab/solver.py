@@ -85,8 +85,8 @@ class SemilinearDDE:
 class Trajectory:
     """States on the uniform grid.  With full retention times[0] = 0;
     in window mode only the trailing m+2 grid points are kept.  ``diverged``
-    marks a run halted by the overflow guard; states beyond the halt do
-    not exist."""
+    marks a run halted by the overflow guard (a state above 1e100 in max
+    norm, or NaN); states beyond the halt do not exist."""
 
     times: np.ndarray
     states: np.ndarray
@@ -186,7 +186,7 @@ def _run(scheme, dim, dtype, history, explicit_apply, delayed_explicit,
         last = n + 1
         if keep_trajectory:
             states[n + 1] = new
-        if np.max(np.abs(new)) > OVERFLOW_GUARD:
+        if not np.max(np.abs(new)) <= OVERFLOW_GUARD:  # NaN counts as diverged
             diverged = True
             break
 
@@ -208,7 +208,7 @@ def solve_linear(prob: LinearDDE, scheme: ThetaScheme, t_end: float,
 
     The implicit matrix I + theta h A is factored once and reused; the run
     halts early with ``diverged=True`` if any state exceeds the overflow
-    guard of 1e100 in max norm.
+    guard of 1e100 in max norm or holds a NaN.
     """
     _check_delay(scheme, prob.tau)
     h, theta = scheme.h, scheme.theta

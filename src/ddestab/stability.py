@@ -23,11 +23,15 @@ Certificates offered, strongest first:
 
 * ``unconditional_certificate`` -- u = 0, theta > 1/2: if the field of
   values F(A^{p/2-1} B A^{-p/2}) fits in the open unit disk for some p,
-  the method is stable for every step size.
+  the method is stable for every step size.  The disk test uses the
+  supporting-line outer bound of the sampled field of values; an
+  eigenvalue of A^{-1} B of modulus >= 1 rules out every p before any
+  sweep.
 * ``step_certificate`` -- theta = 1, u = 0: the regions D_y are nested
   (y1 < y2 < 0 implies D_{y1} subset of D_{y2}), so containment of the
   transformed field of values in D_{-h*lambda_max(A)} certifies stability
-  for the given step.
+  for the given step.  An eigenvalue of A^{-1} B outside that D_y rules
+  out every p before any sweep.
 * ``simdiag_analysis`` -- A, B simultaneously diagonalizable: exact
   mode-by-mode verdicts from the eigenvalue pairs.
 * ``oracle_stability`` -- brute force: the spectral radius of W itself.
@@ -326,11 +330,11 @@ class StabilityReport:
 # certificates
 # ---------------------------------------------------------------------------
 
-def _spectrum_obstructed(a, b) -> tuple[bool, float]:
-    """rho(A^{-1} B): similarity-invariant across every p, so one failed
-    spectral check rules the whole p family out."""
-    rho = float(np.max(np.abs(linalg.general_eigenvalues(fov.transformed_matrix(a, b, 0.0)))))
-    return rho >= 1.0, rho
+def _spectrum_a_inv_b(a, b) -> np.ndarray:
+    """sigma(A^{-1} B) = sigma(A^{p/2-1} B A^{-p/2}) for every p (a
+    similarity), and it lies inside each of those fields of values; so one
+    failed spectral check rules the whole p family out."""
+    return linalg.general_eigenvalues(fov.transformed_matrix(a, b, 0.0))
 
 
 def unconditional_certificate(a, b, scheme: ThetaScheme,
@@ -339,9 +343,12 @@ def unconditional_certificate(a, b, scheme: ThetaScheme,
     """Certify stability for every step size (u = 0, theta > 1/2 only).
 
     Scans the p grid for F(A^{p/2-1} B A^{-p/2}) inside the open unit
-    disk, with the numerical radius required to clear 1 by the inflation
-    margin.  Outside the scheme hypotheses the verdict is Uncertified with
-    the reason recorded (for theta <= 1/2 no mu can ever qualify).
+    disk.  A p is accepted only when the supporting-line outer bound on
+    the numerical radius (:meth:`fov.FovBoundary.outer_radius`, rounding
+    allowance included) is below 1, so an acceptance is one-sided sound;
+    that bound is recorded as the ``fov-unit-disk`` margin 1 - bound.
+    Outside the scheme hypotheses the verdict is Uncertified with the
+    reason recorded (for theta <= 1/2 no mu can ever qualify).
     """
     if scheme.u != 0.0 or scheme.theta <= 0.5:
         reason = ("unconditional region is empty for theta <= 1/2"
@@ -349,8 +356,8 @@ def unconditional_certificate(a, b, scheme: ThetaScheme,
         return StabilityReport(UNCERTIFIED, (Evidence("scheme-hypotheses", note=reason),),
                                scheme)
     evidence = []
-    obstructed, rho = _spectrum_obstructed(a, b)
-    if obstructed:
+    rho = float(np.max(np.abs(_spectrum_a_inv_b(a, b))))
+    if rho >= 1.0:
         evidence.append(Evidence("spectrum-obstruction", margin=1.0 - rho,
                                  note="an eigenvalue of A^{p/2-1} B A^{-p/2} has "
                                       "modulus >= 1 for every p; certificate inapplicable"))
@@ -361,10 +368,10 @@ def unconditional_certificate(a, b, scheme: ThetaScheme,
         except (NotHermitian, NotPositiveDefinite) as exc:
             evidence.append(Evidence("fov-unit-disk", index=p, note=f"skipped: {exc}"))
             continue
-        radius = fov.numerical_radius(t_mat, n_angles)
-        needed = fov.fov_margin(t_mat)
-        evidence.append(Evidence("fov-unit-disk", index=p, margin=1.0 - radius))
-        if radius < 1.0 - needed:
+        outer = fov.fov_boundary(t_mat, n_angles).outer_radius()
+        evidence.append(Evidence("fov-unit-disk", index=p, margin=1.0 - outer,
+                                 note="outer bound on the numerical radius"))
+        if outer < 1.0:
             return StabilityReport(UNCONDITIONALLY_STABLE, tuple(evidence), scheme)
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
 
@@ -378,6 +385,13 @@ def step_certificate(a, b, scheme: ThetaScheme,
     the single worst parameter y = -h lambda_max(A); each sampled point of
     the transformed field of values must pass in_dy with margin at least
     the inflation margin.
+
+    Before any sweep, the eigenvalues of A^{-1} B are tested: they lie in
+    the transformed field of values for every p, so if one of them has
+    in_dy margin <= 0 at y, no p can pass.  The report is then Uncertified
+    with a single ``spectrum-obstruction`` entry (margin = the worst
+    eigenvalue margin) and nothing is swept.  This check can only withhold
+    a certificate, never grant one.
     """
     if scheme.theta != 1.0 or scheme.u != 0.0:
         return StabilityReport(
@@ -390,6 +404,15 @@ def step_certificate(a, b, scheme: ThetaScheme,
     if np.min(dec.values) <= floor:
         raise NotPositiveDefinite("step certificate needs positive definite A")
     y_worst = -scheme.h * float(dec.values[-1])
+    spectral = min(in_dy(complex(mu), y_worst, scheme).margin
+                   for mu in _spectrum_a_inv_b(a, b))
+    if spectral <= 0.0:
+        return StabilityReport(
+            UNCERTIFIED,
+            (Evidence("spectrum-obstruction", margin=spectral,
+                      note=f"an eigenvalue of A^{{-1}} B lies outside D_y at "
+                           f"y = {y_worst:.6g}, which rules out every p"),),
+            scheme)
     evidence = []
     for p in p_grid:
         try:

@@ -43,6 +43,14 @@ class TestUnconditionalCertificate:
         ps = [e.index for e in rep.evidence if e.check == "fov-unit-disk"]
         assert ps[-1] in (0.0, 1.0, 2.0)
 
+    def test_margin_is_the_outer_bound(self, rng):
+        a, b = scaled_pair(rng, 4, 0.6)
+        rep = stability.unconditional_certificate(a, b, scheme(theta=1.0, m=3), (0.0,), 64)
+        outer = fov.fov_boundary(fov.transformed_matrix(a, b, 0.0), 64).outer_radius()
+        assert rep.evidence[-1].margin == 1.0 - outer
+        # the outer bound never undercuts the sampled inner estimate
+        assert outer >= 0.6 - 1e-12
+
     def test_theta_half_or_below_uncertified_with_reason(self, rng):
         a, b = scaled_pair(rng, 3, 0.2)
         rep = stability.unconditional_certificate(a, b, scheme(theta=0.5))
@@ -89,6 +97,19 @@ class TestStepCertificate:
     def test_rejects_indefinite_a(self):
         with pytest.raises(errors.NotPositiveDefinite):
             stability.step_certificate(np.diag([1.0, -1.0]), np.zeros((2, 2)), scheme())
+
+    def test_spectral_obstruction_skips_every_sweep(self, monkeypatch):
+        # mu = 1.5 is an eigenvalue of A^{-1} B outside D_y, so no p can pass
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("fov_boundary must not be called")
+
+        monkeypatch.setattr(fov, "fov_boundary", no_sweep)
+        rep = stability.step_certificate(np.eye(3), np.diag([1.5, 0.1, 0.1]),
+                                         scheme(theta=1.0))
+        assert rep.verdict == UNCERTIFIED
+        assert len(rep.evidence) == 1
+        assert rep.evidence[0].check == "spectrum-obstruction"
+        assert rep.evidence[0].margin < 0.0
 
     def test_certifies_moderate_radius_for_small_step(self):
         # F(A^{-1}B) = {-1.02} pokes outside the unit disk (so no

@@ -26,6 +26,27 @@ def brute_force_radius_2x2(m, n_grid=2000):
     return best
 
 
+def reference_sweep(m, n_angles):
+    """Boundary points and largest eigenvalues of the Hermitian parts,
+    one full np.linalg.eigh per angle, no symmetry used."""
+    points, lams = [], []
+    for phi in 2.0 * np.pi * np.arange(n_angles) / n_angles:
+        rotated = np.exp(1j * phi) * m
+        values, vectors = np.linalg.eigh(0.5 * (rotated + rotated.conj().T))
+        x = vectors[:, -1]
+        points.append(x.conj() @ m @ x)
+        lams.append(values[-1])
+    return np.array(points), np.array(lams)
+
+
+def fine_radius(m, n_angles=20000):
+    """Numerical radius as max over a fine angle grid of lambda_max(H(phi))."""
+    phis = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    rotated = np.exp(1j * phis)[:, None, None] * m[None, :, :]
+    herm = 0.5 * (rotated + np.conj(np.swapaxes(rotated, 1, 2)))
+    return float(np.max(np.linalg.eigvalsh(herm)[:, -1]))
+
+
 class TestBoundary:
     def test_identity_collapses_to_point(self):
         b = fov.fov_boundary(np.eye(3), 16)
@@ -48,6 +69,25 @@ class TestBoundary:
     def test_rejects_tiny_sweep(self):
         with pytest.raises(errors.InvalidParams):
             fov.fov_boundary(np.eye(2), 4)
+
+    @pytest.mark.parametrize("n_angles", [256, 101])
+    def test_real_matrix_matches_per_angle_reference(self, n_angles):
+        # real M: half of the angles are solved, the rest mirrored
+        m = np.random.default_rng(7).standard_normal((40, 40))
+        b = fov.fov_boundary(m, n_angles)
+        points, lams = reference_sweep(m, n_angles)
+        assert b.points.shape == (n_angles,)
+        assert np.max(np.abs(b.points - points)) <= 1e-10
+        assert np.all(b.support >= lams)
+        assert np.max(b.support - lams) <= 1e-10
+
+    def test_complex_matrix_matches_per_angle_reference(self, rng):
+        m = random_complex(rng, 12)
+        b = fov.fov_boundary(m, 64)
+        points, lams = reference_sweep(m, 64)
+        assert np.max(np.abs(b.points - points)) <= 1e-10
+        assert np.all(b.support >= lams)
+        assert np.max(b.support - lams) <= 1e-10
 
     def test_angles_are_equispaced(self):
         b = fov.fov_boundary(np.eye(2), 32)
@@ -75,6 +115,23 @@ class TestNumericalRadius:
         spectrum = np.array([0.3, -1.2, 0.5j, 1.0 + 0.4j])
         m = (q * spectrum[None, :]) @ q.conj().T
         assert abs(fov.numerical_radius(m) - np.max(np.abs(spectrum))) <= 1e-8
+
+
+class TestOuterRadius:
+    def test_jordan_block(self):
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for n in (8, 64, 256):
+            outer = fov.fov_boundary(m, n).outer_radius()
+            assert outer >= fov.numerical_radius(m, n)
+            assert outer >= brute_force_radius_2x2(m)
+            assert outer <= 0.5 / np.cos(np.pi / n) + 1e-12
+
+    def test_random_complex_encloses_inner_estimates(self, rng):
+        for _ in range(20):
+            m = random_complex(rng, 6)
+            outer = fov.fov_boundary(m, 64).outer_radius()
+            assert outer >= fov.numerical_radius(m, 64)
+            assert outer >= fine_radius(m)
 
 
 class TestTransformed:

@@ -59,6 +59,28 @@ class TestHermitianEigen:
                 assert linalg.scaled_norm(rebuilt - m) <= 1e-9 * linalg.scaled_norm(m)
 
 
+class TestLargestEigenpair:
+    def test_matches_last_pair_of_full_eigh(self, rng):
+        for n in (1, 2, 7, 20):
+            for _ in range(10):
+                m = random_hermitian(rng, n)
+                lam, x = linalg.largest_eigenpair(m)
+                values, vectors = np.linalg.eigh(m)
+                assert abs(lam - values[-1]) <= 1e-12
+                assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+                # same vector up to a unit phase factor
+                assert abs(abs(vectors[:, -1].conj() @ x) - 1.0) <= 1e-10
+
+    def test_real_symmetric_input(self):
+        lam, x = linalg.largest_eigenpair(np.diag([3.0, -1.0, 2.0]))
+        assert abs(lam - 3.0) <= 1e-14
+        assert_allclose(np.abs(x), [1.0, 0.0, 0.0], atol=1e-14)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(errors.NotHermitian):
+            linalg.largest_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
 class TestGeneralEigenvalues:
     def test_nilpotent(self):
         vals = linalg.general_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -165,6 +165,20 @@ class TestSemilinear:
         assert np.max(np.abs(t_d.states - t_s.states)) <= 1e-11
 
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_nan_forcing_flags_divergence(self, sparse):
+        import scipy.sparse
+
+        m_lin = -np.eye(2)
+        if sparse:
+            m_lin = scipy.sparse.csr_matrix(m_lin)
+        prob = SemilinearDDE(m_linear=m_lin, g=lambda z: np.full(2, np.nan),
+                             tau=1.0, history=lambda t: np.ones(2))
+        traj = solver.solve_semilinear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 3.0)
+        assert traj.diverged
+        assert len(traj.times) == 2  # halted after the first step
+
+
 class TestObservedOrder:
     def test_backward_euler_first_order(self):
         # smooth exponential solution: a = 1, b chosen so e^{sigma t} solves
