@@ -9,29 +9,14 @@ brute-force spectral radius of the one-step matrix.  :mod:`ddestab.mol`
 assembles the two built-in method-of-lines benchmark problems.
 """
 
-import os as _os
-
-# Cap BLAS parallelism before numpy spins up its thread pools.  Only
-# effective when this package is imported before numpy (true for the CLI
-# entry point); otherwise the environment must be set by the caller.
-_threads = _os.environ.get("DDESTAB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from . import errors  # noqa: E402
-from .fov import (  # noqa: E402
+from . import errors
+from .fov import (
     FovBoundary,
-    convex_hull,
     fov_boundary,
-    hull_contains,
-    hull_margin,
     numerical_radius,
-    spectrum_in_fov_check,
-    transformed_fov,
     transformed_matrix,
 )
-from .linalg import (  # noqa: E402
+from .linalg import (
     EigenDecomposition,
     LinearSolver,
     fractional_power,
@@ -41,7 +26,7 @@ from .linalg import (  # noqa: E402
     poly_roots,
     solver_for,
 )
-from .mol import (  # noqa: E402
+from .mol import (
     Example2Condition,
     Grid1D,
     MolProblem,
@@ -50,7 +35,7 @@ from .mol import (  # noqa: E402
     discrete_error,
     example2_condition,
 )
-from .solver import (  # noqa: E402
+from .solver import (
     LinearDDE,
     SemilinearDDE,
     Trajectory,
@@ -58,7 +43,7 @@ from .solver import (  # noqa: E402
     solve_linear,
     solve_semilinear,
 )
-from .stability import (  # noqa: E402
+from .stability import (
     CERTIFIED_UNSTABLE,
     STABLE_FOR_THIS_STEP,
     UNCERTIFIED,
@@ -72,6 +57,7 @@ from .stability import (  # noqa: E402
     StabilityReport,
     ThetaScheme,
     build_w,
+    certify,
     gamma_y,
     in_dy,
     inthout_condition,
@@ -92,14 +78,12 @@ __all__ = [
     "general_eigenvalues", "hermitian_eigen", "largest_eigenpair", "poly_roots",
     "solver_for",
     # fov
-    "FovBoundary", "convex_hull", "fov_boundary", "hull_contains",
-    "hull_margin", "numerical_radius", "spectrum_in_fov_check",
-    "transformed_fov", "transformed_matrix",
+    "FovBoundary", "fov_boundary", "numerical_radius", "transformed_matrix",
     # stability
     "CERTIFIED_UNSTABLE", "STABLE_FOR_THIS_STEP", "UNCERTIFIED",
     "UNCONDITIONALLY_STABLE", "DyMembership", "Evidence", "InthoutResult",
     "OracleVerdict", "RegionBoundary", "StabilityPolynomial",
-    "StabilityReport", "ThetaScheme", "build_w", "gamma_y", "in_dy",
+    "StabilityReport", "ThetaScheme", "build_w", "certify", "gamma_y", "in_dy",
     "inthout_condition", "oracle_stability", "simdiag_analysis",
     "simdiag_pairs", "stability_polynomial", "step_certificate",
     "unconditional_certificate",

@@ -9,8 +9,8 @@ skew-Hermitian part of M, both computed once per sweep.  For real M,
 H(-phi) = conj H(phi), so the point at 2 pi - phi is the conjugate of the
 point at phi: only half of the angles are solved and the rest mirrored.
 
-The sampled points are genuine elements of F(M), so queries built on them
-(hulls, :func:`numerical_radius`) are inner estimates.  The eigenvalues
+The sampled points are genuine elements of F(M), so queries built on them,
+such as :func:`numerical_radius`, are inner estimates.  The eigenvalues
 give the other side: every supporting line Re(e^{i phi} z) <= lam encloses
 F(M), and with n equispaced directions the numerical radius is at most
 max lam / cos(pi / n) (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978).
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from ._csv import write_csv
 from .errors import InvalidParams, NotPositiveDefinite
 
 DEFAULT_ANGLES = 256
@@ -36,82 +37,6 @@ DEFAULT_ANGLES = 256
 def fov_margin(m) -> float:
     """Inflation margin for containment queries: 1e-7 * (1 + ||M||)."""
     return 1e-7 * (1.0 + linalg.scaled_norm(m))
-
-
-# ---------------------------------------------------------------------------
-# planar hull helpers (complex numbers as points)
-# ---------------------------------------------------------------------------
-
-def convex_hull(points) -> np.ndarray:
-    """Convex hull of complex points, counterclockwise, degenerate-safe.
-
-    Returns 1 point for a coincident cloud, 2 for a collinear one, else
-    the CCW vertex cycle (no vertex repeated).
-    """
-    pts = np.unique(np.asarray(points, dtype=complex))
-    order = np.lexsort((pts.imag, pts.real))
-    pts = pts[order]
-    if pts.size <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0.0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1], dtype=complex)
-    if hull.size == 0:  # fully collinear cloud
-        return np.array([pts[0], pts[-1]], dtype=complex)
-    return hull
-
-
-def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(z - a)
-    t = ((z - a) * ab.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * ab))
-
-
-def hull_margin(hull, z: complex) -> float:
-    """Signed inwards distance from ``z`` to a convex hull.
-
-    Positive means strictly inside by that amount; negative means outside
-    (or, for degenerate point/segment hulls, off the carrier set).
-    """
-    h = np.asarray(hull, dtype=complex)
-    if h.size == 0:
-        raise InvalidParams("empty hull")
-    if h.size == 1:
-        return -abs(z - h[0])
-    if h.size == 2:
-        return -_point_segment_distance(z, h[0], h[1])
-    margin = np.inf
-    for k in range(h.size):
-        a = h[k]
-        b = h[(k + 1) % h.size]
-        ab = b - a
-        length = abs(ab)
-        if length == 0.0:
-            continue
-        # CCW polygon: positive cross product = z on the inner side of edge
-        signed = ((ab.real) * (z.imag - a.imag) - (ab.imag) * (z.real - a.real)) / length
-        margin = min(margin, signed)
-    return float(margin)
-
-
-def hull_contains(hull, z: complex, tol: float = 0.0) -> bool:
-    return hull_margin(hull, z) >= -tol
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +60,6 @@ class FovBoundary:
     source_dim: int
     support: np.ndarray
 
-    def hull(self) -> np.ndarray:
-        return convex_hull(self.points)
-
     def max_modulus(self) -> float:
         """Largest |z| over the sampled points: an inner estimate."""
         return float(np.max(np.abs(self.points)))
@@ -152,11 +74,9 @@ class FovBoundary:
         return float(np.max(self.support)) / math.cos(math.pi / self.n_angles)
 
     def to_csv(self, path) -> None:
-        """Write angle, re, im rows (deterministic %.17g formatting)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("angle,re,im\n")
-            for ang, z in zip(self.angles, self.points):
-                fh.write(f"{ang:.17g},{z.real:.17g},{z.imag:.17g}\n")
+        """Write angle, re, im rows; ``path=None`` writes to stdout."""
+        write_csv(path, "angle,re,im",
+                  (self.angles, self.points.real, self.points.imag))
 
 
 def fov_boundary(m, n_angles: int = DEFAULT_ANGLES) -> FovBoundary:
@@ -203,18 +123,13 @@ def numerical_radius(m, n_angles: int = DEFAULT_ANGLES) -> float:
     return max(boundary.max_modulus(), rho)
 
 
-def transformed_fov(a, b, p: float, n_angles: int = DEFAULT_ANGLES) -> FovBoundary:
-    """Boundary of F(A^{p/2-1} B A^{-p/2}).
-
-    p = 0 and p = 2 reduce to F(A^{-1} B) and F(B A^{-1}) and only need a
-    nonsingular A; every other p builds the fractional powers from the
-    eigenbasis of a Hermitian positive definite A.
-    """
-    return fov_boundary(transformed_matrix(a, b, p), n_angles)
-
-
 def transformed_matrix(a, b, p: float) -> np.ndarray:
-    """The similarity-weighted matrix A^{p/2-1} B A^{-p/2}."""
+    """The similarity-weighted matrix A^{p/2-1} B A^{-p/2}.
+
+    p = 0 and p = 2 give A^{-1} B and B A^{-1} and only need a nonsingular
+    A; every other p builds the fractional powers from the eigenbasis of a
+    Hermitian positive definite A.
+    """
     am = linalg.as_square_matrix(a)
     bm = linalg.as_square_matrix(b)
     if am.shape != bm.shape:
@@ -232,11 +147,3 @@ def transformed_matrix(a, b, p: float) -> np.ndarray:
     right = (v * dec.values[None, :] ** (-0.5 * p)) @ v.conj().T
     return left @ bm @ right
 
-
-def spectrum_in_fov_check(m, n_angles: int = DEFAULT_ANGLES) -> bool:
-    """Self-test: every eigenvalue lies in the hull of the sampled boundary."""
-    boundary = fov_boundary(m, n_angles)
-    hull = boundary.hull()
-    tol = fov_margin(m)
-    return all(hull_contains(hull, complex(lam), tol)
-               for lam in linalg.general_eigenvalues(m))

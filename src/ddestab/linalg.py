@@ -231,7 +231,3 @@ def solver_for(m) -> LinearSolver:
         raise Singular(f"pivot {np.min(pivots):.3e} at or below {floor:.3e}")
     return LinearSolver(lu, piv, a.shape[0], a.dtype)
 
-
-def solve(solver: LinearSolver, b) -> np.ndarray:
-    """Functional alias for ``solver.solve(b)``."""
-    return solver.solve(b)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
+from ._csv import write_csv
 from .errors import InvalidParams
 from .solver import LinearDDE, SemilinearDDE, Trajectory
 
@@ -282,18 +283,11 @@ def example2_condition(m_grid: int, lam: float, reaction_mu: float) -> Example2C
 def snapshot_csv(problem: MolProblem, traj: Trajectory, t: float, path,
                  component: int = 0) -> None:
     """Dump one time slice as plot-ready CSV: x[,y],value over interior nodes."""
-    state = traj.state_at(t)
-    sl = state[component * problem.n_interior:(component + 1) * problem.n_interior]
-    with open(path, "w", encoding="utf-8") as fh:
-        if problem.grid_y is None:
-            fh.write("x,value\n")
-            for x, v in zip(problem.grid.interior, sl):
-                fh.write(f"{x:.17g},{float(np.real(v)):.17g}\n")
-        else:
-            fh.write("x,y,value\n")
-            xs = problem.grid.interior
-            ys = problem.grid_y.interior
-            for j, y in enumerate(ys):
-                for i, x in enumerate(xs):
-                    v = sl[j * problem.grid.n_interior + i]
-                    fh.write(f"{x:.17g},{y:.17g},{float(np.real(v)):.17g}\n")
+    n = problem.n_interior
+    sl = np.real(traj.state_at(t)[component * n:(component + 1) * n])
+    xs = problem.grid.interior
+    if problem.grid_y is None:
+        write_csv(path, "x,value", (xs, sl))
+        return
+    ys = problem.grid_y.interior
+    write_csv(path, "x,y,value", (np.tile(xs, ys.size), np.repeat(ys, xs.size), sl))

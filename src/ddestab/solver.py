@@ -29,6 +29,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import linalg
+from ._csv import write_csv
 from .errors import InvalidParams, TimeOffGrid
 from .stability import ThetaScheme
 
@@ -113,25 +114,19 @@ class Trajectory:
     def to_csv(self, path, norm_only: bool = False) -> None:
         """Write t plus one column per component (re/im pairs when
         complex), or t plus the 2-norm in norm-only mode."""
-        with open(path, "w", encoding="utf-8") as fh:
-            n = self.states.shape[1]
-            is_complex = np.iscomplexobj(self.states)
-            if norm_only:
-                fh.write("t,norm2\n")
-                for t, row in zip(self.times, self.states):
-                    fh.write(f"{t:.17g},{np.linalg.norm(row):.17g}\n")
-                return
-            if is_complex:
-                header = ",".join(f"y{j}_re,y{j}_im" for j in range(n))
-            else:
-                header = ",".join(f"y{j}" for j in range(n))
-            fh.write("t," + header + "\n")
-            for t, row in zip(self.times, self.states):
-                if is_complex:
-                    vals = ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row)
-                else:
-                    vals = ",".join(f"{v:.17g}" for v in row)
-                fh.write(f"{t:.17g},{vals}\n")
+        if norm_only:
+            norms = (np.linalg.norm(row) for row in self.states)
+            write_csv(path, "t,norm2", (self.times, norms))
+            return
+        n = self.states.shape[1]
+        if np.iscomplexobj(self.states):
+            header = ",".join(f"y{j}_re,y{j}_im" for j in range(n))
+            parts = (self.states.real, self.states.imag)
+            columns = [part[:, j] for j in range(n) for part in parts]
+        else:
+            header = ",".join(f"y{j}" for j in range(n))
+            columns = list(self.states.T)
+        write_csv(path, "t," + header, [self.times] + columns)
 
 
 def _check_delay(scheme: ThetaScheme, tau: float) -> None:
@@ -164,6 +159,8 @@ def _run(scheme, dim, dtype, history, explicit_apply, delayed_explicit,
     buf = np.zeros((size, dim), dtype=dtype)
     for k in range(-m, 1):
         buf[k % size] = np.asarray(history(k * h), dtype=dtype)
+    if not np.all(np.isfinite(buf)):
+        raise InvalidParams(f"history is not finite at every grid time in [{-m * h:.6g}, 0]")
 
     if keep_trajectory:
         states = np.empty((n_steps + 1, dim), dtype=dtype)

@@ -38,6 +38,12 @@ Certificates offered, strongest first:
 * ``inthout_condition`` -- sampled resolvent criterion
   sup_{Re xi = 0} rho((xi I - A)^{-1} B) < 1 together with
   -1 not in sigma(A^{-1} B); a numerical screen, not a proof.
+
+``certify`` is the one entry point that merges them: the mode analysis
+when it applies, else the unconditional and then the step certificate,
+plus the oracle while dim W stays under ``ORACLE_CAP``.  Its verdict is,
+in order of precedence: CertifiedUnstable (an instability witness from
+any analysis), UnconditionallyStable, StableForThisStep, Uncertified.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fov, linalg
+from ._csv import write_csv
 from .errors import (
     ComplexSpectrum,
     InvalidParams,
@@ -62,6 +69,7 @@ from .errors import (
 ROOT_TOL = 1e-9
 NEG_INF = float("-inf")
 DEFAULT_P_GRID = (0.0, 1.0, 2.0)
+ORACLE_CAP = 5000  # max (m+1)N for the automatic brute-force check
 
 UNCONDITIONALLY_STABLE = "UnconditionallyStable"
 STABLE_FOR_THIS_STEP = "StableForThisStep"
@@ -199,10 +207,8 @@ class RegionBoundary:
     m: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("alpha,re,im\n")
-            for a, z in zip(self.alphas, self.mus):
-                fh.write(f"{a:.17g},{z.real:.17g},{z.imag:.17g}\n")
+        """Write alpha, re, im rows; ``path=None`` writes to stdout."""
+        write_csv(path, "alpha,re,im", (self.alphas, self.mus.real, self.mus.imag))
 
 
 def gamma_y(scheme: ThetaScheme, y: float, n_samples: int = 512) -> RegionBoundary:
@@ -495,6 +501,66 @@ def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
     if all_inside and not any_marginal:
         return StabilityReport(STABLE_FOR_THIS_STEP, tuple(evidence), scheme)
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
+
+
+def certify(a, b, scheme: ThetaScheme,
+            p_grid=DEFAULT_P_GRID,
+            n_angles: int = fov.DEFAULT_ANGLES,
+            oracle_cap: int = ORACLE_CAP) -> StabilityReport:
+    """Run the applicable analyses and merge them into one report.
+
+    Mode analysis runs when A, B are simultaneously diagonalizable with a
+    real positive spectrum; otherwise the field-of-values certificates.
+    The brute-force spectral radius of W is added whenever its dimension
+    fits under ``oracle_cap``.  Verdict precedence: a concrete instability
+    witness, then an unconditional certificate, then any per-step
+    certificate, else Uncertified.
+    """
+    evidence = []
+    verdicts = []
+
+    simdiag_report = None
+    try:
+        simdiag_report = simdiag_analysis(a, b, scheme)
+        evidence.extend(simdiag_report.evidence)
+        verdicts.append(simdiag_report.verdict)
+    except (NotSimultaneouslyDiagonalizable, ComplexSpectrum) as exc:
+        evidence.append(Evidence("simdiag", note=f"not applicable: {exc}"))
+
+    if simdiag_report is None:
+        report = unconditional_certificate(a, b, scheme, p_grid, n_angles)
+        evidence.extend(report.evidence)
+        verdicts.append(report.verdict)
+        if report.verdict != UNCONDITIONALLY_STABLE:
+            try:
+                step = step_certificate(a, b, scheme, p_grid, n_angles)
+                evidence.extend(step.evidence)
+                verdicts.append(step.verdict)
+            except (NotHermitian, NotPositiveDefinite) as exc:
+                evidence.append(Evidence(
+                    "step-certificate", note=f"not applicable: {exc}"))
+
+    oracle = None
+    dim = (scheme.m + 1) * np.asarray(a).shape[0]
+    if dim <= oracle_cap:
+        oracle = oracle_stability(a, b, scheme)
+        evidence.append(Evidence(
+            "oracle-spectral-radius", margin=1.0 - oracle.spectral_radius,
+            note=f"rho(W) = {oracle.spectral_radius:.12g}, dim {oracle.dim}"))
+    else:
+        evidence.append(Evidence(
+            "oracle-spectral-radius", note=f"skipped: dim {dim} exceeds {oracle_cap}"))
+
+    if (oracle is not None and oracle.certified_unstable) \
+            or CERTIFIED_UNSTABLE in verdicts:
+        verdict = CERTIFIED_UNSTABLE
+    elif UNCONDITIONALLY_STABLE in verdicts:
+        verdict = UNCONDITIONALLY_STABLE
+    elif STABLE_FOR_THIS_STEP in verdicts or (oracle is not None and oracle.stable):
+        verdict = STABLE_FOR_THIS_STEP
+    else:
+        verdict = UNCERTIFIED
+    return StabilityReport(verdict, tuple(evidence), scheme)
 
 
 # ---------------------------------------------------------------------------

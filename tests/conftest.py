@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from ddestab.fov import _point_segment_distance, convex_hull, hull_margin
-
 
 @pytest.fixture
 def rng():
@@ -30,6 +28,61 @@ def random_spd(gen, n, eig_low=0.5, eig_high=3.0):
 def random_unit_vector(gen, n):
     v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def convex_hull(points):
+    """Convex hull of complex points, counterclockwise, degenerate-safe.
+
+    Returns 1 point for a coincident cloud, 2 for a collinear one, else
+    the CCW vertex cycle (no vertex repeated).
+    """
+    pts = np.unique(np.asarray(points, dtype=complex))
+    order = np.lexsort((pts.imag, pts.real))
+    pts = pts[order]
+    if pts.size <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    hull = np.array(lower[:-1] + upper[:-1], dtype=complex)
+    if hull.size == 0:  # fully collinear cloud
+        return np.array([pts[0], pts[-1]], dtype=complex)
+    return hull
+
+
+def _point_segment_distance(z, a, b):
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(z - a)
+    t = ((z - a) * ab.conjugate()).real / denom
+    t = min(1.0, max(0.0, t))
+    return abs(z - (a + t * ab))
+
+
+def hull_margin(hull, z):
+    """Signed inwards distance from ``z`` to a CCW convex polygon with at
+    least three vertices: positive strictly inside, negative outside."""
+    h = np.asarray(hull, dtype=complex)
+    margin = np.inf
+    for k in range(h.size):
+        a = h[k]
+        ab = h[(k + 1) % h.size] - a
+        # CCW polygon: positive cross product = z on the inner side of edge
+        signed = (ab.real * (z.imag - a.imag) - ab.imag * (z.real - a.real)) / abs(ab)
+        margin = min(margin, signed)
+    return float(margin)
 
 
 def random_normal_matrix(gen, n=5, min_gap=0.35):

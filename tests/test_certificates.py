@@ -164,29 +164,21 @@ class TestSimdiag:
 
 class TestConsolidatedCheck:
     def test_benchmark_m2_stable(self):
-        from ddestab.cli import consolidated_check
-
-        rep = consolidated_check(BENCH_A, BENCH_B, scheme(m=2))
+        rep = stability.certify(BENCH_A, BENCH_B, scheme(m=2))
         assert rep.verdict == STABLE_FOR_THIS_STEP
 
     def test_benchmark_m50_unstable_oracle_witness(self):
-        from ddestab.cli import consolidated_check
-
-        rep = consolidated_check(BENCH_A, BENCH_B, scheme(m=50))
+        rep = stability.certify(BENCH_A, BENCH_B, scheme(m=50))
         assert rep.verdict == CERTIFIED_UNSTABLE
         oracle = [e for e in rep.evidence if e.check == "oracle-spectral-radius"]
         assert oracle and oracle[0].margin < 0.0
 
     def test_zero_b_unconditional(self, rng):
-        from ddestab.cli import consolidated_check
-
         a = random_spd(rng, 3).real
-        rep = consolidated_check(a, np.zeros((3, 3)), scheme(theta=0.75, m=4))
+        rep = stability.certify(a, np.zeros((3, 3)), scheme(theta=0.75, m=4))
         assert rep.verdict == UNCONDITIONALLY_STABLE
 
     def test_oracle_skipped_beyond_cap(self):
-        from ddestab.cli import consolidated_check
-
-        rep = consolidated_check(BENCH_A, BENCH_B, scheme(m=50), oracle_cap=10)
+        rep = stability.certify(BENCH_A, BENCH_B, scheme(m=50), oracle_cap=10)
         notes = [e.note for e in rep.evidence if e.check == "oracle-spectral-radius"]
         assert notes and "skipped" in notes[0]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ddestab import cli
+from ddestab import cli, fov, stability
 from ddestab.reproduce import EXAMPLE31_A, EXAMPLE31_B
 
 
@@ -126,6 +126,14 @@ class TestRegionCommand:
         assert first == second
         assert first.startswith("alpha,re,im\n")
 
+    def test_stdout_matches_to_csv(self, tmp_path, capsys):
+        assert cli.main(["region", "--y", "-2", "--m", "3", "--theta", "0.75",
+                         "--n", "64"]) == 0
+        path = tmp_path / "gamma.csv"
+        scheme = stability.ThetaScheme(theta=0.75, u=0.0, m=3, tau=1.0)
+        stability.gamma_y(scheme, -2.0, 64).to_csv(path)
+        assert capsys.readouterr().out.encode() == path.read_bytes()
+
 
 class TestFovCommand:
     def test_identity_single_point(self, tmp_path, capsys):
@@ -152,6 +160,22 @@ class TestFovCommand:
         res = rows[:, 1]
         assert abs(res.max() - 2.0) <= 1e-9
         assert abs(res.min() - 0.5) <= 1e-9
+
+    @pytest.mark.parametrize("with_b", [False, True])
+    def test_stdout_matches_to_csv(self, tmp_path, capsys, with_b):
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        b = np.array([[0.3, -0.2], [0.4, 0.1]])
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        cli.write_matrix(a_path, a)
+        cli.write_matrix(b_path, b)
+        argv = ["fov", "--matrix", str(a_path), "--n", "32"]
+        if with_b:
+            argv += ["--matrix-b", str(b_path), "--p", "1"]
+            a = fov.transformed_matrix(a, b, 1.0)
+        assert cli.main(argv) == 0
+        path = tmp_path / "fov.csv"
+        fov.fov_boundary(a, 32).to_csv(path)
+        assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 class TestSolveCommand:
@@ -189,6 +213,18 @@ class TestSolveCommand:
         assert doc["final_norm"] == 0.0
         data = np.loadtxt(csv, delimiter=",", skiprows=1)
         assert np.max(np.abs(data[:, 1:])) == 0.0
+
+    @pytest.mark.parametrize("history, code", [("abc,1", 2), ("nan,1", 3)])
+    def test_bad_history_exit_codes(self, tmp_path, capsys, history, code):
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        cli.write_matrix(a_path, np.eye(2))
+        cli.write_matrix(b_path, np.zeros((2, 2)))
+        out = tmp_path / "summary.json"
+        assert cli.main(["solve", "--problem", "linear", "--matrix-a", str(a_path),
+                         "--matrix-b", str(b_path), "--tau", "1", "--m", "2",
+                         "--history-const", history, "-o", str(out)]) == code
+        assert "history" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trajectory_csv_written(self, tmp_path):
         csv = tmp_path / "traj.csv"

@@ -195,7 +195,3 @@ class TestLinearSolver:
     def test_singular_raises(self):
         with pytest.raises(errors.Singular):
             linalg.solver_for(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_functional_alias(self):
-        s = linalg.solver_for(np.eye(2))
-        assert_allclose(linalg.solve(s, np.ones(2)), np.ones(2))

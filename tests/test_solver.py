@@ -8,7 +8,7 @@ from ddestab import errors, linalg, solver, stability
 from ddestab.solver import LinearDDE, SemilinearDDE
 from ddestab.stability import ThetaScheme
 
-from conftest import random_spd
+from conftest import random_complex, random_spd
 
 
 def scalar_problem(a, b, tau=1.0, hist=lambda t: np.array([1.0])):
@@ -179,6 +179,23 @@ class TestSemilinear:
         assert len(traj.times) == 2  # halted after the first step
 
 
+@pytest.mark.parametrize("semilinear", [False, True])
+def test_non_finite_history_rejected(semilinear):
+    s = ThetaScheme(1.0, 0.0, 4, 1.0)
+
+    def history(t):  # finite at t = 0, NaN only at the grid time -h
+        return np.full(2, np.nan) if t == -s.h else np.ones(2)
+
+    if semilinear:
+        prob = SemilinearDDE(-np.eye(2), lambda z: z, 1.0, history)
+        run = solver.solve_semilinear
+    else:
+        prob = LinearDDE(np.eye(2), np.zeros((2, 2)), 1.0, history)
+        run = solver.solve_linear
+    with pytest.raises(errors.InvalidParams):
+        run(prob, s, 2.0)
+
+
 class TestObservedOrder:
     def test_backward_euler_first_order(self):
         # smooth exponential solution: a = 1, b chosen so e^{sigma t} solves
@@ -238,3 +255,17 @@ def test_trajectory_csv_full_and_norm_only(tmp_path, rng):
     assert first[0] == "t,norm2"
     t0, n0 = map(float, first[1].split(","))
     assert t0 == 0.0 and abs(n0 - math.sqrt(5.0)) <= 1e-12
+
+
+def test_complex_trajectory_csv_reads_back_exactly(tmp_path, rng):
+    prob = LinearDDE(random_spd(rng, 2), 0.3 * random_complex(rng, 2), 1.0,
+                     lambda t: np.array([1.0, -2.0j]))
+    traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 2.0)
+    assert np.iscomplexobj(traj.states)
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    assert path.read_text().splitlines()[0] == "t,y0_re,y0_im,y1_re,y1_im"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], traj.times)
+    assert np.array_equal(data[:, 1::2], traj.states.real)
+    assert np.array_equal(data[:, 2::2], traj.states.imag)
