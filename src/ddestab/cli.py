@@ -163,7 +163,7 @@ def _build_problem(args):
 def _cmd_solve(args) -> int:
     dde, problem, t_end, tau = _build_problem(args)
     scheme = stability.ThetaScheme(theta=args.theta, u=args.u, m=args.m, tau=tau)
-    n_steps = int(math.ceil(t_end / scheme.h - 1e-9))
+    n_steps = solver._n_steps(t_end, scheme.h)
     keep = args.keep_trajectory or (n_steps + 1) * dde.dim <= AUTO_KEEP_LIMIT
 
     if isinstance(dde, solver.LinearDDE):
@@ -177,7 +177,7 @@ def _cmd_solve(args) -> int:
         "dim": dde.dim,
         "scheme": scheme.to_dict(),
         "t_end": traj.final_time,
-        "steps": int(len(traj.times) - 1 if keep else n_steps),
+        "steps": round(traj.final_time / scheme.h),
         "initial_norm": float(np.linalg.norm(initial)),
         "final_norm": float(np.linalg.norm(traj.final_state)),
         "diverged": bool(traj.diverged),

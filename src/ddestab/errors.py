@@ -49,10 +49,6 @@ class UnsupportedScheme(DdeStabError):
     """The requested operation is undefined for these scheme parameters."""
 
 
-class SchemeOutOfScope(DdeStabError):
-    """Scheme parameters fall outside a certificate's hypotheses."""
-
-
 class InvalidParams(DdeStabError):
     """Arguments violate a documented precondition."""
 

@@ -1,21 +1,24 @@
 """Theta-method time stepping for constant-delay systems.
 
-Two problem shapes are integrated on the uniform grid t_n = n h with
-h = tau / (m - u) and linear interpolation of the delayed state:
+One driver integrates z'(t) = M z(t) + g(z(t - tau))
+(:class:`SemilinearDDE`) on the uniform grid t_n = n h with
+h = tau / (m - u).  The linear system y'(t) = -A y(t) + B y(t - tau)
+(:class:`LinearDDE`) is its special case M = -A, g(d) = B d.  One step
+advances
 
-* linear,      y'(t) = -A y(t) + B y(t - tau)         (:class:`LinearDDE`)
-* semilinear,  z'(t) = M z(t) + g(z(t - tau))         (:class:`SemilinearDDE`)
+    z_{n+1} = z_n + h (1-theta) [M z_n + g(d_n)]
+                  + h theta [M z_{n+1} + g(d_{n+1})],
 
-One step advances
+with the delayed value of the implicit stage interpolated linearly,
+d_{n+1} = (1-u) z_{n-m+1} + u z_{n-m+2}.  g acts on the delayed state
+only, so the implicit stage stays linear: I - theta h M is factored once
+for the whole run.  g is called once per step; the explicit stage reuses
+the previous step's value, and at theta = 1 there is no explicit delayed
+term.
 
-    y_{n+1} = y_n + h (1-theta) [rhs(t_n)] + h theta [rhs(t_{n+1})],
-
-with the delayed value at stage n approximated by
-(1-u) y_{n-m} + u y_{n-m+1} (and shifted one index for the implicit
-stage).  The nonlinearity g acts on the delayed state only, so the
-implicit stage stays linear and the factored matrix is reused for the
-whole run.  Pre-time-zero values come from sampling the history function
-at the grid times -k h, k = 0..m.
+The history is sampled at the grid times max(-k h, -tau), k = 0..m.  When
+u > 0 (or by rounding at u = 0) the time -m h lies below -tau; there the
+history is extended as a constant, so the sample taken is history(-tau).
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ OVERFLOW_GUARD = 1e100
 @dataclass(frozen=True)
 class LinearDDE:
     """y'(t) = -a y(t) + b y(t - tau); ``a`` is the (expected positive
-    definite) factor on the minus sign.  ``history(t)`` must be callable
-    for t in [-tau, 0]."""
+    definite) factor on the minus sign.  ``history(t)`` is called for t in
+    [-tau, 0] only; before -tau the solver extends it as the constant
+    history(-tau)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -63,7 +67,9 @@ class LinearDDE:
 @dataclass(frozen=True)
 class SemilinearDDE:
     """z'(t) = m_linear z(t) + g(z(t - tau)) with a delayed-only
-    nonlinearity; ``m_linear`` may be dense or scipy.sparse."""
+    nonlinearity; ``m_linear`` may be dense or scipy.sparse.  ``history(t)``
+    is called for t in [-tau, 0] only; before -tau the solver extends it
+    as the constant history(-tau)."""
 
     m_linear: object
     g: object
@@ -149,36 +155,69 @@ def _n_steps(t_end: float, h: float) -> int:
     return int(math.ceil(t_end / h - 1e-9))
 
 
-def _run(scheme, dim, dtype, history, explicit_apply, delayed_explicit,
-         delayed_implicit, solve_step, t_end, keep_trajectory):
-    """Shared driver: ring buffer of m+2 states indexed modulo, absolute
-    step index n, history pre-filled at grid times -m h .. 0."""
-    m, h, u = scheme.m, scheme.h, scheme.u
+def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
+               keep_trajectory: bool) -> Trajectory:
+    """The one stepping driver, for z' = M z + g(z(t - tau)).
+
+    A ring buffer of m+2 states is indexed modulo by the absolute step
+    index n.  g is called once per step, on the implicit-stage delayed
+    value; the explicit stage of step n+1 reuses that result, since its
+    delayed value is the same interpolant of the same buffer rows.  At
+    theta = 1 the explicit delayed term is dropped.
+    """
+    _check_delay(scheme, prob.tau)
+    m, h, u, theta = scheme.m, scheme.h, scheme.u, scheme.theta
+    dim = prob.dim
+    probe = np.asarray(prob.history(0.0))
+    if probe.shape != (dim,):
+        raise InvalidParams(
+            f"history must return vectors of length {dim}, got {probe.shape}")
+    dtype = np.result_type(dtype, probe, np.float64)
+
+    if scipy.sparse.issparse(m_linear):
+        eye = scipy.sparse.identity(dim, dtype=dtype, format="csr")
+    else:
+        eye = np.eye(dim, dtype=dtype)
+        m_linear = np.asarray(m_linear)
+    explicit = eye + (1.0 - theta) * h * m_linear
+    solve_step = _implicit_solver(eye - theta * h * m_linear)
+    w_exp = h * (1.0 - theta)
+    w_imp = h * theta
+
     n_steps = _n_steps(t_end, h)
     size = m + 2
     buf = np.zeros((size, dim), dtype=dtype)
+    # -m h lies below -tau when u > 0 (or by rounding): use history(-tau)
+    t_first = max(-m * h, -prob.tau)
     for k in range(-m, 1):
-        buf[k % size] = np.asarray(history(k * h), dtype=dtype)
+        buf[k % size] = np.asarray(prob.history(k * h if k > -m else t_first),
+                                   dtype=dtype)
     if not np.all(np.isfinite(buf)):
-        raise InvalidParams(f"history is not finite at every grid time in [{-m * h:.6g}, 0]")
+        raise InvalidParams(
+            f"history is not finite at every grid time in [{t_first:.6g}, 0]")
 
     if keep_trajectory:
         states = np.empty((n_steps + 1, dim), dtype=dtype)
         states[0] = buf[0]
 
+    def delayed(n):
+        """Interpolated delayed state of the implicit stage of step n."""
+        z1 = buf[(n - m + 1) % size]
+        if u == 0.0:
+            return z1
+        return (1.0 - u) * z1 + u * buf[(n - m + 2) % size]
+
+    if theta < 1.0:
+        g_prev = np.asarray(g(delayed(-1)))
     diverged = False
     last = 0
     for n in range(n_steps):
-        z0 = buf[(n - m) % size]
-        z1 = buf[(n - m + 1) % size]
-        d_exp = (1.0 - u) * z0 + u * z1
-        if u > 0.0:
-            z2 = buf[(n - m + 2) % size]
-            d_imp = (1.0 - u) * z1 + u * z2
-        else:
-            d_imp = z1
-        rhs = explicit_apply(buf[n % size]) + delayed_explicit(d_exp) + delayed_implicit(d_imp)
-        new = solve_step(rhs)
+        g_new = np.asarray(g(delayed(n)))
+        rhs = explicit @ buf[n % size]
+        if theta < 1.0:
+            rhs = rhs + w_exp * g_prev
+            g_prev = g_new
+        new = solve_step(rhs + w_imp * g_new)
         buf[(n + 1) % size] = new
         last = n + 1
         if keep_trajectory:
@@ -207,28 +246,10 @@ def solve_linear(prob: LinearDDE, scheme: ThetaScheme, t_end: float,
     halts early with ``diverged=True`` if any state exceeds the overflow
     guard of 1e100 in max norm or holds a NaN.
     """
-    _check_delay(scheme, prob.tau)
-    h, theta = scheme.h, scheme.theta
     am = np.asarray(prob.a)
     bm = np.asarray(prob.b)
-    probe = np.asarray(prob.history(0.0))
-    if probe.shape != (prob.dim,):
-        raise InvalidParams(
-            f"history must return vectors of length {prob.dim}, got {probe.shape}")
-    dtype = np.result_type(am, bm, probe, np.float64)
-
-    eye = np.eye(prob.dim, dtype=dtype)
-    explicit = eye - (1.0 - theta) * h * am
-    solve_step = _implicit_solver(eye + theta * h * am.astype(dtype))
-    w_exp = h * (1.0 - theta)
-    w_imp = h * theta
-    return _run(
-        scheme, prob.dim, dtype, prob.history,
-        explicit_apply=lambda y: explicit @ y,
-        delayed_explicit=lambda d: w_exp * (bm @ d),
-        delayed_implicit=lambda d: w_imp * (bm @ d),
-        solve_step=solve_step,
-        t_end=t_end, keep_trajectory=keep_trajectory)
+    return _integrate(prob, scheme, -am, lambda d: bm @ d,
+                      np.result_type(am, bm), t_end, keep_trajectory)
 
 
 def solve_semilinear(prob: SemilinearDDE, scheme: ThetaScheme, t_end: float,
@@ -238,36 +259,9 @@ def solve_semilinear(prob: SemilinearDDE, scheme: ThetaScheme, t_end: float,
     g is evaluated at the interpolated delayed state, so each step solves
     the single linear system (I - theta h M) z_{n+1} = rhs.
     """
-    _check_delay(scheme, prob.tau)
-    h, theta = scheme.h, scheme.theta
     mm = prob.m_linear
-    probe = np.asarray(prob.history(0.0))
-    if probe.shape != (prob.dim,):
-        raise InvalidParams(
-            f"history must return vectors of length {prob.dim}, got {probe.shape}")
-    sample_dtype = mm.dtype if hasattr(mm, "dtype") else np.asarray(mm).dtype
-    dtype = np.result_type(sample_dtype, probe, np.float64)
-
-    if scipy.sparse.issparse(mm):
-        eye = scipy.sparse.identity(prob.dim, dtype=dtype, format="csr")
-        explicit = (eye + (1.0 - theta) * h * mm).tocsr()
-        implicit = (eye - theta * h * mm).tocsc()
-    else:
-        eye = np.eye(prob.dim, dtype=dtype)
-        explicit = eye + (1.0 - theta) * h * np.asarray(mm)
-        implicit = eye - theta * h * np.asarray(mm)
-    solve_step = _implicit_solver(implicit)
-    g = prob.g
-    w_exp = h * (1.0 - theta)
-    w_imp = h * theta
-    return _run(
-        scheme, prob.dim, dtype, prob.history,
-        explicit_apply=lambda z: explicit @ z,
-        delayed_explicit=(lambda d: w_exp * np.asarray(g(d))) if theta < 1.0
-        else (lambda d: 0.0),
-        delayed_implicit=lambda d: w_imp * np.asarray(g(d)),
-        solve_step=solve_step,
-        t_end=t_end, keep_trajectory=keep_trajectory)
+    dtype = mm.dtype if hasattr(mm, "dtype") else np.asarray(mm).dtype
+    return _integrate(prob, scheme, mm, prob.g, dtype, t_end, keep_trajectory)
 
 
 def observed_order(prob: LinearDDE, exact, theta: float, m_list,

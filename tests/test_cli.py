@@ -226,6 +226,23 @@ class TestSolveCommand:
         assert "history" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_window_mode_counts_steps_actually_taken(self, tmp_path, monkeypatch):
+        # A = 1, B = 1e3 diverges long before t_end; window mode must report
+        # the steps taken up to the halt, not the planned count
+        monkeypatch.setattr(cli, "AUTO_KEEP_LIMIT", 0)
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        cli.write_matrix(a_path, np.array([[1.0]]))
+        cli.write_matrix(b_path, np.array([[1e3]]))
+        out = tmp_path / "summary.json"
+        assert cli.main(["solve", "--problem", "linear", "--matrix-a", str(a_path),
+                         "--matrix-b", str(b_path), "--tau", "1", "--m", "1",
+                         "--t-end", "500", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["diverged"] is True
+        assert "max_abs" not in doc  # window mode
+        assert doc["t_end"] < 500.0
+        assert doc["steps"] == round(doc["t_end"])  # h = 1
+
     def test_trajectory_csv_written(self, tmp_path):
         csv = tmp_path / "traj.csv"
         out = tmp_path / "s.json"

@@ -53,7 +53,8 @@ class TestLinearStepping:
         prob = LinearDDE(a, b, tau, history)
         traj = solver.solve_linear(prob, s, 50 * s.h)
         w = stability.build_w(a, b, s)
-        stacked = np.concatenate([history(-k * s.h) for k in range(m + 1)])
+        # the solver's sampling rule: grid times -k h, clamped to -tau
+        stacked = np.concatenate([history(max(-k * s.h, -tau)) for k in range(m + 1)])
         for n_step in range(1, 51):
             stacked = w @ stacked
             err = np.max(np.abs(traj.states[n_step] - stacked[:n]))
@@ -146,8 +147,36 @@ class TestSemilinear:
         lin = solver.solve_linear(LinearDDE(a, b, 1.0, lambda t: hist), s, 8.0)
         semi = solver.solve_semilinear(
             SemilinearDDE(-a, lambda z: b @ z, 1.0, lambda t: hist), s, 8.0)
-        assert np.max(np.abs(lin.states - semi.states)) <= 1e-12 * (
-            1.0 + np.max(np.abs(lin.states)))
+        assert np.array_equal(lin.states, semi.states)
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_g_called_once_per_step(self, theta, u):
+        calls = []
+
+        def g(z):
+            calls.append(1)
+            return 0.1 * z
+
+        prob = SemilinearDDE(-np.eye(2), g, 1.0, lambda t: np.array([1.0, -1.0]))
+        s = ThetaScheme(theta, u, 4, 1.0)
+        traj = solver.solve_semilinear(prob, s, 3.0)
+        n_steps = len(traj.times) - 1
+        assert not traj.diverged and n_steps == solver._n_steps(3.0, s.h)
+        assert len(calls) == (n_steps if theta == 1.0 else n_steps + 1)
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_g_returning_its_argument(self, rng, theta, u):
+        # g hands back a view of the solver's ring buffer (at u = 0 the
+        # delayed value is a buffer row itself)
+        a = random_spd(rng, 3).real
+        hist = rng.standard_normal(3)
+        s = ThetaScheme(theta, u, 4, 1.0)
+        lin = solver.solve_linear(LinearDDE(a, np.eye(3), 1.0, lambda t: hist), s, 6.0)
+        semi = solver.solve_semilinear(
+            SemilinearDDE(-a, lambda z: z, 1.0, lambda t: hist), s, 6.0)
+        assert np.array_equal(lin.states, semi.states)
 
     def test_sparse_linear_part(self, rng):
         import scipy.sparse
@@ -194,6 +223,30 @@ def test_non_finite_history_rejected(semilinear):
         run = solver.solve_linear
     with pytest.raises(errors.InvalidParams):
         run(prob, s, 2.0)
+
+
+@pytest.mark.parametrize("semilinear", [False, True])
+@pytest.mark.parametrize("tau,m,u", [(1.0, 4, 0.5), (math.pi / 2, 25, 0.0)])
+def test_history_called_only_on_its_domain(semilinear, tau, m, u):
+    # -m h lies below -tau: at u = 1/2 by 1/7, at tau = pi/2, m = 25 by rounding
+    s = ThetaScheme(0.5, u, m, tau)
+    assert -m * s.h < -tau
+    seen = []
+
+    def history(t):
+        if not -tau <= t <= 0.0:
+            raise ValueError(f"history asked for t = {t}")
+        seen.append(t)
+        return np.array([1.0 + t, 2.0])
+
+    if semilinear:
+        prob = SemilinearDDE(-np.eye(2), lambda z: 0.5 * z, tau, history)
+        traj = solver.solve_semilinear(prob, s, 2.0)
+    else:
+        prob = LinearDDE(np.eye(2), 0.5 * np.eye(2), tau, history)
+        traj = solver.solve_linear(prob, s, 2.0)
+    assert -tau in seen  # the sample below -tau is history(-tau)
+    assert np.all(np.isfinite(traj.states))
 
 
 class TestObservedOrder:
