@@ -2,9 +2,9 @@
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): Hermitian
 eigendecompositions (full, or the largest eigenpair alone), general
-eigenvalues, polynomial roots through the balanced
-companion matrix, fractional powers of Hermitian positive definite
-matrices, and reusable LU solvers.
+eigenvalues and polynomial roots through the balanced companion matrix
+(of one matrix or polynomial, or of a stack in one call), fractional powers of
+Hermitian positive definite matrices, and reusable LU solvers.
 
 All tolerances are relative to ``scaled_norm`` (max-abs entry times
 dimension) so the contracts are scale-free.  Every function is pure; all
@@ -134,23 +134,37 @@ def general_eigenvalues(m) -> np.ndarray:
     The eigenvalue sum is checked against the trace to 1e-8 * ||M|| * n.
     """
     a = as_square_matrix(m)
+    return stacked_eigenvalues(a[None])[0]
+
+
+def stacked_eigenvalues(ms) -> np.ndarray:
+    """Eigenvalues of every matrix of an (k, n, n) stack, from one call.
+
+    Returns an (k, n) array; each row passes the
+    :func:`general_eigenvalues` trace check against its own matrix.
+    """
+    a = np.asarray(ms)
+    if a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise InvalidParams(f"expected a stack of square matrices, got shape {a.shape}")
     try:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    nrm = scaled_norm(a)
-    gap = abs(np.sum(values) - np.trace(a))
-    if nrm > 0.0 and gap > 1e-8 * nrm * a.shape[0]:
-        raise NoConvergence(f"eigenvalue sum deviates from trace by {gap:.3e}")
+    n = a.shape[1]
+    gap = np.abs(np.sum(values, axis=1) - np.trace(a, axis1=1, axis2=2))
+    bound = 1e-8 * np.max(np.abs(a), axis=(1, 2)) * n * n
+    if np.any(gap > bound):
+        worst = int(np.argmax(gap - bound))
+        raise NoConvergence(f"eigenvalue sum deviates from trace by {gap[worst]:.3e}")
     return values
 
 
 def poly_roots(coeffs) -> np.ndarray:
     """Roots of ``c[0] + c[1] z + ... + c[n] z^n`` (constant first).
 
-    Computed as eigenvalues of the balanced companion matrix.  Leading
-    coefficients below 1e-14 * max|c| are trimmed first.  Each root is
-    verified to satisfy |p(root)| <= 1e-8 * max|c| * (1 + |root|)^n.
+    Leading coefficients below 1e-14 * max|c| are trimmed first, and
+    vanishing trailing ones give exact roots at zero (as :func:`numpy.roots`
+    does); the rest go through :func:`stacked_poly_roots` as one row.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.ndim != 1 or c.size == 0:
@@ -162,15 +176,46 @@ def poly_roots(coeffs) -> np.ndarray:
     degree = keep[-1]
     if degree == 0:
         raise DegenerateLeading("polynomial is constant after trimming")
-    c = c[: degree + 1]
-    roots = np.roots(c[::-1])  # np.roots wants the leading coefficient first
-    bound = 1e-8 * scale * (1.0 + np.abs(roots)) ** degree
-    resid = np.abs(np.polyval(c[::-1], roots))
-    if np.any(resid > bound):
-        worst = int(np.argmax(resid - bound))
+    zeros = int(np.flatnonzero(c)[0])
+    roots = np.zeros(degree, dtype=complex)
+    if zeros < degree:
+        roots[: degree - zeros] = stacked_poly_roots(c[None, zeros: degree + 1])[0]
+    return roots
+
+
+def stacked_poly_roots(coeffs) -> np.ndarray:
+    """Roots of every row ``c[k, 0] + c[k, 1] z + ... + c[k, n] z^n``.
+
+    Computed as eigenvalues of the companion matrices (built as
+    :func:`numpy.roots` builds them) in one stacked call; returns an
+    (rows, n) array.  Nothing is trimmed, so every row needs a nonzero
+    leading coefficient.  Each root is verified to satisfy
+    |p(root)| <= 1e-8 * max|c| * (1 + |root|)^n.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] < 2:
+        raise InvalidParams("coefficients must be rows of at least two entries")
+    lead = c[:, -1]
+    if np.any(lead == 0.0):
+        raise DegenerateLeading("a leading coefficient vanishes")
+    degree = c.shape[1] - 1
+    companion = np.zeros((c.shape[0], degree, degree), dtype=complex)
+    companion[:, 0, :] = -c[:, -2::-1] / lead[:, None]
+    sub = np.arange(degree - 1)
+    companion[:, sub + 1, sub] = 1.0
+    try:
+        roots = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalue iteration failed: {exc}") from exc
+    value = np.zeros_like(roots)
+    for j in range(degree, -1, -1):  # Horner, leading coefficient first
+        value = value * roots + c[:, j, None]
+    scale = np.max(np.abs(c), axis=1)
+    excess = np.abs(value) - 1e-8 * scale[:, None] * (1.0 + np.abs(roots)) ** degree
+    if np.any(excess > 0.0):
+        row, col = np.unravel_index(int(np.argmax(excess)), excess.shape)
         raise NoConvergence(
-            f"root residual {resid[worst]:.3e} exceeds bound {bound[worst]:.3e}"
-        )
+            f"root residual {abs(value[row, col]):.3e} exceeds its bound in row {row}")
     return roots
 
 

@@ -163,7 +163,8 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     index n.  g is called once per step, on the implicit-stage delayed
     value; the explicit stage of step n+1 reuses that result, since its
     delayed value is the same interpolant of the same buffer rows.  At
-    theta = 1 the explicit delayed term is dropped.
+    theta = 1 the explicit stage is the current state itself: no matvec
+    and no explicit delayed term.
     """
     _check_delay(scheme, prob.tau)
     m, h, u, theta = scheme.m, scheme.h, scheme.u, scheme.theta
@@ -179,7 +180,7 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     else:
         eye = np.eye(dim, dtype=dtype)
         m_linear = np.asarray(m_linear)
-    explicit = eye + (1.0 - theta) * h * m_linear
+    explicit = None if theta == 1.0 else eye + (1.0 - theta) * h * m_linear
     solve_step = _implicit_solver(eye - theta * h * m_linear)
     w_exp = h * (1.0 - theta)
     w_imp = h * theta
@@ -213,7 +214,7 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     last = 0
     for n in range(n_steps):
         g_new = np.asarray(g(delayed(n)))
-        rhs = explicit @ buf[n % size]
+        rhs = buf[n % size] if explicit is None else explicit @ buf[n % size]
         if theta < 1.0:
             rhs = rhs + w_exp * g_prev
             g_prev = g_new

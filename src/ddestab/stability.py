@@ -17,7 +17,9 @@ y -> -infinity uses the reduced equation c(z) - mu b(z) = 0.
 Membership in D_y is always decided by root computation, never by
 point-in-polygon tests against the boundary curve Gamma_y: the curve
 self-intersects for larger m and only its innermost loop bounds D_y,
-while root-counting is robust for every theta, u, m.
+while root-counting is robust for every theta, u, m.  For finite y the
+leading coefficient 1 - y theta >= 1 is never trimmed: at large |y| the
+root it carries is the largest one.
 
 Certificates offered, strongest first:
 
@@ -32,18 +34,27 @@ Certificates offered, strongest first:
   transformed field of values in D_{-h*lambda_max(A)} certifies stability
   for the given step.  An eigenvalue of A^{-1} B outside that D_y rules
   out every p before any sweep.
-* ``simdiag_analysis`` -- A, B simultaneously diagonalizable: exact
-  mode-by-mode verdicts from the eigenvalue pairs.
-* ``oracle_stability`` -- brute force: the spectral radius of W itself.
+* ``simdiag_analysis`` -- A, B simultaneously diagonalizable (a
+  Hermitian A may repeat eigenvalues, see ``simdiag_pairs``): exact
+  mode-by-mode verdicts from the pairs (lambda_i, gamma_i), with the
+  roots of every mode from one batched companion eigenvalue call.
+* ``oracle_stability`` -- brute force: the spectral radius of the dense W
+  itself, the independent reference of the tests.
 * ``inthout_condition`` -- sampled resolvent criterion
   sup_{Re xi = 0} rho((xi I - A)^{-1} B) < 1 together with
   -1 not in sigma(A^{-1} B); a numerical screen, not a proof.
 
-``certify`` is the one entry point that merges them: the mode analysis
-when it applies, else the unconditional and then the step certificate,
-plus the oracle while dim W stays under ``ORACLE_CAP``.  Its verdict is,
-in order of precedence: CertifiedUnstable (an instability witness from
-any analysis), UnconditionallyStable, StableForThisStep, Uncertified.
+``certify`` is the one entry point that merges them.  It computes the
+modes once.  When they exist it runs the mode analysis, and the oracle's
+rho(W) is the largest root modulus over the N mode polynomials of degree
+m + 1: det P(z) factors over the modes, so this is the number the dense
+oracle computes, and W is never built.  Otherwise it runs the
+unconditional and then the step certificate, and the oracle builds the
+dense W.  Either oracle runs while dim W = (m + 1) N stays under
+``ORACLE_CAP``; its note names the path ("per-mode over N modes" or
+"dense W").  The verdict is, in order of precedence: CertifiedUnstable
+(an instability witness from any analysis), UnconditionallyStable,
+StableForThisStep, Uncertified.
 """
 
 from __future__ import annotations
@@ -128,7 +139,12 @@ class StabilityPolynomial:
     scheme: ThetaScheme
 
     def roots(self) -> np.ndarray:
-        return linalg.poly_roots(self.coeffs)
+        """All m+1 roots for finite y (the z^{m+1} coefficient 1 - y theta
+        >= 1 is never trimmed); the reduced equation at y = -inf goes
+        through :func:`linalg.poly_roots`, which trims a vanishing theta."""
+        if math.isinf(self.y):
+            return linalg.poly_roots(self.coeffs)
+        return linalg.stacked_poly_roots(self.coeffs[None, :])[0]
 
 
 def _delayed_weights(theta: float, u: float) -> np.ndarray:
@@ -144,18 +160,25 @@ def stability_polynomial(scheme: ThetaScheme, y: float, mu: complex) -> Stabilit
     """Assemble P(z) = a(z) - y c(z) + y mu b(z), or c(z) - mu b(z) at y = -inf."""
     if not (y < 0.0 or y == NEG_INF):
         raise InvalidParams(f"y must be negative (or -inf), got {y}")
-    m, theta, u = scheme.m, scheme.theta, scheme.u
-    coeffs = np.zeros(m + 2, dtype=complex)
-    b = _delayed_weights(theta, u)
     if math.isinf(y):
+        m, theta = scheme.m, scheme.theta
+        coeffs = np.zeros(m + 2, dtype=complex)
         coeffs[m + 1] += theta
         coeffs[m] += 1.0 - theta
-        coeffs[:3] -= mu * b
+        coeffs[:3] -= mu * _delayed_weights(theta, scheme.u)
     else:
-        coeffs[m + 1] += 1.0 - y * theta
-        coeffs[m] += -1.0 - y * (1.0 - theta)
-        coeffs[:3] += y * mu * b
+        coeffs = _coefficient_rows(np.array([y]), np.array([mu]), scheme)[0]
     return StabilityPolynomial(coeffs=coeffs, y=y, mu=complex(mu), scheme=scheme)
+
+
+def _coefficient_rows(ys, mus, scheme: ThetaScheme) -> np.ndarray:
+    """One row of P(z) coefficients (constant first) per finite y < 0 and mu."""
+    m, theta = scheme.m, scheme.theta
+    coeffs = np.zeros((len(mus), m + 2), dtype=complex)
+    coeffs[:, m + 1] += 1.0 - ys * theta
+    coeffs[:, m] += -1.0 - ys * (1.0 - theta)
+    coeffs[:, :3] += (ys * mus)[:, None] * _delayed_weights(theta, scheme.u)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -177,6 +200,12 @@ class DyMembership:
     def marginal(self) -> bool:
         return abs(self.margin) <= ROOT_TOL
 
+    @classmethod
+    def from_radius(cls, radius: float) -> DyMembership:
+        """The membership decided by a largest root modulus."""
+        return cls(inside=radius < 1.0 - ROOT_TOL, margin=1.0 - radius,
+                   max_root_modulus=radius)
+
 
 def in_dy(mu: complex, y: float, scheme: ThetaScheme) -> DyMembership:
     """Does mu belong to the stability region D_y of the scheme?
@@ -185,10 +214,7 @@ def in_dy(mu: complex, y: float, scheme: ThetaScheme) -> DyMembership:
     every root modulus is below 1 - ROOT_TOL.
     """
     poly = stability_polynomial(scheme, y, mu)
-    radius = float(np.max(np.abs(poly.roots())))
-    return DyMembership(inside=radius < 1.0 - ROOT_TOL,
-                        margin=1.0 - radius,
-                        max_root_modulus=radius)
+    return DyMembership.from_radius(float(np.max(np.abs(poly.roots()))))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +313,21 @@ class OracleVerdict:
     def certified_unstable(self) -> bool:
         return self.spectral_radius >= 1.0 + ROOT_TOL
 
+    @classmethod
+    def from_radius(cls, radius: float, dim: int) -> OracleVerdict:
+        """The verdict decided by rho(W) of a W of dimension ``dim``."""
+        return cls(stable=radius < 1.0 - ROOT_TOL, spectral_radius=radius, dim=dim)
+
 
 def oracle_stability(a, b, scheme: ThetaScheme) -> OracleVerdict:
-    """Brute-force check: build W and test rho(W) < 1 - ROOT_TOL."""
+    """Brute-force check: build the dense W and test rho(W) < 1 - ROOT_TOL.
+
+    ``certify`` calls it only when A, B have no modes; with modes it takes
+    the same radius from the mode polynomials.
+    """
     w_mat = build_w(a, b, scheme)
-    radius = float(np.max(np.abs(linalg.general_eigenvalues(w_mat))))
-    return OracleVerdict(stable=radius < 1.0 - ROOT_TOL,
-                         spectral_radius=radius, dim=w_mat.shape[0])
+    return OracleVerdict.from_radius(
+        float(np.max(np.abs(linalg.general_eigenvalues(w_mat)))), w_mat.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -437,27 +471,84 @@ def step_certificate(a, b, scheme: ThetaScheme,
 
 
 def simdiag_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue pairs (lambda_i, gamma_i) sharing eigenvectors, sorted by
-    descending lambda.  Raises when A's spectrum is not real positive or
-    when A's eigenvectors fail to diagonalize B to 1e-8 relative."""
+    """Mode pairs (lambda_i, gamma_i) of simultaneously diagonalizable A, B,
+    N of them, sorted by descending lambda.
+
+    Eigenvalues count as equal when they agree to within eigh's backward
+    error, 16 N eps max|lambda|.  A Hermitian A (to that relative
+    tolerance) goes through ``linalg.hermitian_eigen``; its eigenvalues form
+    clusters where consecutive gaps are at most that tolerance, and a
+    cluster spanning more than it from end to end is rejected.  The part
+    of V^H B V outside the diagonal cluster blocks must be at most 1e-8
+    scaled_norm(B).  A cluster c then gives the modes (lambda_c, gamma) for
+    every eigenvalue gamma of its block B_c, with lambda_c the cluster
+    mean.  On a cluster A is lambda_c I up to rounding, so det P(z) factors
+    over the eigenvalues of B_c and the modes are exact also when B_c is
+    not diagonalizable (a Jordan block).  Eigenvalues of A any further
+    apart are separate clusters, so a B coupling them is rejected: a
+    non-normal B_c on a spread cluster would move the roots by the square
+    root of the spread.
+
+    Any other A goes through ``eig``: every eigenvalue is its own cluster,
+    the eigenvector matrix must be nonsingular, and V^{-1} B V must be
+    diagonal to the same 1e-8 relative tolerance.
+
+    Raises ComplexSpectrum when A's spectrum is not real and positive,
+    NotSimultaneouslyDiagonalizable when a test above fails.
+    """
     am = linalg.as_square_matrix(a)
     bm = linalg.as_square_matrix(b)
     if am.shape != bm.shape:
         raise InvalidParams(f"A and B shapes differ: {am.shape} vs {bm.shape}")
-    lam, vec = np.linalg.eig(am)
+    equal = 16 * am.shape[0] * np.finfo(float).eps
+    if linalg.hermitian_violation(am) <= equal:
+        dec = linalg.hermitian_eigen(am)
+        lam, vec = dec.values, dec.vectors
+        d_b = vec.conj().T @ (bm @ vec)
+        cuts = np.flatnonzero(np.diff(lam) > equal * np.max(np.abs(lam))) + 1
+    else:
+        lam, vec = np.linalg.eig(am)
+        try:
+            d_b = linalg.solver_for(vec).solve(bm @ vec)
+        except Singular as exc:
+            raise NotSimultaneouslyDiagonalizable(
+                f"eigenvectors of A are linearly dependent ({exc})") from exc
+        cuts = np.arange(1, lam.size)
     scale = float(np.max(np.abs(lam)))
     if scale == 0.0 or np.max(np.abs(lam.imag)) > 1e-8 * scale or np.min(lam.real) <= 0.0:
         raise ComplexSpectrum("eigenvalues of A must be real and positive")
     lam = lam.real
-    d_b = linalg.solver_for(vec).solve(bm @ vec)
-    off = d_b - np.diag(np.diag(d_b))
+    starts = np.concatenate([[0], cuts])
+    sizes = np.diff(np.append(starts, lam.size))
+    labels = np.repeat(np.arange(starts.size), sizes)
+    off = np.where(labels[:, None] == labels[None, :], 0.0, d_b)
     b_norm = linalg.scaled_norm(bm)
     if b_norm > 0.0 and linalg.scaled_norm(off) > 1e-8 * b_norm:
         raise NotSimultaneouslyDiagonalizable(
-            "eigenvectors of A do not diagonalize B to 1e-8 relative")
-    gamma = np.diag(d_b)
-    order = np.argsort(-lam)
-    return lam[order], gamma[order]
+            "eigenvectors of A do not block-diagonalize B to 1e-8 relative")
+    spread = np.maximum.reduceat(lam, starts) - np.minimum.reduceat(lam, starts)
+    if np.max(spread) > equal * scale:
+        i = starts[int(np.argmax(spread))]
+        raise NotSimultaneouslyDiagonalizable(
+            f"eigenvalues of A near {lam[i]:.6g} chain into one cluster wider "
+            "than rounding")
+    mode_lam = np.repeat(np.add.reduceat(lam, starts) / sizes, sizes)
+    gamma = np.diag(d_b).copy()
+    for k in np.unique(sizes[sizes > 1]):  # one eigenvalue call per block size
+        idx = starts[sizes == k][:, None] + np.arange(k)
+        values = linalg.stacked_eigenvalues(d_b[idx[:, :, None], idx[:, None, :]])
+        gamma = gamma.astype(np.result_type(gamma, values))
+        gamma[idx] = values
+    order = np.argsort(-mode_lam, kind="stable")
+    return mode_lam[order], gamma[order]
+
+
+def _mode_radii(lam, gamma, scheme: ThetaScheme) -> np.ndarray:
+    """Largest root modulus of P(z) per mode, y = -h lambda and
+    mu = gamma / lambda, from one batched root call."""
+    ys = -scheme.h * lam
+    roots = linalg.stacked_poly_roots(_coefficient_rows(ys, gamma / lam, scheme))
+    return np.max(np.abs(roots), axis=1)
 
 
 def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
@@ -470,8 +561,16 @@ def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
       (unstable for every step size);
     * all mu_i in D_{y_i}                  -> StableForThisStep;
     * anything else                        -> Uncertified.
+
+    The D_{y_i} tests take every mode's roots from one batched call.
     """
     lam, gamma = simdiag_pairs(a, b)
+    return _mode_report(lam, gamma, _mode_radii(lam, gamma, scheme), scheme)
+
+
+def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
+    """The verdict of :func:`simdiag_analysis` from the mode pairs and
+    their largest root moduli ``radii``."""
     mus = gamma / lam
     evidence = []
 
@@ -492,8 +591,8 @@ def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
 
     all_inside = True
     any_marginal = False
-    for i, (lam_i, mu_i) in enumerate(zip(lam, mus)):
-        res = in_dy(complex(mu_i), -scheme.h * float(lam_i), scheme)
+    for i, (lam_i, mu_i, radius) in enumerate(zip(lam, mus, radii)):
+        res = DyMembership.from_radius(float(radius))
         evidence.append(Evidence("mu-in-dy", index=i, margin=res.margin,
                                  note=f"lambda = {lam_i:.6g}, mu = {mu_i:.6g}"))
         all_inside = all_inside and res.inside
@@ -509,25 +608,31 @@ def certify(a, b, scheme: ThetaScheme,
             oracle_cap: int = ORACLE_CAP) -> StabilityReport:
     """Run the applicable analyses and merge them into one report.
 
-    Mode analysis runs when A, B are simultaneously diagonalizable with a
-    real positive spectrum; otherwise the field-of-values certificates.
-    The brute-force spectral radius of W is added whenever its dimension
-    fits under ``oracle_cap``.  Verdict precedence: a concrete instability
-    witness, then an unconditional certificate, then any per-step
-    certificate, else Uncertified.
+    The modes of A, B are computed once.  When they exist (simultaneously
+    diagonalizable, real positive spectrum of A) the mode analysis runs;
+    otherwise the field-of-values certificates.  The spectral radius of W
+    is added whenever its dimension fits under ``oracle_cap``: as the
+    largest root modulus over the modes when they exist (W is never
+    built), else from the dense W.  Verdict precedence: a concrete
+    instability witness, then an unconditional certificate, then any
+    per-step certificate, else Uncertified.
     """
     evidence = []
     verdicts = []
+    dim = (scheme.m + 1) * np.asarray(a).shape[0]
 
-    simdiag_report = None
     try:
-        simdiag_report = simdiag_analysis(a, b, scheme)
-        evidence.extend(simdiag_report.evidence)
-        verdicts.append(simdiag_report.verdict)
+        modes = simdiag_pairs(a, b)
     except (NotSimultaneouslyDiagonalizable, ComplexSpectrum) as exc:
+        modes = None
         evidence.append(Evidence("simdiag", note=f"not applicable: {exc}"))
 
-    if simdiag_report is None:
+    if modes is not None:
+        radii = _mode_radii(*modes, scheme)
+        report = _mode_report(*modes, radii, scheme)
+        evidence.extend(report.evidence)
+        verdicts.append(report.verdict)
+    else:
         report = unconditional_certificate(a, b, scheme, p_grid, n_angles)
         evidence.extend(report.evidence)
         verdicts.append(report.verdict)
@@ -541,12 +646,15 @@ def certify(a, b, scheme: ThetaScheme,
                     "step-certificate", note=f"not applicable: {exc}"))
 
     oracle = None
-    dim = (scheme.m + 1) * np.asarray(a).shape[0]
     if dim <= oracle_cap:
-        oracle = oracle_stability(a, b, scheme)
+        if modes is None:
+            oracle, path = oracle_stability(a, b, scheme), "dense W"
+        else:
+            oracle = OracleVerdict.from_radius(float(np.max(radii)), dim)
+            path = f"per-mode over {radii.size} modes"
         evidence.append(Evidence(
             "oracle-spectral-radius", margin=1.0 - oracle.spectral_radius,
-            note=f"rho(W) = {oracle.spectral_radius:.12g}, dim {oracle.dim}"))
+            note=f"rho(W) = {oracle.spectral_radius:.12g}, dim {oracle.dim}, {path}"))
     else:
         evidence.append(Evidence(
             "oracle-spectral-radius", note=f"skipped: dim {dim} exceeds {oracle_cap}"))

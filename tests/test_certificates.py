@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ddestab import errors, fov, stability
+from ddestab import errors, fov, mol, stability
 from ddestab.stability import (
     CERTIFIED_UNSTABLE,
     STABLE_FOR_THIS_STEP,
@@ -20,6 +21,11 @@ BENCH_B = np.array([[-30.0, -27.0, 33.0], [-3.0, -96.0, 75.0], [-3.0, -111.0, 90
 
 def scheme(theta=1.0, u=0.0, m=2, tau=1.0):
     return ThetaScheme(theta=theta, u=u, m=m, tau=tau)
+
+
+def orthogonal(gen, n):
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    return q
 
 
 def scaled_pair(gen, n, target_radius):
@@ -161,6 +167,58 @@ class TestSimdiag:
         with pytest.raises(errors.ComplexSpectrum):
             stability.simdiag_analysis(-np.eye(2), np.eye(2), scheme())
 
+    def test_coupled_eigenspaces_rejected(self, rng):
+        # A has the double eigenvalue 1; B maps its eigenspace into that of 2
+        q = orthogonal(rng, 3)
+        a = (q * [1.0, 1.0, 2.0]) @ q.T
+        b = q @ np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.3, 0.0, 0.5]]) @ q.T
+        with pytest.raises(errors.NotSimultaneouslyDiagonalizable):
+            stability.simdiag_pairs(a, b)
+
+    def test_chained_cluster_rejected(self):
+        # gaps of 0.8e-14 relative are each within the rounding tolerance
+        # of a 3x3 A (16 * 3 * eps = 1.07e-14), so the three eigenvalues
+        # chain into one cluster whose spread, 1.6e-14, exceeds it
+        lam = np.array([1.0, 1.0 + 0.8e-14, 1.0 + 1.6e-14])
+        with pytest.raises(errors.NotSimultaneouslyDiagonalizable):
+            stability.simdiag_pairs(np.diag(lam), np.diag([0.1, 0.2, 0.3]))
+
+    def test_close_eigenvalues_keep_separate_modes(self):
+        # A = diag(1, 1 + 5e-9) is not a multiple of I, so a B coupling the
+        # two eigenvectors has no modes.  Were the two merged into one mode
+        # lambda_c = 1 + 2.5e-9, the non-normal B_c below would pass
+        # all-mu-in-unit-disk, while -A + B has an eigenvalue near +4e-5
+        # and the DDE a real root s > 0.
+        g = 1.0 - 1e-5
+        a = np.diag([1.0, 1.0 + 5e-9])
+        b = g * np.eye(2) + np.array([[0.5, 0.5], [-0.5, -0.5]])
+        s = ThetaScheme(theta=1.0, u=0.0, m=3, tau=1.0)
+        with pytest.raises(errors.NotSimultaneouslyDiagonalizable):
+            stability.simdiag_pairs(a, b)
+        assert stability.oracle_stability(a, b, s).certified_unstable
+        assert stability.certify(a, b, s).verdict == CERTIFIED_UNSTABLE
+        # with A = I the same B is one exact Jordan mode, stable like the oracle
+        rep = stability.certify(np.eye(2), b, s)
+        assert rep.verdict == UNCONDITIONALLY_STABLE
+        assert stability.oracle_stability(np.eye(2), b, s).stable
+
+    def test_defective_a_rejected(self):
+        # eig(A) returns a singular eigenvector matrix for a Jordan block
+        with pytest.raises(errors.NotSimultaneouslyDiagonalizable):
+            stability.simdiag_pairs(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2)))
+        rep = stability.certify(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2)),
+                                scheme(m=3))
+        oracle = [e for e in rep.evidence if e.check == "oracle-spectral-radius"]
+        assert oracle and oracle[0].note.endswith("dense W")
+
+    def test_huge_step_is_not_stable(self):
+        # y = -1e15 at theta = 0: P(z) = z^3 + (1e15 - 1) z^2 - 5e14 has a
+        # root near -1e15, which trimming the unit leading coefficient lost
+        s = ThetaScheme(theta=0.0, u=0.0, m=2, tau=1.0)
+        rep = stability.simdiag_analysis([[2e15]], [[1e15]], s)
+        assert rep.verdict == UNCERTIFIED
+        assert rep.evidence[-1].margin < -1e14
+
 
 class TestConsolidatedCheck:
     def test_benchmark_m2_stable(self):
@@ -182,3 +240,72 @@ class TestConsolidatedCheck:
         rep = stability.certify(BENCH_A, BENCH_B, scheme(m=50), oracle_cap=10)
         notes = [e.note for e in rep.evidence if e.check == "oracle-spectral-radius"]
         assert notes and "skipped" in notes[0]
+
+
+def block_pair(gen, lams, blocks):
+    """A = Q diag(lams) Q^T and B = Q blockdiag(blocks) Q^T, Q random orthogonal."""
+    q = orthogonal(gen, len(lams))
+    return (q * lams) @ q.T, q @ scipy.linalg.block_diag(*blocks) @ q.T
+
+
+def dense_rho(a, b, s):
+    return float(np.max(np.abs(np.linalg.eigvals(stability.build_w(a, b, s)))))
+
+
+def per_mode_rho(a, b, s):
+    """The oracle radius ``certify`` reports, asserted to come from the modes."""
+    rep = stability.certify(a, b, s, n_angles=16)
+    (oracle,) = [e for e in rep.evidence if e.check == "oracle-spectral-radius"]
+    assert oracle.note.endswith(f"per-mode over {len(a)} modes")
+    return 1.0 - oracle.margin
+
+
+MODE_SCHEMES = [ThetaScheme(theta, u, 5, 1.3) for theta in (0.0, 0.5, 1.0) for u in (0.0, 0.5)]
+
+
+@pytest.mark.parametrize("s", MODE_SCHEMES, ids=lambda s: f"theta{s.theta}-u{s.u}")
+class TestModeOracle:
+    """The per-mode rho(W) against eigenvalues of the dense W."""
+
+    def test_multiplicities_two_and_three(self, rng, s):
+        blocks = [rng.standard_normal((2, 2)), rng.standard_normal((3, 3)), [[0.4]]]
+        a, b = block_pair(rng, [2.0, 2.0, 0.7, 0.7, 0.7, 1.5], blocks)
+        assert per_mode_rho(a, b, s) == pytest.approx(dense_rho(a, b, s), rel=1e-10)
+
+    def test_jordan_block(self, rng, s):
+        # B_c = [[0.6, 1], [0, 0.6]] gives W a defective eigenvalue, which
+        # the dense eigensolver resolves only to about sqrt(eps)
+        blocks = [[[0.6, 1.0], [0.0, 0.6]], [[-0.3]]]
+        a, b = block_pair(rng, [1.5, 1.5, 0.8], blocks)
+        assert per_mode_rho(a, b, s) == pytest.approx(dense_rho(a, b, s), rel=1e-6)
+
+    def test_non_hermitian_distinct(self, rng, s):
+        v = orthogonal(rng, 3) @ (np.eye(3) + np.triu(rng.uniform(-0.5, 0.5, (3, 3)), 1))
+        v_inv = np.linalg.inv(v)
+        a = (v * [0.9, 1.7, 2.6]) @ v_inv
+        b = (v * [0.5, -1.2, 0.8]) @ v_inv
+        assert np.max(np.abs(a - a.T)) > 1e-3  # takes the eig path
+        assert per_mode_rho(a, b, s) == pytest.approx(dense_rho(a, b, s), rel=1e-10)
+
+
+class TestModePath:
+    def test_example1_takes_the_mode_path(self, monkeypatch):
+        # A has every eigenvalue twice; certify decides without any sweep
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("fov_boundary must not be called")
+
+        monkeypatch.setattr(fov, "fov_boundary", no_sweep)
+        a, b = mol.build_example1(30, l=-0.1).stability_matrices()
+        rep = stability.certify(a, b, ThetaScheme(1.0, 0.0, 25, math.pi / 2.0))
+        assert rep.verdict == UNCONDITIONALLY_STABLE
+        assert [e.check for e in rep.evidence] == ["all-mu-in-unit-disk",
+                                                   "oracle-spectral-radius"]
+        assert rep.evidence[-1].note.endswith("dim 1508, per-mode over 58 modes")
+        s4 = ThetaScheme(1.0, 0.0, 4, math.pi / 2.0)
+        assert per_mode_rho(a, b, s4) == pytest.approx(dense_rho(a, b, s4), rel=1e-10)
+
+    def test_dense_path_says_so(self, rng):
+        a, b = scaled_pair(rng, 3, 0.5)
+        rep = stability.certify(a, b, scheme(m=3))
+        oracle = [e for e in rep.evidence if e.check == "oracle-spectral-radius"]
+        assert oracle[0].note.endswith("dim 12, dense W")

@@ -4,7 +4,9 @@ agreeing.
 Every case runs the certificates alone (``oracle_cap=0``, so the dense
 rho(W) cannot vote) and compares each stable verdict with the brute-force
 spectral radius of W.  An unconditional verdict must also hold at a
-coarser and a finer step for the same delay.
+coarser and a finer step for the same delay.  Every commuting pair takes
+the mode path, and there the per-mode rho(W) that ``certify`` reports
+must match the dense one.
 """
 
 import numpy as np
@@ -55,9 +57,18 @@ def cases(seed=20261018):
 def test_stable_verdicts_agree_with_oracle():
     violations = []
     verdicts = set()
+    mode_cases = 0
     for k, a, b, scheme in cases():
-        verdict = stability.certify(a, b, scheme, n_angles=64, oracle_cap=0).verdict
+        report = stability.certify(a, b, scheme, n_angles=64, oracle_cap=0)
+        verdict = report.verdict
         verdicts.add(verdict)
+        if not any(e.check == "simdiag" for e in report.evidence):
+            mode_cases += 1
+            full = stability.certify(a, b, scheme, n_angles=64)
+            (oracle,) = [e for e in full.evidence if e.check == "oracle-spectral-radius"]
+            rho = stability.oracle_stability(a, b, scheme).spectral_radius
+            if not abs(1.0 - oracle.margin - rho) <= 1e-9 * rho or "per-mode" not in oracle.note:
+                violations.append(f"case {k}: {oracle.note}, dense rho(W) = {rho!r}")
         if verdict not in (UNCONDITIONALLY_STABLE, STABLE_FOR_THIS_STEP):
             continue
         checked = [scheme]
@@ -71,3 +82,5 @@ def test_stable_verdicts_agree_with_oracle():
     assert not violations, "\n".join(violations)
     # the case set reaches both stable verdicts, so the check is not vacuous
     assert {UNCONDITIONALLY_STABLE, STABLE_FOR_THIS_STEP} <= verdicts
+    # the commuting half, repeated eigenvalue and all, is on the mode path
+    assert mode_cases == N_CASES // 2

@@ -86,6 +86,19 @@ class TestCheckCommand:
                          "--tau", "1", "--m", "2"])
         assert code == 2
 
+    def test_defective_a_gets_an_oracle_verdict(self, tmp_path, capsys):
+        # eig(A) has a singular eigenvector matrix: no modes, so the FOV
+        # certificates and the dense oracle decide
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        cli.write_matrix(a_path, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        cli.write_matrix(b_path, np.zeros((2, 2)))
+        code = cli.main(["check", "--matrix-a", str(a_path), "--matrix-b",
+                         str(b_path), "--tau", "1", "--m", "3", "--theta", "1"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        oracle = [e for e in doc["evidence"] if e["check"] == "oracle-spectral-radius"]
+        assert oracle and oracle[0]["margin"] > 0.0
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
         cli.write_matrix(a_path, np.zeros((2, 2)))  # singular A

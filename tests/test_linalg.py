@@ -137,6 +137,37 @@ class TestPolyRoots:
         assert len(roots) == 2
 
 
+class TestStackedEigenvalues:
+    def test_rows_match_general_eigenvalues(self, rng):
+        stack = np.stack([random_complex(rng, 4) for _ in range(6)])
+        got = linalg.stacked_eigenvalues(stack)
+        assert got.shape == (6, 4)
+        for m, values in zip(stack, got):
+            assert multiset_distance(values, linalg.general_eigenvalues(m)) <= 1e-12
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(errors.InvalidParams):
+            linalg.stacked_eigenvalues(np.zeros((2, 3, 4)))
+
+
+class TestStackedPolyRoots:
+    def test_rows_match_poly_roots(self, rng):
+        coeffs = rng.standard_normal((20, 7)) + 1j * rng.standard_normal((20, 7))
+        got = linalg.stacked_poly_roots(coeffs)
+        assert got.shape == (20, 6)
+        for row, roots in zip(coeffs, got):
+            assert multiset_distance(roots, linalg.poly_roots(row)) <= 1e-10
+
+    def test_keeps_small_leading_coefficient(self):
+        roots = linalg.stacked_poly_roots([[-1.0, 0.0, 1.0, 1e-20]])
+        assert roots.shape == (1, 3)
+        assert np.max(np.abs(roots)) == pytest.approx(1e20, rel=1e-9)
+
+    def test_zero_leading_coefficient(self):
+        with pytest.raises(errors.DegenerateLeading):
+            linalg.stacked_poly_roots([[1.0, 2.0], [1.0, 0.0]])
+
+
 class TestFractionalPower:
     def test_identity_any_exponent(self):
         assert_allclose(linalg.fractional_power(np.eye(3), 0.37), np.eye(3),

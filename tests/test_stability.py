@@ -104,6 +104,13 @@ class TestInDy:
         res = in_dy(mu, -2.0, s)
         assert res.marginal
 
+    def test_huge_step_keeps_the_leading_root(self):
+        # theta = 0, y = -1e15: the z^3 coefficient 1 is 1e-15 of the
+        # largest one, yet the root near -1e15 is the one that decides
+        res = in_dy(0.5, -1e15, scheme(theta=0.0, m=2))
+        assert not res.inside
+        assert res.max_root_modulus == pytest.approx(1e15, rel=1e-9)
+
     def test_supports_interpolated_delays(self):
         s = scheme(theta=1.0, u=0.5, m=4)
         assert in_dy(0.1 + 0.1j, -1.0, s).inside
