@@ -183,7 +183,7 @@ def _cmd_solve(args) -> int:
         "diverged": bool(traj.diverged),
     }
     if keep:
-        max_abs = float(np.max(np.abs(traj.states)))
+        max_abs = traj.peak_max_norm
         summary["max_abs"] = max_abs
         summary["max_norm_le_1"] = bool(max_abs <= 1.0 + 1e-12)
     if problem is not None and problem.exact is not None and not traj.diverged:

@@ -10,12 +10,17 @@ to the theta solver:
   e^{l t} (sin t, cos t) sin(pi x / 2) is attached, so discretization
   errors can be measured directly.
 * ``example2`` -- a delayed Fisher-Kolmogorov equation on the unit square
-  with logistic delayed reaction mu z (1 - z); the Laplacian has Kronecker
-  sum structure and its spectrum is known in closed form.
+  with logistic delayed reaction mu z (1 - z); the Laplacian is the
+  Kronecker sum L (+) L, handed to the solver as a structured
+  :class:`KroneckerLaplacian`: the 5-point stencil in CSR for products,
+  plus shifted solves (I + c M) z = r by 2-D DST-I diagonalization with
+  the closed-form spectrum (Buzbee, Golub and Nielson, SIAM J. Numer.
+  Anal. 7, 1970), so no sparse factorization is needed.
 
 The solver consumes the linear part with its natural (negative definite)
 sign; stability analyses expect the positive definite factor, so pass
-``-problem.linear_part()`` (or ``stability_matrices``) there.
+``-problem.linear_part()`` (densified with ``toarray()`` for example2) or
+``stability_matrices`` there.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ import numpy as np
 import scipy.sparse
 
 from ._csv import write_csv
-from .errors import InvalidParams
+from .errors import InvalidParams, Singular
 from .solver import LinearDDE, SemilinearDDE, Trajectory
 
 __all__ = [
-    "Grid1D", "MolProblem", "dirichlet_laplacian", "dirichlet_eigenvalues",
+    "Grid1D", "MolProblem", "KroneckerLaplacian", "dirichlet_laplacian",
+    "dirichlet_eigenvalues",
     "build_example1", "build_example2", "example2_condition",
     "Example2Condition", "discrete_error", "snapshot_csv",
 ]
@@ -80,6 +86,70 @@ def dirichlet_eigenvalues(n_interior: int, dx: float) -> np.ndarray:
     return -(4.0 / dx ** 2) * np.sin(k * np.pi / (2 * m)) ** 2
 
 
+class KroneckerLaplacian:
+    """lam (L (+) L) on the n x n interior nodes of a square grid (x fast,
+    y slow), L the 1-D Dirichlet second difference.
+
+    Products, ``toarray()``, ``tocsr()``, ``shape`` and ``dtype`` use the
+    5-point stencil stored in CSR.  ``shifted_solver(c)`` solves
+    (I + c M) z = r without a factorization: the sine modes diagonalize
+    both factors of the Kronecker sum, with eigenvalues omega_i + omega_j
+    (omega the closed-form spectrum of lam L), so a solve is a 2-D DST-I,
+    a divide by 1 + c (omega_i + omega_j) and the inverse DST-I.
+    """
+
+    def __init__(self, n_interior: int, dx: float, lam: float):
+        n = n_interior
+        l_sp = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                                  offsets=[-1, 0, 1], format="csr") / dx ** 2
+        eye = scipy.sparse.identity(n, format="csr")
+        self.n_interior = n
+        self.omega = lam * dirichlet_eigenvalues(n, dx)
+        self._stencil = (lam * (scipy.sparse.kron(l_sp, eye)
+                                + scipy.sparse.kron(eye, l_sp))).tocsr()
+
+    @property
+    def shape(self) -> tuple:
+        return self._stencil.shape
+
+    @property
+    def dtype(self):
+        return self._stencil.dtype
+
+    def __matmul__(self, x):
+        return self._stencil @ x
+
+    def toarray(self) -> np.ndarray:
+        return self._stencil.toarray()
+
+    def tocsr(self):
+        return self._stencil
+
+    def shifted_solver(self, c: float):
+        """Return a callable r -> (I + c M)^{-1} r for flat vectors r, real
+        or complex.
+
+        Raises :class:`Singular` when some |1 + c (omega_i + omega_j)| is at
+        or below 1e-14 times the largest one (the pivot rule of
+        ``linalg.solver_for``).
+        """
+        # imported here: scipy.fft adds about 0.1 s to every CLI start
+        from scipy.fft import dstn, idstn
+
+        denom = 1.0 + c * (self.omega[:, None] + self.omega[None, :])
+        smallest, floor = np.min(np.abs(denom)), 1e-14 * np.max(np.abs(denom))
+        if smallest <= floor:
+            raise Singular(f"shifted eigenvalue {smallest:.3e} at or below {floor:.3e}")
+        shape = (self.n_interior, self.n_interior)
+
+        def solve(rhs):
+            coef = dstn(np.reshape(rhs, shape), type=1)
+            coef /= denom
+            return idstn(coef, type=1, overwrite_x=True).reshape(-1)
+
+        return solve
+
+
 @dataclass(frozen=True)
 class MolProblem:
     """Assembled MOL system plus grid metadata and optional exact solution.
@@ -109,7 +179,8 @@ class MolProblem:
         return self.n_components * self.n_interior
 
     def linear_part(self):
-        """The (negative definite) linear matrix the solver integrates."""
+        """The (negative definite) linear part the solver integrates: a dense
+        matrix for example1, a :class:`KroneckerLaplacian` for example2."""
         if isinstance(self.dde, LinearDDE):
             return -np.asarray(self.dde.a)
         return self.dde.m_linear
@@ -217,18 +288,14 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
                    tau: float = 1.0) -> MolProblem:
     """2-D diffusion with logistic delayed reaction mu z (1 - z).
 
-    The Laplacian is the Kronecker sum L (+) L on the (M-1)^2 interior
-    nodes (x fast, y slow), stored sparse; the history is the stationary
-    initial profile sin(pi x) sin(pi y).
+    The Laplacian lam (L (+) L) on the (M-1)^2 interior nodes (x fast,
+    y slow) is a :class:`KroneckerLaplacian`: a structured operator whose
+    implicit solves are DST-I shifted solves; the history is the
+    stationary initial profile sin(pi x) sin(pi y).
     """
     if lam <= 0.0 or reaction_mu <= 0.0:
         raise InvalidParams("lambda and mu must be positive")
     grid = Grid1D(m=m_grid, length=1.0)
-    n = grid.n_interior
-    l_sp = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
-                              offsets=[-1, 0, 1], format="csr") / grid.dx ** 2
-    eye = scipy.sparse.identity(n, format="csr")
-    a_sp = lam * (scipy.sparse.kron(l_sp, eye) + scipy.sparse.kron(eye, l_sp))
 
     sin_axis = np.sin(np.pi * grid.interior)
     state0 = np.outer(sin_axis, sin_axis).ravel()
@@ -236,7 +303,8 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
     def g(z):
         return reaction_mu * z * (1.0 - z)
 
-    dde = SemilinearDDE(m_linear=a_sp.tocsr(), g=g, tau=tau,
+    dde = SemilinearDDE(m_linear=KroneckerLaplacian(grid.n_interior, grid.dx, lam),
+                        g=g, tau=tau,
                         history=lambda t: state0)
     return MolProblem(
         dde=dde, grid=grid, tau=tau,

@@ -11,10 +11,19 @@ advances
 
 with the delayed value of the implicit stage interpolated linearly,
 d_{n+1} = (1-u) z_{n-m+1} + u z_{n-m+2}.  g acts on the delayed state
-only, so the implicit stage stays linear: I - theta h M is factored once
-for the whole run.  g is called once per step; the explicit stage reuses
-the previous step's value, and at theta = 1 there is no explicit delayed
-term.
+only, so the implicit stage stays linear: one solver for I - theta h M
+serves the whole run.  g is called once per step; the explicit stage
+reuses the previous step's value, and at theta = 1 there is no explicit
+delayed term.
+
+The linear part M is one of
+
+* a dense array: I - theta h M is LU-factored once (``linalg.solver_for``);
+* a scipy.sparse matrix: I - theta h M is factored once with ``splu``;
+* an operator that provides its own shifted solve: ``shifted_solver(c)``
+  returns a callable for (I + c M)^{-1}, ``tocsr()`` the sparse matrix
+  the explicit stage multiplies with, plus ``shape`` and ``dtype``
+  (``mol.KroneckerLaplacian`` is one).
 
 The history is sampled at the grid times max(-k h, -tau), k = 0..m.  When
 u > 0 (or by rounding at u = 0) the time -m h lies below -tau; there the
@@ -67,7 +76,8 @@ class LinearDDE:
 @dataclass(frozen=True)
 class SemilinearDDE:
     """z'(t) = m_linear z(t) + g(z(t - tau)) with a delayed-only
-    nonlinearity; ``m_linear`` may be dense or scipy.sparse.  ``history(t)``
+    nonlinearity; ``m_linear`` may be dense, scipy.sparse or an operator
+    with its own shifted solve (see the module docstring).  ``history(t)``
     is called for t in [-tau, 0] only; before -tau the solver extends it
     as the constant history(-tau)."""
 
@@ -93,12 +103,16 @@ class Trajectory:
     """States on the uniform grid.  With full retention times[0] = 0;
     in window mode only the trailing m+2 grid points are kept.  ``diverged``
     marks a run halted by the overflow guard (a state above 1e100 in max
-    norm, or NaN); states beyond the halt do not exist."""
+    norm, or NaN); states beyond the halt do not exist.  ``peak_max_norm``
+    is the largest max norm over every state the run computed, z(0)
+    included and NaN once a state held one; with full retention it equals
+    ``np.max(np.abs(states))``.  It is None on a hand-built trajectory."""
 
     times: np.ndarray
     states: np.ndarray
     scheme: ThetaScheme
     diverged: bool = False
+    peak_max_norm: float | None = None
 
     @property
     def final_time(self) -> float:
@@ -175,13 +189,18 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
             f"history must return vectors of length {dim}, got {probe.shape}")
     dtype = np.result_type(dtype, probe, np.float64)
 
+    shifted_solver = getattr(m_linear, "shifted_solver", None)
+    if shifted_solver is not None:
+        solve_step = shifted_solver(-theta * h)
+        m_linear = m_linear.tocsr()
     if scipy.sparse.issparse(m_linear):
         eye = scipy.sparse.identity(dim, dtype=dtype, format="csr")
     else:
         eye = np.eye(dim, dtype=dtype)
         m_linear = np.asarray(m_linear)
     explicit = None if theta == 1.0 else eye + (1.0 - theta) * h * m_linear
-    solve_step = _implicit_solver(eye - theta * h * m_linear)
+    if shifted_solver is None:
+        solve_step = _implicit_solver(eye - theta * h * m_linear)
     w_exp = h * (1.0 - theta)
     w_imp = h * theta
 
@@ -200,6 +219,7 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     if keep_trajectory:
         states = np.empty((n_steps + 1, dim), dtype=dtype)
         states[0] = buf[0]
+    peak = np.max(np.abs(buf[0]))
 
     def delayed(n):
         """Interpolated delayed state of the implicit stage of step n."""
@@ -223,20 +243,23 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
         last = n + 1
         if keep_trajectory:
             states[n + 1] = new
-        if not np.max(np.abs(new)) <= OVERFLOW_GUARD:  # NaN counts as diverged
+        step_max = np.max(np.abs(new))
+        if not step_max <= peak:  # a NaN replaces the peak too
+            peak = step_max
+        if not step_max <= OVERFLOW_GUARD:  # NaN counts as diverged
             diverged = True
             break
 
     if keep_trajectory:
         times = h * np.arange(last + 1)
-        return Trajectory(times=times, states=states[:last + 1],
-                          scheme=scheme, diverged=diverged)
+        return Trajectory(times=times, states=states[:last + 1], scheme=scheme,
+                          diverged=diverged, peak_max_norm=float(peak))
     # window mode: return the trailing buffer in time order
     n_keep = min(size, last + m + 1)
     idx = np.arange(last - n_keep + 1, last + 1)
     return Trajectory(times=h * idx.astype(float),
-                      states=buf[idx % size].copy(),
-                      scheme=scheme, diverged=diverged)
+                      states=buf[idx % size].copy(), scheme=scheme,
+                      diverged=diverged, peak_max_norm=float(peak))
 
 
 def solve_linear(prob: LinearDDE, scheme: ThetaScheme, t_end: float,

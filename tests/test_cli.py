@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +290,12 @@ class TestReproduceCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["reproduce", "--target", "nonsense"])
         assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # scipy.fft is imported where a DST-I shifted solve is built; importing
+    # it with the package would add about 0.1 s to every CLI start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import ddestab, ddestab.cli, sys; assert 'scipy.fft' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

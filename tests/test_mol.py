@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from ddestab import errors, linalg, mol, solver, stability
@@ -162,6 +164,47 @@ class TestExample2:
         rep = stability.unconditional_certificate(
             a_pd, b_worst, stability.ThetaScheme(1.0, 0.0, 5, 1.0))
         assert rep.verdict == stability.UNCONDITIONALLY_STABLE
+
+
+def kron_sum_csr(m_grid, lam):
+    """lam (L (+) L) assembled as a sparse Kronecker sum."""
+    n, dx = m_grid - 1, 1.0 / m_grid
+    l_sp = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                              offsets=[-1, 0, 1], format="csr") / dx ** 2
+    eye = scipy.sparse.identity(n, format="csr")
+    return (lam * (scipy.sparse.kron(l_sp, eye) + scipy.sparse.kron(eye, l_sp))).tocsr()
+
+
+class TestKroneckerLaplacian:
+    @pytest.mark.parametrize("m_grid", [2, 3, 4, 17, 64])
+    @pytest.mark.parametrize("c", [0.0, -0.05, -0.5])
+    def test_shifted_solve_matches_splu(self, rng, m_grid, c):
+        op = mol.build_example2(m_grid, 0.5, 3.0, 1.0).linear_part()
+        dim = (m_grid - 1) ** 2
+        shifted = scipy.sparse.identity(dim, dtype=complex) + c * kron_sum_csr(m_grid, 0.5)
+        rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        expected = scipy.sparse.linalg.splu(shifted.tocsc()).solve(rhs)
+        got = op.shifted_solver(c)(rhs)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("m_grid", [2, 5, 32])
+    def test_matvec_is_the_stencil(self, rng, m_grid):
+        op = mol.build_example2(m_grid, 0.7, 3.0, 1.0).linear_part()
+        csr = kron_sum_csr(m_grid, 0.7)
+        x = rng.standard_normal(csr.shape[0])
+        assert np.array_equal(op @ x, csr @ x)
+        assert op.shape == csr.shape and op.dtype == csr.dtype
+        assert (op.tocsr() != csr).nnz == 0
+        assert np.array_equal(op.toarray(), csr.toarray())
+
+    def test_singular_shift_raises(self):
+        # 1 + c (omega_2 + omega_5) = delta; the largest |1 + c (...)| is about 0.93
+        op = mol.build_example2(8, 0.5, 3.0, 1.0).linear_part()
+        pair = op.omega[2] + op.omega[5]
+        for delta in (0.0, 1e-15):
+            with pytest.raises(errors.Singular):
+                op.shifted_solver(-(1.0 - delta) / pair)
+        op.shifted_solver(-(1.0 - 1e-11) / pair)  # above the 1e-14 floor
 
 
 class TestDiscreteError:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ddestab import errors, linalg, solver, stability
+from ddestab import errors, linalg, mol, solver, stability
 from ddestab.solver import LinearDDE, SemilinearDDE
 from ddestab.stability import ThetaScheme
 
@@ -206,6 +206,42 @@ class TestSemilinear:
         traj = solver.solve_semilinear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 3.0)
         assert traj.diverged
         assert len(traj.times) == 2  # halted after the first step
+        assert np.isnan(traj.peak_max_norm) and np.isnan(np.max(np.abs(traj.states)))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_shifted_solve_operator_matches_csr(self, theta, u):
+        # example2 through its DST-I operator against the same problem on
+        # the bare CSR stencil (factored by splu)
+        dde = mol.build_example2(16, 0.5, 3.0, 1.0).dde
+        on_csr = SemilinearDDE(dde.m_linear.tocsr(), dde.g, dde.tau, dde.history)
+        s = ThetaScheme(theta, u, 600 if theta == 0.0 else 10, 1.0)  # explicit: h |M| < 2
+        got = solver.solve_semilinear(dde, s, 2.0)
+        ref = solver.solve_semilinear(on_csr, s, 2.0)
+        assert not ref.diverged and np.array_equal(got.times, ref.times)
+        assert np.max(np.abs(got.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
+class TestPeakMaxNorm:
+    @pytest.mark.parametrize("complex_history", [False, True])
+    def test_equals_max_over_states(self, rng, complex_history):
+        a = random_spd(rng, 3).real
+        b = 0.4 * rng.standard_normal((3, 3))
+        hist = rng.standard_normal(3) + (1j * rng.standard_normal(3) if complex_history else 0)
+        prob = LinearDDE(a, b, 1.0, lambda t: hist)
+        s = ThetaScheme(0.5, 0.5, 4, 1.0)
+        full = solver.solve_linear(prob, s, 6.0)
+        assert np.iscomplexobj(full.states) == complex_history
+        assert full.peak_max_norm == np.max(np.abs(full.states))
+        window = solver.solve_linear(prob, s, 6.0, keep_trajectory=False)
+        assert window.peak_max_norm == full.peak_max_norm
+
+    def test_counts_the_initial_state(self):
+        # pure decay: the peak is z(0), which the window no longer holds
+        prob = scalar_problem(1.0, 0.0, hist=lambda t: np.array([-3.0]))
+        traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 1, 1.0), 6.0,
+                                   keep_trajectory=False)
+        assert traj.peak_max_norm == 3.0 > np.max(np.abs(traj.states))
 
 
 @pytest.mark.parametrize("semilinear", [False, True])
