@@ -164,7 +164,9 @@ def _cmd_solve(args) -> int:
     dde, problem, t_end, tau = _build_problem(args)
     scheme = stability.ThetaScheme(theta=args.theta, u=args.u, m=args.m, tau=tau)
     n_steps = solver._n_steps(t_end, scheme.h)
-    keep = args.keep_trajectory or (n_steps + 1) * dde.dim <= AUTO_KEEP_LIMIT
+    # a CSV holds every state, so --out-csv implies full retention
+    keep = (args.keep_trajectory or bool(args.out_csv)
+            or (n_steps + 1) * dde.dim <= AUTO_KEEP_LIMIT)
 
     if isinstance(dde, solver.LinearDDE):
         traj = solver.solve_linear(dde, scheme, t_end, keep_trajectory=keep)
@@ -269,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated constant history vector")
     p_solve.add_argument("--keep-trajectory", action="store_true")
     p_solve.add_argument("--norm-only", action="store_true")
-    p_solve.add_argument("--out-csv", default=None)
+    p_solve.add_argument("--out-csv", default=None,
+                         help="write every state (implies --keep-trajectory)")
     p_solve.add_argument("-o", "--summary", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 

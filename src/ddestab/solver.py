@@ -18,12 +18,18 @@ delayed term.
 
 The linear part M is one of
 
-* a dense array: I - theta h M is LU-factored once (``linalg.solver_for``);
+* a dense array: the inverse K = (I - theta h M)^{-1} is computed once
+  from the LU factors of ``linalg.solver_for`` (whose pivot rule raises
+  ``Singular``), and each step applies it as one matvec;
 * a scipy.sparse matrix: I - theta h M is factored once with ``splu``;
 * an operator that provides its own shifted solve: ``shifted_solver(c)``
   returns a callable for (I + c M)^{-1}, ``tocsr()`` the sparse matrix
   the explicit stage multiplies with, plus ``shape`` and ``dtype``
   (``mol.KroneckerLaplacian`` is one).
+
+Each :class:`Trajectory` the driver returns carries :class:`SolveStats`:
+which of these three implicit-solve paths ran, the steps and g calls,
+and the seconds spent setting up the solve and stepping.
 
 The history is sampled at the grid times max(-k h, -tau), k = 0..m.  When
 u > 0 (or by rounding at u = 0) the time -m h lies below -tau; there the
@@ -33,6 +39,7 @@ history is extended as a constant, so the sample taken is history(-tau).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +106,24 @@ class SemilinearDDE:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """How the stepping driver produced a trajectory.
+
+    ``path`` names the implicit solve: ``"dense-inverse"``, ``"sparse-lu"``
+    or ``"shifted"`` (the linear part's own shifted solve).  ``steps`` and
+    ``g_calls`` count what the run did, up to a halt by the overflow
+    guard.  ``setup_s`` is the time to build the implicit solve and the
+    explicit stage (for the dense path, the factorization and the
+    inverse); ``stepping_s`` the time of the step loop."""
+
+    path: str
+    steps: int
+    g_calls: int
+    setup_s: float
+    stepping_s: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """States on the uniform grid.  With full retention times[0] = 0;
     in window mode only the trailing m+2 grid points are kept.  ``diverged``
@@ -106,13 +131,15 @@ class Trajectory:
     norm, or NaN); states beyond the halt do not exist.  ``peak_max_norm``
     is the largest max norm over every state the run computed, z(0)
     included and NaN once a state held one; with full retention it equals
-    ``np.max(np.abs(states))``.  It is None on a hand-built trajectory."""
+    ``np.max(np.abs(states))``.  It is None on a hand-built trajectory,
+    and so is ``stats`` (see :class:`SolveStats`)."""
 
     times: np.ndarray
     states: np.ndarray
     scheme: ThetaScheme
     diverged: bool = False
     peak_max_norm: float | None = None
+    stats: SolveStats | None = None
 
     @property
     def final_time(self) -> float:
@@ -156,11 +183,17 @@ def _check_delay(scheme: ThetaScheme, tau: float) -> None:
 
 
 def _implicit_solver(mat):
-    """Factor once, return a solve callable; dense or sparse."""
+    """Return the path name and a solve callable for ``mat``, built once.
+
+    A sparse ``mat`` is factored with ``splu``.  A dense one is a
+    precomputed inverse: ``linalg.solver_for`` LU-factors it (raising
+    ``Singular`` by its pivot rule), its solve of the identity gives
+    mat^{-1}, and each step applies that inverse as one matvec.
+    """
     if scipy.sparse.issparse(mat):
-        lu = scipy.sparse.linalg.splu(mat.tocsc())
-        return lu.solve
-    return linalg.solver_for(mat).solve
+        return "sparse-lu", scipy.sparse.linalg.splu(mat.tocsc()).solve
+    inverse = linalg.solver_for(mat).solve(np.eye(mat.shape[0], dtype=mat.dtype))
+    return "dense-inverse", inverse.__matmul__
 
 
 def _n_steps(t_end: float, h: float) -> int:
@@ -189,9 +222,10 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
             f"history must return vectors of length {dim}, got {probe.shape}")
     dtype = np.result_type(dtype, probe, np.float64)
 
+    t_setup = time.perf_counter()
     shifted_solver = getattr(m_linear, "shifted_solver", None)
     if shifted_solver is not None:
-        solve_step = shifted_solver(-theta * h)
+        path, solve_step = "shifted", shifted_solver(-theta * h)
         m_linear = m_linear.tocsr()
     if scipy.sparse.issparse(m_linear):
         eye = scipy.sparse.identity(dim, dtype=dtype, format="csr")
@@ -200,7 +234,8 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
         m_linear = np.asarray(m_linear)
     explicit = None if theta == 1.0 else eye + (1.0 - theta) * h * m_linear
     if shifted_solver is None:
-        solve_step = _implicit_solver(eye - theta * h * m_linear)
+        path, solve_step = _implicit_solver(eye - theta * h * m_linear)
+    setup_s = time.perf_counter() - t_setup
     w_exp = h * (1.0 - theta)
     w_imp = h * theta
 
@@ -232,6 +267,7 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
         g_prev = np.asarray(g(delayed(-1)))
     diverged = False
     last = 0
+    t_stepping = time.perf_counter()
     for n in range(n_steps):
         g_new = np.asarray(g(delayed(n)))
         rhs = buf[n % size] if explicit is None else explicit @ buf[n % size]
@@ -249,26 +285,33 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
         if not step_max <= OVERFLOW_GUARD:  # NaN counts as diverged
             diverged = True
             break
+    # g ran once per step taken, plus once before the loop when theta < 1
+    stats = SolveStats(path=path, steps=last, g_calls=last + int(theta < 1.0),
+                       setup_s=setup_s,
+                       stepping_s=time.perf_counter() - t_stepping)
 
     if keep_trajectory:
         times = h * np.arange(last + 1)
         return Trajectory(times=times, states=states[:last + 1], scheme=scheme,
-                          diverged=diverged, peak_max_norm=float(peak))
+                          diverged=diverged, peak_max_norm=float(peak),
+                          stats=stats)
     # window mode: return the trailing buffer in time order
     n_keep = min(size, last + m + 1)
     idx = np.arange(last - n_keep + 1, last + 1)
     return Trajectory(times=h * idx.astype(float),
                       states=buf[idx % size].copy(), scheme=scheme,
-                      diverged=diverged, peak_max_norm=float(peak))
+                      diverged=diverged, peak_max_norm=float(peak),
+                      stats=stats)
 
 
 def solve_linear(prob: LinearDDE, scheme: ThetaScheme, t_end: float,
                  keep_trajectory: bool = True) -> Trajectory:
     """Integrate y' = -A y + B y(t - tau) up to (at least) t_end.
 
-    The implicit matrix I + theta h A is factored once and reused; the run
-    halts early with ``diverged=True`` if any state exceeds the overflow
-    guard of 1e100 in max norm or holds a NaN.
+    The inverse of the implicit matrix I + theta h A is computed once and
+    applied as one matvec per step; the run halts early with
+    ``diverged=True`` if any state exceeds the overflow guard of 1e100 in
+    max norm or holds a NaN.
     """
     am = np.asarray(prob.a)
     bm = np.asarray(prob.b)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddestab import cli, fov, stability
+from ddestab import cli, fov, reproduce, stability
 from ddestab.reproduce import EXAMPLE31_A, EXAMPLE31_B
 
 
@@ -270,6 +270,21 @@ class TestSolveCommand:
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,norm2"
 
+    @pytest.mark.parametrize("norm_only", [False, True])
+    def test_out_csv_keeps_every_state_in_window_mode(self, tmp_path, monkeypatch,
+                                                      norm_only):
+        # a run past the retention budget still writes all steps + 1 states
+        monkeypatch.setattr(cli, "AUTO_KEEP_LIMIT", 0)
+        csv, out = tmp_path / "traj.csv", tmp_path / "s.json"
+        argv = ["solve", "--problem", "example1", "--grid-m", "20", "--m", "5",
+                "--out-csv", str(csv), "-o", str(out)]
+        assert cli.main(argv + (["--norm-only"] if norm_only else [])) == 0
+        doc = json.loads(out.read_text())
+        assert doc["steps"] == 100 and doc["trajectory_csv"] == str(csv)
+        data = np.loadtxt(csv, delimiter=",", skiprows=1)
+        assert data.shape == (doc["steps"] + 1, 2 if norm_only else 1 + 2 * 19)
+        assert data[0, 0] == 0.0 and abs(data[-1, 0] - doc["t_end"]) <= 1e-12
+
 
 class TestReproduceCommand:
     def test_example31_target(self, capsys):
@@ -285,6 +300,13 @@ class TestReproduceCommand:
                          "--outdir", str(tmp_path)]) == 0
         assert (tmp_path / "gamma_y-2_m2.csv").exists()
         assert (tmp_path / "gamma_y-2_m5.csv").exists()
+
+    def test_table1_target(self):
+        # the example1 error table at m = 5..100 against the stored references
+        result = reproduce.run_target("table1")
+        assert [r.label for r in result.rows] == [
+            f"table1 m={m} v{c}" for m in (5, 25, 50, 100) for c in (1, 2)]
+        assert all(r.passed for r in result.rows), result.report()
 
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from ddestab import errors, linalg, mol, solver, stability
@@ -164,6 +165,7 @@ class TestSemilinear:
         n_steps = len(traj.times) - 1
         assert not traj.diverged and n_steps == solver._n_steps(3.0, s.h)
         assert len(calls) == (n_steps if theta == 1.0 else n_steps + 1)
+        assert traj.stats.g_calls == len(calls) and traj.stats.steps == n_steps
 
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     @pytest.mark.parametrize("u", [0.0, 0.5])
@@ -242,6 +244,124 @@ class TestPeakMaxNorm:
         traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 1, 1.0), 6.0,
                                    keep_trajectory=False)
         assert traj.peak_max_norm == 3.0 > np.max(np.abs(traj.states))
+
+
+def lu_solve_reference(m_lin, g, history, s, n_steps):
+    """The theta method with one scipy.linalg.lu_solve of I - theta h M
+    per step, written out independently of the driver."""
+    m, h, u, theta = s.m, s.h, s.u, s.theta
+    dtype = np.result_type(m_lin, history(0.0), np.float64)
+    eye = np.eye(m_lin.shape[0], dtype=dtype)
+    lu = scipy.linalg.lu_factor(eye - theta * h * m_lin)
+    explicit = eye + (1.0 - theta) * h * m_lin
+    # z[k + m] holds z_k; the history is sampled at max(-k h, -tau)
+    z = [np.asarray(history(max(k * h, -s.tau)), dtype=dtype) for k in range(-m, 1)]
+
+    def g_delayed(n):  # g at the delayed state of the implicit stage of step n
+        return g((1.0 - u) * z[n + 1] + u * z[n + 2])
+
+    for n in range(n_steps):
+        rhs = explicit @ z[n + m] + h * ((1.0 - theta) * g_delayed(n - 1)
+                                         + theta * g_delayed(n))
+        z.append(scipy.linalg.lu_solve(lu, rhs))
+    return np.array(z[m:])
+
+
+class TestDenseInverse:
+    """The dense implicit stage is a precomputed inverse applied by matvec."""
+
+    @pytest.mark.parametrize("semilinear", [False, True])
+    @pytest.mark.parametrize("complex_history", [False, True])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_matches_per_step_lu_solve(self, rng, semilinear, complex_history,
+                                       theta, u):
+        n = 4
+        a = random_spd(rng, n).real + 0.5 * rng.standard_normal((n, n))  # not symmetric
+        b = 0.4 * rng.standard_normal((n, n))
+        hist_vec = rng.standard_normal(n)
+        if complex_history:
+            hist_vec = hist_vec + 1j * rng.standard_normal(n)
+
+        def history(t):
+            return hist_vec * math.cos(t)
+
+        s = ThetaScheme(theta, u, 5, 1.0)
+        if semilinear:
+            g = lambda z: b @ z - 0.2 * z * z
+            traj = solver.solve_semilinear(SemilinearDDE(-a, g, 1.0, history), s, 8.0)
+        else:
+            g = lambda z: b @ z
+            traj = solver.solve_linear(LinearDDE(a, b, 1.0, history), s, 8.0)
+        ref = lu_solve_reference(-a, g, history, s, len(traj.times) - 1)
+        assert not traj.diverged and np.iscomplexobj(traj.states) == complex_history
+        assert traj.stats.path == "dense-inverse"
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_singular_implicit_matrix_raises(self, theta):
+        # M = I / (theta h) makes I - theta h M the zero matrix
+        s = ThetaScheme(theta, 0.0, 4, 1.0)
+        m_lin = np.eye(3) / (theta * s.h)
+        hist = lambda t: np.ones(3)
+        with pytest.raises(errors.Singular):
+            solver.solve_linear(LinearDDE(-m_lin, np.eye(3), 1.0, hist), s, 2.0)
+        with pytest.raises(errors.Singular):
+            solver.solve_semilinear(SemilinearDDE(m_lin, lambda z: z, 1.0, hist), s, 2.0)
+
+    @pytest.mark.parametrize("semilinear", [False, True])
+    def test_one_lu_solve_per_run(self, rng, monkeypatch, semilinear):
+        # the LU solve forms the inverse once; no step calls it
+        calls = []
+        lu_solve = linalg.LinearSolver.solve
+
+        def counted(self, rhs):
+            calls.append(np.shape(rhs))
+            return lu_solve(self, rhs)
+
+        monkeypatch.setattr(linalg.LinearSolver, "solve", counted)
+        a = random_spd(rng, 3).real
+        hist = lambda t: np.array([1.0, -1.0, 0.5])
+        s = ThetaScheme(0.5, 0.0, 4, 1.0)
+        if semilinear:
+            traj = solver.solve_semilinear(
+                SemilinearDDE(-a, lambda z: 0.3 * z, 1.0, hist), s, 10.0)
+        else:
+            traj = solver.solve_linear(LinearDDE(a, 0.3 * np.eye(3), 1.0, hist), s, 10.0)
+        assert traj.stats.steps == 40
+        assert calls == [(3, 3)]
+
+
+class TestSolveStats:
+    @pytest.mark.parametrize("kind, path", [("dense", "dense-inverse"),
+                                            ("sparse", "sparse-lu"),
+                                            ("operator", "shifted")])
+    def test_path_names_the_implicit_solve(self, kind, path):
+        dde = mol.build_example2(8, 0.5, 3.0, 1.0).dde
+        m_lin = {"dense": dde.m_linear.toarray(), "sparse": dde.m_linear.tocsr(),
+                 "operator": dde.m_linear}[kind]
+        prob = SemilinearDDE(m_lin, dde.g, dde.tau, dde.history)
+        s = ThetaScheme(0.5, 0.0, 4, 1.0)
+        traj = solver.solve_semilinear(prob, s, 2.0)
+        stats = traj.stats
+        assert stats.path == path
+        assert stats.steps == len(traj.times) - 1 == solver._n_steps(2.0, s.h)
+        assert stats.g_calls == stats.steps + 1
+        assert stats.setup_s >= 0.0 and stats.stepping_s >= 0.0
+
+    def test_steps_stop_at_the_halt(self):
+        prob = scalar_problem(1.0, 1e3)
+        s = ThetaScheme(1.0, 0.0, 1, 1.0)
+        full = solver.solve_linear(prob, s, 500.0)
+        window = solver.solve_linear(prob, s, 500.0, keep_trajectory=False)
+        assert full.diverged and full.stats.steps == len(full.times) - 1 < 500
+        assert window.stats.steps == full.stats.steps == round(window.final_time)
+
+    def test_hand_built_trajectory_has_none(self):
+        traj = solver.Trajectory(times=np.zeros(1), states=np.zeros((1, 2)),
+                                 scheme=ThetaScheme(1.0, 0.0, 1, 1.0))
+        assert traj.stats is None and traj.peak_max_norm is None
 
 
 @pytest.mark.parametrize("semilinear", [False, True])
