@@ -19,7 +19,6 @@ from .fov import (
 from .linalg import (
     EigenDecomposition,
     LinearSolver,
-    fractional_power,
     general_eigenvalues,
     hermitian_eigen,
     largest_eigenpair,
@@ -39,7 +38,6 @@ from .solver import (
     LinearDDE,
     SemilinearDDE,
     Trajectory,
-    observed_order,
     solve_linear,
     solve_semilinear,
 )
@@ -50,7 +48,6 @@ from .stability import (
     UNCONDITIONALLY_STABLE,
     DyMembership,
     Evidence,
-    InthoutResult,
     OracleVerdict,
     RegionBoundary,
     StabilityPolynomial,
@@ -60,7 +57,6 @@ from .stability import (
     certify,
     gamma_y,
     in_dy,
-    inthout_condition,
     oracle_stability,
     simdiag_analysis,
     simdiag_pairs,
@@ -74,22 +70,20 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     # linalg
-    "EigenDecomposition", "LinearSolver", "fractional_power",
-    "general_eigenvalues", "hermitian_eigen", "largest_eigenpair", "poly_roots",
-    "solver_for",
+    "EigenDecomposition", "LinearSolver", "general_eigenvalues",
+    "hermitian_eigen", "largest_eigenpair", "poly_roots", "solver_for",
     # fov
     "FovBoundary", "fov_boundary", "numerical_radius", "transformed_matrix",
     # stability
     "CERTIFIED_UNSTABLE", "STABLE_FOR_THIS_STEP", "UNCERTIFIED",
-    "UNCONDITIONALLY_STABLE", "DyMembership", "Evidence", "InthoutResult",
-    "OracleVerdict", "RegionBoundary", "StabilityPolynomial",
-    "StabilityReport", "ThetaScheme", "build_w", "certify", "gamma_y", "in_dy",
-    "inthout_condition", "oracle_stability", "simdiag_analysis",
-    "simdiag_pairs", "stability_polynomial", "step_certificate",
-    "unconditional_certificate",
+    "UNCONDITIONALLY_STABLE", "DyMembership", "Evidence", "OracleVerdict",
+    "RegionBoundary", "StabilityPolynomial", "StabilityReport", "ThetaScheme",
+    "build_w", "certify", "gamma_y", "in_dy", "oracle_stability",
+    "simdiag_analysis", "simdiag_pairs", "stability_polynomial",
+    "step_certificate", "unconditional_certificate",
     # solver
-    "LinearDDE", "SemilinearDDE", "Trajectory", "observed_order",
-    "solve_linear", "solve_semilinear",
+    "LinearDDE", "SemilinearDDE", "Trajectory", "solve_linear",
+    "solve_semilinear",
     # mol
     "Example2Condition", "Grid1D", "MolProblem", "build_example1",
     "build_example2", "discrete_error", "example2_condition",

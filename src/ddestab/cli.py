@@ -47,37 +47,32 @@ def read_matrix(path) -> np.ndarray:
         entries = doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFileError(f"{path}: need rows, cols and entries fields") from exc
-    if rows < 1 or cols < 1 or len(entries) != rows * cols:
-        raise MatrixFileError(
-            f"{path}: entry count {len(entries)} does not match {rows}x{cols}")
-    values = np.empty(rows * cols, dtype=complex)
-    for k, entry in enumerate(entries):
-        if isinstance(entry, (int, float)):
-            re, im = float(entry), 0.0
-        elif isinstance(entry, (list, tuple)) and 1 <= len(entry) <= 2:
-            re = float(entry[0])
-            im = float(entry[1]) if len(entry) == 2 else 0.0
-        else:
-            raise MatrixFileError(f"{path}: entry {k} must be re or [re, im]")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise MatrixFileError(f"{path}: entry {k} is not finite")
-        values[k] = complex(re, im)
+    k = None
+    try:
+        if rows < 1 or cols < 1 or len(entries) != rows * cols:
+            raise MatrixFileError(
+                f"{path}: entry count {len(entries)} does not match {rows}x{cols}")
+        values = np.empty(rows * cols, dtype=complex)
+        for k, entry in enumerate(entries):
+            if isinstance(entry, (int, float)):
+                re, im = float(entry), 0.0
+            elif isinstance(entry, (list, tuple)) and 1 <= len(entry) <= 2:
+                re = float(entry[0])
+                im = float(entry[1]) if len(entry) == 2 else 0.0
+            else:
+                raise MatrixFileError(f"{path}: entry {k} must be re or [re, im]")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise MatrixFileError(f"{path}: entry {k} is not finite")
+            values[k] = complex(re, im)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a non-list entries field, or a re / im that is not a number
+        where = ("entries must be a list" if k is None
+                 else f"entry {k} must be re or [re, im]")
+        raise MatrixFileError(f"{path}: {where}") from exc
     matrix = values.reshape(rows, cols)
     if np.all(matrix.imag == 0.0):
         return matrix.real.copy()
     return matrix
-
-
-def write_matrix(path, matrix) -> None:
-    a = np.asarray(matrix, dtype=complex)
-    doc = {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "entries": [[float(v.real), float(v.imag)] for v in a.ravel()],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
 
 
 def _write_text(path, text: str) -> None:

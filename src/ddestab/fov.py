@@ -57,7 +57,6 @@ class FovBoundary:
     points: np.ndarray
     angles: np.ndarray
     n_angles: int
-    source_dim: int
     support: np.ndarray
 
     def max_modulus(self) -> float:
@@ -108,7 +107,7 @@ def fov_boundary(m, n_angles: int = DEFAULT_ANGLES) -> FovBoundary:
         points[mirrored] = np.conj(points[n_angles - mirrored])
         support[mirrored] = support[n_angles - mirrored]
     return FovBoundary(points=points, angles=angles, n_angles=n_angles,
-                       source_dim=a.shape[0], support=support)
+                       support=support)
 
 
 def numerical_radius(m, n_angles: int = DEFAULT_ANGLES) -> float:

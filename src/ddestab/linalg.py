@@ -3,8 +3,8 @@
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): Hermitian
 eigendecompositions (full, or the largest eigenpair alone), general
 eigenvalues and polynomial roots through the balanced companion matrix
-(of one matrix or polynomial, or of a stack in one call), fractional powers of
-Hermitian positive definite matrices, and reusable LU solvers.
+(of one matrix or polynomial, or of a stack in one call), and reusable LU
+solvers.
 
 All tolerances are relative to ``scaled_norm`` (max-abs entry times
 dimension) so the contracts are scale-free.  Every function is pure; all
@@ -24,7 +24,6 @@ from .errors import (
     InvalidParams,
     NoConvergence,
     NotHermitian,
-    NotPositiveDefinite,
     Singular,
     ZeroPolynomial,
 )
@@ -60,25 +59,24 @@ def hermitian_violation(m) -> float:
     return float(np.max(np.abs(a - a.conj().T))) / float(scale)
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = as_square_matrix(m)
     v = hermitian_violation(a)
-    if v > tol:
-        raise NotHermitian(f"relative symmetry violation {v:.3e} exceeds {tol:.1e}")
+    if v > HERMITIAN_TOL:
+        raise NotHermitian(
+            f"relative symmetry violation {v:.3e} exceeds {HERMITIAN_TOL:.1e}")
     return a
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues and column eigenvectors of a square matrix.
+    """Eigenvalues and column eigenvectors of a Hermitian matrix.
 
-    For ``kind='hermitian'`` the values are real, sorted ascending, and the
-    vectors are orthonormal.
+    The values are real and sorted ascending; the vectors are orthonormal.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    kind: str
 
 
 def hermitian_eigen(m) -> EigenDecomposition:
@@ -100,7 +98,7 @@ def hermitian_eigen(m) -> EigenDecomposition:
             raise NoConvergence(
                 f"eigen residual {resid:.3e} exceeds 1e-9 * ||M|| = {1e-9 * nrm:.3e}"
             )
-    return EigenDecomposition(values=values, vectors=vectors, kind="hermitian")
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def largest_eigenpair(m) -> tuple[float, np.ndarray]:
@@ -219,23 +217,6 @@ def stacked_poly_roots(coeffs) -> np.ndarray:
     return roots
 
 
-def fractional_power(m, s: float) -> np.ndarray:
-    """``M**s`` for Hermitian positive definite M, via the eigenbasis.
-
-    Returns V diag(lam**s) V*; all eigenvalues must exceed
-    PD_TOL * scaled_norm(M).
-    """
-    a = require_hermitian(m)
-    dec = hermitian_eigen(a)
-    floor = PD_TOL * scaled_norm(a)
-    if np.min(dec.values) <= floor:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {np.min(dec.values):.3e} is not above {floor:.3e}"
-        )
-    powered = dec.values ** float(s)
-    return (dec.vectors * powered[None, :]) @ dec.vectors.conj().T
-
-
 class LinearSolver:
     """Reusable LU factorization of a square matrix.
 
@@ -245,11 +226,10 @@ class LinearSolver:
     guard of the theta stepping loop sees it.  Instances are immutable.
     """
 
-    def __init__(self, lu, piv, size: int, dtype):
+    def __init__(self, lu, piv, size: int):
         self._lu = lu
         self._piv = piv
         self.size = size
-        self.dtype = dtype
 
     def solve(self, b) -> np.ndarray:
         rhs = np.asarray(b)
@@ -274,5 +254,5 @@ def solver_for(m) -> LinearSolver:
     floor = 1e-14 * scaled_norm(a)
     if np.min(pivots) <= floor:
         raise Singular(f"pivot {np.min(pivots):.3e} at or below {floor:.3e}")
-    return LinearSolver(lu, piv, a.shape[0], a.dtype)
+    return LinearSolver(lu, piv, a.shape[0])
 

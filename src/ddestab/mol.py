@@ -26,12 +26,11 @@ sign; stability analyses expect the positive definite factor, so pass
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from ._csv import write_csv
 from .errors import InvalidParams, Singular
 from .solver import LinearDDE, SemilinearDDE, Trajectory
 
@@ -39,7 +38,7 @@ __all__ = [
     "Grid1D", "MolProblem", "KroneckerLaplacian", "dirichlet_laplacian",
     "dirichlet_eigenvalues",
     "build_example1", "build_example2", "example2_condition",
-    "Example2Condition", "discrete_error", "snapshot_csv",
+    "Example2Condition", "discrete_error",
 ]
 
 
@@ -162,11 +161,9 @@ class MolProblem:
     dde: object
     grid: Grid1D
     tau: float
-    params: dict = field(default_factory=dict)
     exact: object = None
     grid_y: Grid1D | None = None
     n_components: int = 1
-    name: str = ""
 
     @property
     def n_interior(self) -> int:
@@ -196,31 +193,6 @@ class MolProblem:
 
     def discrete_error(self, traj: Trajectory, t: float, component: int) -> float:
         return discrete_error(traj, self.exact, t, component, self.n_interior)
-
-    def summary(self) -> dict:
-        lo, hi = self._linear_spectrum_bounds()
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "components": self.n_components,
-            "grid_m": self.grid.m,
-            "dx": self.grid.dx,
-            "tau": self.tau,
-            "params": dict(self.params),
-            "linear_spectrum_bounds": [lo, hi],
-            "has_exact": self.exact is not None,
-        }
-
-    def _linear_spectrum_bounds(self) -> tuple[float, float]:
-        omega = dirichlet_eigenvalues(self.grid.n_interior, self.grid.dx)
-        if self.grid_y is not None:
-            lam = float(self.params.get("lambda", 1.0))
-            return 2.0 * lam * float(omega.min()), 2.0 * lam * float(omega.max())
-        lams = [float(self.params.get("lambda1", 1.0)),
-                float(self.params.get("lambda2", 1.0))][: self.n_components]
-        return (min(l * float(omega.min()) for l in lams),
-                max(l * float(omega.max()) for l in lams))
-
 
 def discrete_error(traj: Trajectory, exact, t: float, component: int,
                    n_interior: int) -> float:
@@ -275,9 +247,8 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
     dde = LinearDDE(a=-a_mol, b=b_mol, tau=tau, history=state)
     return MolProblem(
         dde=dde, grid=grid, tau=tau,
-        params={"lambda1": lambda1, "lambda2": lambda2, "l": l},
         exact=state if has_exact else None,
-        n_components=2, name="example1")
+        n_components=2)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +279,7 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
                         history=lambda t: state0)
     return MolProblem(
         dde=dde, grid=grid, tau=tau,
-        params={"lambda": lam, "mu": reaction_mu},
-        grid_y=grid, n_components=1, name="example2")
+        grid_y=grid, n_components=1)
 
 
 @dataclass(frozen=True)
@@ -346,16 +316,3 @@ def example2_condition(m_grid: int, lam: float, reaction_mu: float) -> Example2C
         transformed_interval=(-3.0 * reaction_mu / (lam * denom),
                               reaction_mu / (lam * denom)),
     )
-
-
-def snapshot_csv(problem: MolProblem, traj: Trajectory, t: float, path,
-                 component: int = 0) -> None:
-    """Dump one time slice as plot-ready CSV: x[,y],value over interior nodes."""
-    n = problem.n_interior
-    sl = np.real(traj.state_at(t)[component * n:(component + 1) * n])
-    xs = problem.grid.interior
-    if problem.grid_y is None:
-        write_csv(path, "x,value", (xs, sl))
-        return
-    ys = problem.grid_y.interior
-    write_csv(path, "x,y,value", (np.tile(xs, ys.size), np.repeat(ys, xs.size), sl))

@@ -329,26 +329,3 @@ def solve_semilinear(prob: SemilinearDDE, scheme: ThetaScheme, t_end: float,
     mm = prob.m_linear
     dtype = mm.dtype if hasattr(mm, "dtype") else np.asarray(mm).dtype
     return _integrate(prob, scheme, mm, prob.g, dtype, t_end, keep_trajectory)
-
-
-def observed_order(prob: LinearDDE, exact, theta: float, m_list,
-                   t_end: float, u: float = 0.0) -> float:
-    """Least-squares slope of log error versus log h over an m refinement.
-
-    ``exact(t)`` must return the reference state vector; the error at the
-    final grid time is measured in the plain root-sum-of-squares norm.
-    m_list needs at least three entries.
-    """
-    m_list = list(m_list)
-    if len(m_list) < 3:
-        raise InvalidParams("m_list needs at least 3 entries for a slope fit")
-    hs, errs = [], []
-    for m in m_list:
-        scheme = ThetaScheme(theta=theta, u=u, m=m, tau=prob.tau)
-        traj = solve_linear(prob, scheme, t_end, keep_trajectory=False)
-        t_fin = traj.final_time
-        diff = traj.final_state - np.asarray(exact(t_fin))
-        errs.append(max(float(np.sqrt(np.sum(np.abs(diff) ** 2))), 1e-300))
-        hs.append(scheme.h)
-    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    return float(slope)

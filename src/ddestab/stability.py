@@ -40,9 +40,6 @@ Certificates offered, strongest first:
   roots of every mode from one batched companion eigenvalue call.
 * ``oracle_stability`` -- brute force: the spectral radius of the dense W
   itself, the independent reference of the tests.
-* ``inthout_condition`` -- sampled resolvent criterion
-  sup_{Re xi = 0} rho((xi I - A)^{-1} B) < 1 together with
-  -1 not in sigma(A^{-1} B); a numerical screen, not a proof.
 
 ``certify`` is the one entry point that merges them.  It computes the
 modes once.  When they exist it runs the mode analysis, and the oracle's
@@ -669,74 +666,3 @@ def certify(a, b, scheme: ThetaScheme,
     else:
         verdict = UNCERTIFIED
     return StabilityReport(verdict, tuple(evidence), scheme)
-
-
-# ---------------------------------------------------------------------------
-# sampled resolvent condition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InthoutResult:
-    """Sampled resolvent screen along the imaginary axis.
-
-    ``passed`` requires the sampled supremum below 1, the large-omega tail
-    bound below 1, and the spectrum of A^{-1} B bounded away from -1.
-    A finite sample cannot prove the supremum over the whole axis; treat a
-    pass as strong evidence, not a certificate.
-    """
-
-    passed: bool
-    margin: float
-    sup_rho: float
-    sup_omega: float
-    minus_one_distance: float
-    tail_bound: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def inthout_condition(a, b, omega_max: float | None = None,
-                      n_omega: int = 401) -> InthoutResult:
-    """Evaluate sup over sampled xi = i omega of rho((xi I - A)^{-1} B).
-
-    Expects A with spectrum in the open left half-plane (pass the negated,
-    negative definite matrix of the delay system).  Samples a symmetric
-    log-spaced omega grid plus omega = 0, then verifies the analytic tail
-    bound ||B|| / (omega_max - ||A||) < 1 so the unsampled tail cannot
-    violate the criterion.
-    """
-    am = linalg.as_square_matrix(a).astype(complex)
-    bm = linalg.as_square_matrix(b).astype(complex)
-    if np.max(linalg.general_eigenvalues(am).real) >= 0.0:
-        raise InvalidParams("spectrum of A must lie in the open left half-plane")
-    norm_a = float(np.linalg.norm(am, 2))
-    norm_b = float(np.linalg.norm(bm, 2))
-    if omega_max is None:
-        omega_max = 1e4 * norm_a
-    if omega_max <= norm_a:
-        raise InvalidParams("omega_max must exceed ||A|| for the tail bound")
-    half = max(1, (n_omega - 1) // 2)
-    pos = np.logspace(np.log10(max(1e-8 * norm_a, 1e-300)), np.log10(omega_max), half)
-    omegas = np.concatenate([-pos[::-1], [0.0], pos])
-
-    eye = np.eye(am.shape[0], dtype=complex)
-    sup_rho, sup_omega = -np.inf, 0.0
-    for omega in omegas:
-        shifted = 1j * omega * eye - am
-        try:
-            resolvent_b = linalg.solver_for(shifted).solve(bm)
-        except Singular as exc:
-            raise Singular(f"xi I - A singular at omega = {omega:.6g}") from exc
-        rho = float(np.max(np.abs(linalg.general_eigenvalues(resolvent_b))))
-        if rho > sup_rho:
-            sup_rho, sup_omega = rho, float(omega)
-
-    eigs = linalg.general_eigenvalues(linalg.solver_for(am).solve(bm))
-    minus_one_distance = float(np.min(np.abs(eigs + 1.0)))
-    tail_bound = norm_b / (omega_max - norm_a)
-    passed = (sup_rho < 1.0 and tail_bound < 1.0
-              and minus_one_distance > 1e-9 * (1.0 + float(np.max(np.abs(eigs)))))
-    return InthoutResult(passed=passed, margin=1.0 - sup_rho, sup_rho=sup_rho,
-                         sup_omega=sup_omega, minus_one_distance=minus_one_distance,
-                         tail_bound=tail_bound)

@@ -1,7 +1,13 @@
-"""Shared generators and planar-geometry helpers for the test suite."""
+"""Shared generators, planar-geometry helpers and test-side references
+for the test suite."""
+
+import json
 
 import numpy as np
 import pytest
+
+from ddestab.solver import solve_linear
+from ddestab.stability import ThetaScheme
 
 
 @pytest.fixture
@@ -144,3 +150,30 @@ def multiset_distance(xs, ys):
     cost = np.abs(xs[:, None] - ys[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols]))
+
+
+def write_matrix(path, matrix):
+    """Write ``matrix`` in the JSON matrix-file format ``cli.read_matrix``
+    reads: {"rows": n, "cols": n, "entries": [[re, im], ...]}."""
+    a = np.asarray(matrix, dtype=complex)
+    doc = {
+        "rows": int(a.shape[0]),
+        "cols": int(a.shape[1]),
+        "entries": [[float(v.real), float(v.imag)] for v in a.ravel()],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
+def observed_order(prob, exact, theta, m_list, t_end):
+    """Least-squares slope of log error versus log h over an m refinement
+    (u = 0); the error is the 2-norm of the state at the final grid time
+    against ``exact``."""
+    hs, errs = [], []
+    for m in m_list:
+        scheme = ThetaScheme(theta=theta, u=0.0, m=m, tau=prob.tau)
+        traj = solve_linear(prob, scheme, t_end, keep_trajectory=False)
+        errs.append(np.linalg.norm(traj.final_state - exact(traj.final_time)))
+        hs.append(scheme.h)
+    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

@@ -10,6 +10,7 @@ must match the dense one.
 """
 
 import numpy as np
+import pytest
 
 from ddestab import stability
 from ddestab.stability import (
@@ -84,3 +85,28 @@ def test_stable_verdicts_agree_with_oracle():
     assert {UNCONDITIONALLY_STABLE, STABLE_FOR_THIS_STEP} <= verdicts
     # the commuting half, repeated eigenvalue and all, is on the mode path
     assert mode_cases == N_CASES // 2
+
+
+def near_commuting_case():
+    """A's eigenvalues lie 1e-12 apart, so they form separate clusters, and
+    B couples the two modes by e = 0.9e-8 g: A^{-1} B has the eigenvalue
+    1 + 6.0e-9 and the dense rho(W) is 1 + 3.0e-9."""
+    g = 1.0 - 3e-9
+    e = 0.9e-8 * g
+    a = np.diag([1.0, 1.0 + 1e-12])
+    b = np.array([[g, e], [e, g]])
+    return a, b, ThetaScheme(theta=1.0, u=0.0, m=1, tau=1.0)
+
+
+def test_near_commuting_pair_is_unstable():
+    a, b, scheme = near_commuting_case()
+    assert stability.oracle_stability(a, b, scheme).certified_unstable
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "simdiag_pairs accepts and drops an off-block part of B up to "
+    "1e-8 scaled_norm(B), which moves mu by more than ROOT_TOL"))
+def test_near_commuting_pair_not_certified_stable():
+    a, b, scheme = near_commuting_case()
+    verdict = stability.certify(a, b, scheme).verdict
+    assert verdict not in (UNCONDITIONALLY_STABLE, STABLE_FOR_THIS_STEP)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,15 @@ import pytest
 from ddestab import cli, fov, reproduce, stability
 from ddestab.reproduce import EXAMPLE31_A, EXAMPLE31_B
 
+from conftest import write_matrix
+
 
 @pytest.fixture
 def bench_files(tmp_path):
     a_path = tmp_path / "a.json"
     b_path = tmp_path / "b.json"
-    cli.write_matrix(a_path, EXAMPLE31_A)
-    cli.write_matrix(b_path, EXAMPLE31_B)
+    write_matrix(a_path, EXAMPLE31_A)
+    write_matrix(b_path, EXAMPLE31_B)
     return str(a_path), str(b_path)
 
 
@@ -26,13 +29,13 @@ class TestMatrixFiles:
         m = rng.standard_normal((4, 4)) * np.exp(rng.uniform(-30, 30, (4, 4)))
         m = m + 1j * rng.standard_normal((4, 4))
         path = tmp_path / "m.json"
-        cli.write_matrix(path, m)
+        write_matrix(path, m)
         back = cli.read_matrix(path)
         assert np.array_equal(back, m)
 
     def test_real_matrices_come_back_real(self, tmp_path):
         path = tmp_path / "m.json"
-        cli.write_matrix(path, np.eye(2))
+        write_matrix(path, np.eye(2))
         assert not np.iscomplexobj(cli.read_matrix(path))
 
     def test_plain_numbers_accepted(self, tmp_path):
@@ -45,6 +48,20 @@ class TestMatrixFiles:
         path.write_text('{"rows": 1, "cols": 1, "entries": [[NaN, 0]]}')
         with pytest.raises(cli.MatrixFileError):
             cli.read_matrix(path)
+
+    @pytest.mark.parametrize("entries, where", [
+        ("5", "entries must be a list"),
+        ('[["a"]]', "entry 0 must be re or [re, im]"),
+        ("[[null]]", "entry 0 must be re or [re, im]"),
+        ("[[1" + "0" * 400 + "]]", "entry 0 must be re or [re, im]"),
+    ], ids=["number", "string", "null", "float-overflow"])
+    def test_malformed_entries_exit_2(self, tmp_path, capsys, entries, where):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"rows": 1, "cols": 1, "entries": {entries}}}')
+        with pytest.raises(cli.MatrixFileError, match=re.escape(where)):
+            cli.read_matrix(path)
+        assert cli.main(["fov", "--matrix", str(path)]) == 2
+        assert where in capsys.readouterr().err
 
     def test_rejects_wrong_count(self, tmp_path):
         path = tmp_path / "m.json"
@@ -75,8 +92,8 @@ class TestCheckCommand:
 
     def test_zero_b_unconditional(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        cli.write_matrix(a_path, np.diag([2.0, 3.0]))
-        cli.write_matrix(b_path, np.zeros((2, 2)))
+        write_matrix(a_path, np.diag([2.0, 3.0]))
+        write_matrix(b_path, np.zeros((2, 2)))
         code = cli.main(["check", "--matrix-a", str(a_path), "--matrix-b",
                          str(b_path), "--tau", "1", "--m", "3", "--theta", "0.8"])
         assert code == 0
@@ -94,8 +111,8 @@ class TestCheckCommand:
         # eig(A) has a singular eigenvector matrix: no modes, so the FOV
         # certificates and the dense oracle decide
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        cli.write_matrix(a_path, np.array([[1.0, 1.0], [0.0, 1.0]]))
-        cli.write_matrix(b_path, np.zeros((2, 2)))
+        write_matrix(a_path, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        write_matrix(b_path, np.zeros((2, 2)))
         code = cli.main(["check", "--matrix-a", str(a_path), "--matrix-b",
                          str(b_path), "--tau", "1", "--m", "3", "--theta", "1"])
         assert code == 0
@@ -105,8 +122,8 @@ class TestCheckCommand:
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        cli.write_matrix(a_path, np.zeros((2, 2)))  # singular A
-        cli.write_matrix(b_path, np.eye(2))
+        write_matrix(a_path, np.zeros((2, 2)))  # singular A
+        write_matrix(b_path, np.eye(2))
         code = cli.main(["check", "--matrix-a", str(a_path), "--matrix-b",
                          str(b_path), "--tau", "1", "--m", "2"])
         assert code == 3
@@ -157,7 +174,7 @@ class TestFovCommand:
         import io
 
         m_path = tmp_path / "m.json"
-        cli.write_matrix(m_path, np.eye(3))
+        write_matrix(m_path, np.eye(3))
         assert cli.main(["fov", "--matrix", str(m_path), "--n", "16"]) == 0
         rows = np.loadtxt(io.StringIO(capsys.readouterr().out),
                           delimiter=",", skiprows=1)
@@ -168,8 +185,8 @@ class TestFovCommand:
         import io
 
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        cli.write_matrix(a_path, np.diag([1.0, 4.0]))
-        cli.write_matrix(b_path, np.diag([2.0, 2.0]))
+        write_matrix(a_path, np.diag([1.0, 4.0]))
+        write_matrix(b_path, np.diag([2.0, 2.0]))
         assert cli.main(["fov", "--matrix", str(a_path), "--matrix-b",
                          str(b_path), "--p", "0", "--n", "32"]) == 0
         rows = np.loadtxt(io.StringIO(capsys.readouterr().out),
@@ -183,8 +200,8 @@ class TestFovCommand:
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
         b = np.array([[0.3, -0.2], [0.4, 0.1]])
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        cli.write_matrix(a_path, a)
-        cli.write_matrix(b_path, b)
+        write_matrix(a_path, a)
+        write_matrix(b_path, b)
         argv = ["fov", "--matrix", str(a_path), "--n", "32"]
         if with_b:
             argv += ["--matrix-b", str(b_path), "--p", "1"]
@@ -217,8 +234,8 @@ class TestSolveCommand:
 
     def test_zero_history_zero_trajectory(self, tmp_path):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        cli.write_matrix(a_path, np.diag([1.0, 2.0]))
-        cli.write_matrix(b_path, 0.5 * np.eye(2))
+        write_matrix(a_path, np.diag([1.0, 2.0]))
+        write_matrix(b_path, 0.5 * np.eye(2))
         out = tmp_path / "summary.json"
         csv = tmp_path / "traj.csv"
         code = cli.main(["solve", "--problem", "linear", "--matrix-a", str(a_path),
@@ -234,8 +251,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("history, code", [("abc,1", 2), ("nan,1", 3)])
     def test_bad_history_exit_codes(self, tmp_path, capsys, history, code):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        cli.write_matrix(a_path, np.eye(2))
-        cli.write_matrix(b_path, np.zeros((2, 2)))
+        write_matrix(a_path, np.eye(2))
+        write_matrix(b_path, np.zeros((2, 2)))
         out = tmp_path / "summary.json"
         assert cli.main(["solve", "--problem", "linear", "--matrix-a", str(a_path),
                          "--matrix-b", str(b_path), "--tau", "1", "--m", "2",
@@ -248,8 +265,8 @@ class TestSolveCommand:
         # the steps taken up to the halt, not the planned count
         monkeypatch.setattr(cli, "AUTO_KEEP_LIMIT", 0)
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        cli.write_matrix(a_path, np.array([[1.0]]))
-        cli.write_matrix(b_path, np.array([[1e3]]))
+        write_matrix(a_path, np.array([[1.0]]))
+        write_matrix(b_path, np.array([[1e3]]))
         out = tmp_path / "summary.json"
         assert cli.main(["solve", "--problem", "linear", "--matrix-a", str(a_path),
                          "--matrix-b", str(b_path), "--tau", "1", "--m", "1",

@@ -28,7 +28,6 @@ class TestHermitianEigen:
     def test_identity(self):
         dec = linalg.hermitian_eigen(np.eye(2))
         assert_allclose(dec.values, [1.0, 1.0])
-        assert dec.kind == "hermitian"
 
     def test_diagonal(self):
         dec = linalg.hermitian_eigen(np.diag([1.0, 2.0]))
@@ -167,35 +166,6 @@ class TestStackedPolyRoots:
         with pytest.raises(errors.DegenerateLeading):
             linalg.stacked_poly_roots([[1.0, 2.0], [1.0, 0.0]])
 
-
-class TestFractionalPower:
-    def test_identity_any_exponent(self):
-        assert_allclose(linalg.fractional_power(np.eye(3), 0.37), np.eye(3),
-                        atol=1e-12)
-
-    def test_diagonal_square_root(self):
-        assert_allclose(linalg.fractional_power(np.diag([4.0, 9.0]), 0.5),
-                        np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_square_root_squares_back(self, rng):
-        a = random_spd(rng, 6)
-        half = linalg.fractional_power(a, 0.5)
-        assert linalg.scaled_norm(half @ half - a) <= 1e-9 * linalg.scaled_norm(a)
-
-    def test_group_law(self, rng):
-        a = random_spd(rng, 5)
-        for s, t in ((0.5, 0.5), (-1.0, 2.0), (0.3, -0.7)):
-            left = linalg.fractional_power(a, s) @ linalg.fractional_power(a, t)
-            right = linalg.fractional_power(a, s + t)
-            assert linalg.scaled_norm(left - right) <= 1e-9 * linalg.scaled_norm(right)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(errors.NotPositiveDefinite):
-            linalg.fractional_power(np.diag([1.0, -1.0]), 0.5)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(errors.NotHermitian):
-            linalg.fractional_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)
 
 
 class TestLinearSolver:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -231,42 +230,3 @@ class TestDiscreteError:
         traj = solver.solve_semilinear(problem.dde, s, 1.0)
         with pytest.raises(errors.InvalidParams):
             problem.discrete_error(traj, 1.0, 0)
-
-
-def test_summary_serializes(tmp_path):
-    problem = mol.build_example1(10, 1.0, 1.0, -0.1, math.pi / 2)
-    doc = problem.summary()
-    json.dumps(doc)  # must be JSON-clean
-    assert doc["dim"] == 18
-    assert doc["components"] == 2
-    assert doc["has_exact"] is True
-    lo, hi = doc["linear_spectrum_bounds"]
-    assert lo < hi < 0.0
-
-    problem2 = mol.build_example2(6, 0.5, 3.0, 1.0)
-    doc2 = problem2.summary()
-    json.dumps(doc2)
-    assert doc2["dim"] == 25
-    omega = 0.5 * mol.dirichlet_eigenvalues(5, 1.0 / 6.0)
-    assert_allclose(doc2["linear_spectrum_bounds"],
-                    [2.0 * omega.min(), 2.0 * omega.max()])
-
-
-def test_snapshot_csv_1d_and_2d(tmp_path):
-    p1 = mol.build_example1(5, 1.0, 1.0, -0.1, math.pi / 2)
-    s = stability.ThetaScheme(1.0, 0.0, 4, p1.tau)
-    traj = solver.solve_linear(p1.dde, s, 4 * s.h)
-    path = tmp_path / "snap1.csv"
-    mol.snapshot_csv(p1, traj, traj.final_time, path, component=1)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == p1.grid.n_interior + 1
-
-    p2 = mol.build_example2(4, 0.5, 3.0, 1.0)
-    s2 = stability.ThetaScheme(1.0, 0.0, 4, 1.0)
-    traj2 = solver.solve_semilinear(p2.dde, s2, 1.0)
-    path2 = tmp_path / "snap2.csv"
-    mol.snapshot_csv(p2, traj2, traj2.final_time, path2)
-    lines2 = path2.read_text().strip().splitlines()
-    assert lines2[0] == "x,y,value"
-    assert len(lines2) == 9 + 1

@@ -226,43 +226,6 @@ class TestCompanionMatrix:
             assert np.max(np.abs(eig_w[:len(roots)] - roots)) <= 1e-8
 
 
-class TestInthout:
-    def test_zero_delay_matrix(self):
-        res = stability.inthout_condition(-np.eye(3), np.zeros((3, 3)))
-        assert res.passed
-        assert res.sup_rho == 0.0
-
-    def test_scaled_identity_closed_form(self):
-        # rho((i w + 1)^{-1} r I) = r / sqrt(1 + w^2), supremum r at w = 0
-        # (ties with the smallest sampled |w| at float precision)
-        for r, expect in ((0.8, True), (1.3, False)):
-            res = stability.inthout_condition(-np.eye(2), r * np.eye(2))
-            assert res.passed is expect
-            assert abs(res.sup_rho - r) <= 1e-9
-            assert abs(res.sup_omega) <= 1e-6
-
-    def test_rejects_right_half_plane_spectrum(self):
-        with pytest.raises(errors.InvalidParams):
-            stability.inthout_condition(np.eye(2), np.zeros((2, 2)))
-
-    def test_minus_one_in_spectrum_fails(self):
-        # A = -I, B = I: A^{-1} B = -I exactly
-        res = stability.inthout_condition(-np.eye(2), np.eye(2))
-        assert res.minus_one_distance <= 1e-12
-        assert not res.passed
-
-    def test_agrees_with_unit_disk_certificate_on_mol_problem(self):
-        from ddestab import mol
-
-        problem = mol.build_example1(40, 1.0, 1.0, -0.1, math.pi / 2.0)
-        a_pd, b_mat = problem.stability_matrices()
-        res = stability.inthout_condition(-a_pd, b_mat)
-        cert = stability.unconditional_certificate(
-            a_pd, b_mat, ThetaScheme(1.0, 0.0, 5, problem.tau))
-        assert res.passed
-        assert cert.verdict == stability.UNCONDITIONALLY_STABLE
-
-
 class TestReportSerialization:
     def test_json_round_trip(self):
         import json
