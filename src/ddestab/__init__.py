@@ -50,7 +50,6 @@ from .stability import (
     Evidence,
     OracleVerdict,
     RegionBoundary,
-    StabilityPolynomial,
     StabilityReport,
     ThetaScheme,
     build_w,
@@ -60,7 +59,6 @@ from .stability import (
     oracle_stability,
     simdiag_analysis,
     simdiag_pairs,
-    stability_polynomial,
     step_certificate,
     unconditional_certificate,
 )
@@ -77,10 +75,9 @@ __all__ = [
     # stability
     "CERTIFIED_UNSTABLE", "STABLE_FOR_THIS_STEP", "UNCERTIFIED",
     "UNCONDITIONALLY_STABLE", "DyMembership", "Evidence", "OracleVerdict",
-    "RegionBoundary", "StabilityPolynomial", "StabilityReport", "ThetaScheme",
-    "build_w", "certify", "gamma_y", "in_dy", "oracle_stability",
-    "simdiag_analysis", "simdiag_pairs", "stability_polynomial",
-    "step_certificate", "unconditional_certificate",
+    "RegionBoundary", "StabilityReport", "ThetaScheme", "build_w", "certify",
+    "gamma_y", "in_dy", "oracle_stability", "simdiag_analysis",
+    "simdiag_pairs", "step_certificate", "unconditional_certificate",
     # solver
     "LinearDDE", "SemilinearDDE", "Trajectory", "solve_linear",
     "solve_semilinear",

@@ -304,6 +304,7 @@ class Example2Condition:
 
 
 def example2_condition(m_grid: int, lam: float, reaction_mu: float) -> Example2Condition:
+    """Example 2's unconditional-stability test on an M-cell grid."""
     if m_grid < 2 or lam <= 0.0 or reaction_mu <= 0.0:
         raise InvalidParams("need M >= 2 and positive lambda, mu")
     denom = 8.0 * m_grid ** 2 * math.sin(math.pi / (2.0 * m_grid)) ** 2

@@ -72,8 +72,8 @@ class LinearDDE:
         bm = linalg.as_square_matrix(self.b)
         if am.shape != bm.shape:
             raise InvalidParams(f"A and B shapes differ: {am.shape} vs {bm.shape}")
-        if not self.tau > 0.0:
-            raise InvalidParams("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise InvalidParams("tau must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -97,8 +97,8 @@ class SemilinearDDE:
         shape = self.m_linear.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise InvalidParams(f"linear part must be square, got shape {shape}")
-        if not self.tau > 0.0:
-            raise InvalidParams("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise InvalidParams("tau must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -197,8 +197,8 @@ def _implicit_solver(mat):
 
 
 def _n_steps(t_end: float, h: float) -> int:
-    if t_end < h:
-        raise InvalidParams(f"t_end = {t_end} is below one step h = {h}")
+    if not h <= t_end < math.inf:
+        raise InvalidParams(f"t_end = {t_end} must be finite and at least h = {h}")
     return int(math.ceil(t_end / h - 1e-9))
 
 

@@ -11,15 +11,15 @@ whether all roots of the stability polynomial
     b(z) = theta (u z^2 + (1-u) z) + (1-theta) (u z + (1-u)),
     c(z) = theta z^{m+1} + (1-theta) z^m,
 
-lie strictly inside the unit disk (the region D_y).  The limit
-y -> -infinity uses the reduced equation c(z) - mu b(z) = 0.
+lie strictly inside the unit disk (the region D_y); y must be finite.
 
 Membership in D_y is always decided by root computation, never by
 point-in-polygon tests against the boundary curve Gamma_y: the curve
 self-intersects for larger m and only its innermost loop bounds D_y,
-while root-counting is robust for every theta, u, m.  For finite y the
-leading coefficient 1 - y theta >= 1 is never trimmed: at large |y| the
-root it carries is the largest one.
+while root-counting is robust for every theta, u, m.  Every D_y question
+(``in_dy``, the step certificate, the mode analysis) is one stacked root
+call over its (y, mu) rows.  The leading coefficient 1 - y theta >= 1 is
+never trimmed: at large |y| the root it carries is the largest one.
 
 Certificates offered, strongest first:
 
@@ -75,7 +75,6 @@ from .errors import (
 )
 
 ROOT_TOL = 1e-9
-NEG_INF = float("-inf")
 DEFAULT_P_GRID = (0.0, 1.0, 2.0)
 ORACLE_CAP = 5000  # max (m+1)N for the automatic brute-force check
 
@@ -109,8 +108,8 @@ class ThetaScheme:
             raise InvalidParams(f"m must be a positive integer, got {self.m}")
         if self.u > 0.0 and self.m < 3:
             raise InvalidParams("m >= 3 is required when u > 0")
-        if not self.tau > 0.0:
-            raise InvalidParams(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise InvalidParams(f"tau must be finite and positive, got {self.tau}")
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "m", int(self.m))
@@ -126,24 +125,6 @@ class ThetaScheme:
                 "tau": self.tau, "h": self.h}
 
 
-@dataclass(frozen=True)
-class StabilityPolynomial:
-    """Coefficients (constant first) of the scalar stability polynomial."""
-
-    coeffs: np.ndarray
-    y: float
-    mu: complex
-    scheme: ThetaScheme
-
-    def roots(self) -> np.ndarray:
-        """All m+1 roots for finite y (the z^{m+1} coefficient 1 - y theta
-        >= 1 is never trimmed); the reduced equation at y = -inf goes
-        through :func:`linalg.poly_roots`, which trims a vanishing theta."""
-        if math.isinf(self.y):
-            return linalg.poly_roots(self.coeffs)
-        return linalg.stacked_poly_roots(self.coeffs[None, :])[0]
-
-
 def _delayed_weights(theta: float, u: float) -> np.ndarray:
     # b(z) coefficients: constant, z, z^2
     return np.array([
@@ -151,21 +132,6 @@ def _delayed_weights(theta: float, u: float) -> np.ndarray:
         theta * (1.0 - u) + (1.0 - theta) * u,
         theta * u,
     ])
-
-
-def stability_polynomial(scheme: ThetaScheme, y: float, mu: complex) -> StabilityPolynomial:
-    """Assemble P(z) = a(z) - y c(z) + y mu b(z), or c(z) - mu b(z) at y = -inf."""
-    if not (y < 0.0 or y == NEG_INF):
-        raise InvalidParams(f"y must be negative (or -inf), got {y}")
-    if math.isinf(y):
-        m, theta = scheme.m, scheme.theta
-        coeffs = np.zeros(m + 2, dtype=complex)
-        coeffs[m + 1] += theta
-        coeffs[m] += 1.0 - theta
-        coeffs[:3] -= mu * _delayed_weights(theta, scheme.u)
-    else:
-        coeffs = _coefficient_rows(np.array([y]), np.array([mu]), scheme)[0]
-    return StabilityPolynomial(coeffs=coeffs, y=y, mu=complex(mu), scheme=scheme)
 
 
 def _coefficient_rows(ys, mus, scheme: ThetaScheme) -> np.ndarray:
@@ -204,14 +170,24 @@ class DyMembership:
                    max_root_modulus=radius)
 
 
-def in_dy(mu: complex, y: float, scheme: ThetaScheme) -> DyMembership:
-    """Does mu belong to the stability region D_y of the scheme?
+def _dy_radii(ys, mus, scheme: ThetaScheme) -> np.ndarray:
+    """Largest root modulus of P(z) for every row (y, mu), from one
+    stacked root call; ``ys`` is one y for all rows or one per row."""
+    ys = np.asarray(ys, dtype=float)
+    ok = (ys < 0.0) & np.isfinite(ys)
+    if not np.all(ok):
+        raise InvalidParams(f"y must be finite and negative, got {ys[~ok][0]}")
+    roots = linalg.stacked_poly_roots(_coefficient_rows(ys, mus, scheme))
+    return np.max(np.abs(roots), axis=1)
 
-    Decided by computing all roots of the stability polynomial; true iff
-    every root modulus is below 1 - ROOT_TOL.
+
+def in_dy(mu: complex, y: float, scheme: ThetaScheme) -> DyMembership:
+    """Does mu belong to the stability region D_y (y finite, negative)?
+
+    Decided by all roots of the stability polynomial, the one-row case of
+    the stacked root call; true iff every modulus is below 1 - ROOT_TOL.
     """
-    poly = stability_polynomial(scheme, y, mu)
-    return DyMembership.from_radius(float(np.max(np.abs(poly.roots()))))
+    return DyMembership.from_radius(float(_dy_radii(y, np.array([mu]), scheme)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +216,8 @@ def gamma_y(scheme: ThetaScheme, y: float, n_samples: int = 512) -> RegionBounda
     """
     if scheme.u != 0.0:
         raise UnsupportedScheme("Gamma_y is parametrized only for u = 0")
-    if not y < 0.0:
-        raise InvalidParams(f"y must be negative, got {y}")
+    if not -math.inf < y < 0.0:  # the rule of _dy_radii; y = -inf gives nan
+        raise InvalidParams(f"y must be finite and negative, got {y}")
     if n_samples < 16:
         raise InvalidParams("n_samples must be at least 16")
     # build the grid from a half axis so alpha -> -alpha symmetry is exact
@@ -348,6 +324,8 @@ class Evidence:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """A verdict, the evidence behind it in order, and its scheme."""
+
     verdict: str
     evidence: tuple = field(default_factory=tuple)
     scheme: ThetaScheme | None = None
@@ -420,15 +398,18 @@ def step_certificate(a, b, scheme: ThetaScheme,
 
     Region nesting collapses the intersection of D_y over y in -h F(A) to
     the single worst parameter y = -h lambda_max(A); each sampled point of
-    the transformed field of values must pass in_dy with margin at least
+    the transformed field of values must lie in D_y with margin at least
     the inflation margin.
 
     Before any sweep, the eigenvalues of A^{-1} B are tested: they lie in
     the transformed field of values for every p, so if one of them has
-    in_dy margin <= 0 at y, no p can pass.  The report is then Uncertified
+    D_y margin <= 0 at y, no p can pass.  The report is then Uncertified
     with a single ``spectrum-obstruction`` entry (margin = the worst
     eigenvalue margin) and nothing is swept.  This check can only withhold
     a certificate, never grant one.
+
+    The margins come from one stacked root call over sigma(A^{-1} B) and
+    one per swept p over its sampled points.
     """
     if scheme.theta != 1.0 or scheme.u != 0.0:
         return StabilityReport(
@@ -441,8 +422,7 @@ def step_certificate(a, b, scheme: ThetaScheme,
     if np.min(dec.values) <= floor:
         raise NotPositiveDefinite("step certificate needs positive definite A")
     y_worst = -scheme.h * float(dec.values[-1])
-    spectral = min(in_dy(complex(mu), y_worst, scheme).margin
-                   for mu in _spectrum_a_inv_b(a, b))
+    spectral = 1.0 - float(np.max(_dy_radii(y_worst, _spectrum_a_inv_b(a, b), scheme)))
     if spectral <= 0.0:
         return StabilityReport(
             UNCERTIFIED,
@@ -459,7 +439,7 @@ def step_certificate(a, b, scheme: ThetaScheme,
             continue
         boundary = fov.fov_boundary(t_mat, n_angles)
         needed = fov.fov_margin(t_mat)
-        worst = min(in_dy(complex(z), y_worst, scheme).margin for z in boundary.points)
+        worst = 1.0 - float(np.max(_dy_radii(y_worst, boundary.points, scheme)))
         evidence.append(Evidence("fov-in-dy", index=p, margin=worst,
                                  note=f"y = {y_worst:.6g}"))
         if worst >= needed:
@@ -540,14 +520,6 @@ def simdiag_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
     return mode_lam[order], gamma[order]
 
 
-def _mode_radii(lam, gamma, scheme: ThetaScheme) -> np.ndarray:
-    """Largest root modulus of P(z) per mode, y = -h lambda and
-    mu = gamma / lambda, from one batched root call."""
-    ys = -scheme.h * lam
-    roots = linalg.stacked_poly_roots(_coefficient_rows(ys, gamma / lam, scheme))
-    return np.max(np.abs(roots), axis=1)
-
-
 def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
     """Mode-by-mode verdict for simultaneously diagonalizable A, B.
 
@@ -559,10 +531,11 @@ def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
     * all mu_i in D_{y_i}                  -> StableForThisStep;
     * anything else                        -> Uncertified.
 
-    The D_{y_i} tests take every mode's roots from one batched call.
+    The D_{y_i} tests are one stacked root call over the rows (y_i, mu_i).
     """
     lam, gamma = simdiag_pairs(a, b)
-    return _mode_report(lam, gamma, _mode_radii(lam, gamma, scheme), scheme)
+    radii = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
+    return _mode_report(lam, gamma, radii, scheme)
 
 
 def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
@@ -625,8 +598,9 @@ def certify(a, b, scheme: ThetaScheme,
         evidence.append(Evidence("simdiag", note=f"not applicable: {exc}"))
 
     if modes is not None:
-        radii = _mode_radii(*modes, scheme)
-        report = _mode_report(*modes, radii, scheme)
+        lam, gamma = modes
+        radii = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
+        report = _mode_report(lam, gamma, radii, scheme)
         evidence.extend(report.evidence)
         verdicts.append(report.verdict)
     else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ddestab import errors, fov, mol, stability
+from ddestab import errors, fov, linalg, mol, stability
 from ddestab.stability import (
     CERTIFIED_UNSTABLE,
     STABLE_FOR_THIS_STEP,
@@ -127,6 +127,78 @@ class TestStepCertificate:
         rep = stability.step_certificate(a, b, s)
         assert rep.verdict == STABLE_FOR_THIS_STEP
         assert stability.oracle_stability(a, b, s).stable
+
+
+def step_reference(a, b, s, p_grid=stability.DEFAULT_P_GRID):
+    """``step_certificate`` with every D_y margin from its own ``in_dy``
+    call, one point at a time (theta = 1, u = 0, no skipped p)."""
+    y = -s.h * float(linalg.hermitian_eigen(a).values[-1])
+    spectrum = linalg.general_eigenvalues(fov.transformed_matrix(a, b, 0.0))
+    spectral = min(stability.in_dy(complex(mu), y, s).margin for mu in spectrum)
+    if spectral <= 0.0:
+        note = (f"an eigenvalue of A^{{-1}} B lies outside D_y at y = {y:.6g}, "
+                "which rules out every p")
+        return stability.StabilityReport(
+            UNCERTIFIED, (stability.Evidence("spectrum-obstruction", margin=spectral,
+                                             note=note),), s)
+    evidence = []
+    for p in p_grid:
+        t_mat = fov.transformed_matrix(a, b, p)
+        points = fov.fov_boundary(t_mat).points
+        worst = min(stability.in_dy(complex(z), y, s).margin for z in points)
+        evidence.append(stability.Evidence("fov-in-dy", index=p, margin=worst,
+                                           note=f"y = {y:.6g}"))
+        if worst >= fov.fov_margin(t_mat):
+            return stability.StabilityReport(STABLE_FOR_THIS_STEP, tuple(evidence), s)
+    return stability.StabilityReport(UNCERTIFIED, tuple(evidence), s)
+
+
+def step_cases(n_cases=40, seed=12):
+    """Seeded theta = 1, u = 0 pairs: SPD A, dense B with ||B||_2 =
+    (0.5 .. 3) lambda_min(A).  They cover a pass at the first p, a pass
+    after failed p, a failure at every p and the spectrum obstruction."""
+    gen = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        n = int(gen.integers(2, 6))
+        q = orthogonal(gen, n)
+        lam = gen.uniform(0.5, 3.0, size=n)
+        b = gen.standard_normal((n, n))
+        b *= gen.uniform(0.5, 3.0) * lam.min() / np.linalg.norm(b, 2)
+        s = ThetaScheme(theta=1.0, u=0.0, m=int(gen.integers(1, 10)),
+                        tau=float(gen.uniform(0.5, 4.0)))
+        yield (q * lam) @ q.T, b, s
+
+
+class TestStepCertificateRootCalls:
+    def test_matches_per_point_in_dy_reference(self):
+        outcomes = set()
+        for a, b, s in step_cases():
+            rep = stability.step_certificate(a, b, s)
+            assert rep.to_dict() == step_reference(a, b, s).to_dict()
+            outcomes.add((rep.verdict, len(rep.evidence), rep.evidence[0].check))
+        assert (UNCERTIFIED, 1, "spectrum-obstruction") in outcomes
+        assert (STABLE_FOR_THIS_STEP, 1, "fov-in-dy") in outcomes
+        assert (UNCERTIFIED, 3, "fov-in-dy") in outcomes
+        assert any(v == STABLE_FOR_THIS_STEP and k > 1 for v, k, _ in outcomes)
+
+    def test_one_root_call_per_swept_p(self, monkeypatch):
+        calls = []
+        stacked = linalg.stacked_poly_roots
+
+        def counted(coeffs):
+            calls.append(len(coeffs))
+            return stacked(coeffs)
+
+        monkeypatch.setattr(linalg, "stacked_poly_roots", counted)
+        most_swept = 0
+        for a, b, s in step_cases():
+            calls.clear()
+            rep = stability.step_certificate(a, b, s)
+            swept = sum(e.check == "fov-in-dy" for e in rep.evidence)
+            assert len(calls) == 1 + swept
+            assert calls[0] == a.shape[0]  # the rows are sigma(A^{-1} B)
+            most_swept = max(most_swept, swept)
+        assert most_swept == 3
 
 
 class TestSimdiag:

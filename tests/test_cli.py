@@ -120,6 +120,16 @@ class TestCheckCommand:
         oracle = [e for e in doc["evidence"] if e["check"] == "oracle-spectral-radius"]
         assert oracle and oracle[0]["margin"] > 0.0
 
+    def test_infinite_tau_exit_3(self, bench_files, capsys):
+        # rejected by the scheme, before W is built from an infinite step
+        a, b = bench_files
+        code = cli.main(["check", "--matrix-a", a, "--matrix-b", b,
+                         "--tau", "inf", "--m", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "tau must be finite" in captured.err
+        assert captured.out == ""
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
         write_matrix(a_path, np.zeros((2, 2)))  # singular A
@@ -151,6 +161,13 @@ class TestRegionCommand:
         mid = len(mu) // 2
         assert mu[mid] == 1.0 + 0.0j
         assert abs(mu[0] - mu[-1]) <= 1e-12  # closed at alpha = +-pi
+
+    @pytest.mark.parametrize("y", ["--y=-inf", "--y=-1e400", "--y=nan"])
+    def test_non_finite_y_exit_3(self, capsys, y):
+        assert cli.main(["region", y, "--m", "3"]) == 3
+        captured = capsys.readouterr()
+        assert "y must be finite and negative" in captured.err
+        assert captured.out == ""
 
     def test_stdout_determinism(self, capsys):
         assert cli.main(["region", "--y", "-2", "--m", "3"]) == 0
@@ -231,6 +248,23 @@ class TestSolveCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["max_norm_le_1"] is True
+
+    @pytest.mark.parametrize("t_end", ["inf", "nan"])
+    def test_non_finite_t_end_exit_3(self, tmp_path, capsys, t_end):
+        out = tmp_path / "summary.json"
+        code = cli.main(["solve", "--problem", "example1", "--grid-m", "10",
+                         "--m", "5", "--t-end", t_end, "-o", str(out)])
+        assert code == 3
+        assert "t_end" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_tau_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "summary.json"
+        code = cli.main(["solve", "--problem", "example1", "--grid-m", "10",
+                         "--m", "5", "--tau", "inf", "-o", str(out)])
+        assert code == 3
+        assert "tau must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_history_zero_trajectory(self, tmp_path):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"

@@ -114,6 +114,20 @@ class TestLinearStepping:
         with pytest.raises(errors.InvalidParams):
             solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 4, 1.0), 5.0)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_t_end_rejected(self, t_end):
+        prob = scalar_problem(1.0, 0.0)
+        with pytest.raises(errors.InvalidParams, match="t_end"):
+            solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), t_end)
+
+    @pytest.mark.parametrize("tau", [0.0, math.inf, math.nan])
+    def test_problem_delay_must_be_finite_positive(self, tau):
+        with pytest.raises(errors.InvalidParams, match="tau"):
+            scalar_problem(1.0, 0.0, tau=tau)
+        with pytest.raises(errors.InvalidParams, match="tau"):
+            SemilinearDDE(m_linear=np.eye(1), g=lambda z: z, tau=tau,
+                          history=lambda t: np.ones(1))
+
     def test_time_lookup(self):
         prob = scalar_problem(1.0, 0.0)
         traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 4.0)

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ddestab import errors, linalg, stability
-from ddestab.stability import NEG_INF, ThetaScheme, gamma_y, in_dy
+from ddestab.stability import ThetaScheme, gamma_y, in_dy
+
+from conftest import multiset_distance
 
 
 def scheme(theta=1.0, u=0.0, m=2, tau=1.0):
@@ -28,6 +30,7 @@ class TestScheme:
     @pytest.mark.parametrize("kwargs", [
         dict(theta=1.2), dict(theta=-0.1), dict(u=1.0), dict(u=-0.2),
         dict(m=0), dict(m=2, u=0.5), dict(tau=0.0), dict(tau=-1.0),
+        dict(tau=math.inf),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         base = dict(theta=1.0, u=0.0, m=4, tau=1.0)
@@ -49,29 +52,21 @@ class TestStabilityPolynomial:
             y = -(10.0 ** rng.uniform(-2, 2))
             mu = rng.normal() + 1j * rng.normal()
             z = rng.normal() + 1j * rng.normal()
-            poly = stability.stability_polynomial(scheme(theta, u, m), y, mu)
+            coeffs = stability._coefficient_rows(
+                np.array([y]), np.array([mu]), scheme(theta, u, m))[0]
             a, b, c = abc_at(z, theta, u, m)
             direct = a - y * c + y * mu * b
-            via_coeffs = np.polyval(poly.coeffs[::-1], z)
+            via_coeffs = np.polyval(coeffs[::-1], z)
             assert abs(via_coeffs - direct) <= 1e-10 * max(1.0, abs(direct))
 
-    def test_reduced_polynomial_matches_direct(self, rng):
-        for _ in range(100):
-            theta = rng.uniform(0.1, 1.0)
-            m = int(rng.integers(1, 8))
-            mu = rng.normal() + 1j * rng.normal()
-            z = rng.normal() + 1j * rng.normal()
-            poly = stability.stability_polynomial(scheme(theta, 0.0, m), NEG_INF, mu)
-            a, b, c = abc_at(z, theta, 0.0, m)
-            assert abs(np.polyval(poly.coeffs[::-1], z) - (c - mu * b)) <= 1e-10
-
     def test_leading_coefficient_positive(self):
-        poly = stability.stability_polynomial(scheme(theta=0.8, m=3), -5.0, 1.0)
-        assert poly.coeffs[-1].real == 1.0 + 5.0 * 0.8
+        coeffs = stability._coefficient_rows(
+            np.array([-5.0]), np.array([1.0]), scheme(theta=0.8, m=3))[0]
+        assert coeffs[-1].real == 1.0 + 5.0 * 0.8
 
     def test_rejects_nonnegative_y(self):
         with pytest.raises(errors.InvalidParams):
-            stability.stability_polynomial(scheme(), 0.5, 0.0)
+            in_dy(0.0, 0.5, scheme())
 
 
 class TestInDy:
@@ -82,12 +77,20 @@ class TestInDy:
             assert res.inside
             assert abs(res.max_root_modulus - 0.5) <= 1e-12
 
-    def test_neg_inf_is_unit_disk_for_theta_1(self, rng):
+    def test_large_step_is_unit_disk_for_theta_1(self, rng):
+        # as y -> -inf the roots tend to 0 and the m-th roots of mu, so D_y
+        # tends to the open unit disk; mu near the circle is left out
         s = scheme(theta=1.0, m=4)
         for _ in range(100):
             mu = (rng.normal() + 1j * rng.normal()) * 0.7
-            assert in_dy(mu, NEG_INF, s).inside == (abs(mu) < 1.0 - 1e-9)
-        assert not in_dy(1.5 + 0j, NEG_INF, s).inside
+            if abs(abs(mu) - 1.0) > 1e-3:
+                assert in_dy(mu, -1e8, s).inside == (abs(mu) < 1.0)
+        assert not in_dy(1.5 + 0j, -1e8, s).inside
+
+    @pytest.mark.parametrize("y", [0.0, 0.5, -math.inf, math.nan])
+    def test_rejects_y_not_finite_negative(self, y):
+        with pytest.raises(errors.InvalidParams):
+            in_dy(0.1, y, scheme())
 
     def test_benchmark_mu2_outside_at_m50(self):
         s = scheme(theta=1.0, m=50, tau=1.0)
@@ -152,6 +155,12 @@ class TestGammaY:
         with pytest.raises(errors.UnsupportedScheme):
             gamma_y(scheme(theta=1.0, u=0.5, m=4), -1.0, 64)
 
+    @pytest.mark.parametrize("y", [0.0, 0.5, -math.inf, math.nan])
+    def test_rejects_y_not_finite_negative(self, y):
+        # the rule of in_dy: at y = -inf the formula would give nan
+        with pytest.raises(errors.InvalidParams):
+            gamma_y(scheme(theta=1.0, m=3), y, 64)
+
     def test_modulus_increases_with_alpha(self):
         # strict growth of |mu(alpha, y)| in |alpha| (theta = 1, u = 0)
         alphas = np.linspace(0.0, np.pi, 201)[1:]
@@ -212,7 +221,8 @@ class TestCompanionMatrix:
             assert np.max(np.abs(block)) == 0.0
 
     def test_scalar_roots_match_stability_polynomial(self, rng):
-        # characteristic roots of W = roots of P plus structural zeros
+        # N = 1: W has dimension m + 1 = deg P and det(zI - W) is P(z) up
+        # to its leading coefficient, so the two root multisets coincide
         for _ in range(20):
             a_val = rng.uniform(0.2, 4.0)
             b_val = rng.uniform(-3.0, 3.0)
@@ -220,10 +230,10 @@ class TestCompanionMatrix:
             m = int(rng.integers(1, 7))
             s = ThetaScheme(theta=1.0, u=0.0, m=m, tau=m * h)
             w = stability.build_w(np.array([[a_val]]), np.array([[b_val]]), s)
-            eig_w = np.sort(np.abs(linalg.general_eigenvalues(w)))[::-1]
-            roots = np.sort(np.abs(stability.stability_polynomial(
-                s, -h * a_val, b_val / a_val).roots()))[::-1]
-            assert np.max(np.abs(eig_w[:len(roots)] - roots)) <= 1e-8
+            coeffs = stability._coefficient_rows(
+                np.array([-h * a_val]), np.array([b_val / a_val]), s)
+            roots = linalg.stacked_poly_roots(coeffs)[0]
+            assert multiset_distance(linalg.general_eigenvalues(w), roots) <= 1e-8
 
 
 class TestReportSerialization:
