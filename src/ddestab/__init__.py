@@ -31,7 +31,6 @@ from .mol import (
     MolProblem,
     build_example1,
     build_example2,
-    discrete_error,
     example2_condition,
 )
 from .solver import (
@@ -83,5 +82,5 @@ __all__ = [
     "solve_semilinear",
     # mol
     "Example2Condition", "Grid1D", "MolProblem", "build_example1",
-    "build_example2", "discrete_error", "example2_condition",
+    "build_example2", "example2_condition",
 ]

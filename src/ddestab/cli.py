@@ -25,8 +25,6 @@ import numpy as np
 from . import fov, mol, reproduce, solver, stability
 from .errors import DdeStabError
 
-AUTO_KEEP_LIMIT = 20_000_000  # states x dim budget for implicit retention
-
 
 # ---------------------------------------------------------------------------
 # matrix file I/O: {"rows": n, "cols": n, "entries": [[re, im], ...]}
@@ -110,8 +108,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    scheme = stability.ThetaScheme(theta=args.theta, u=0.0, m=args.m,
-                                   tau=args.tau)
+    # Gamma_y depends on theta, m and y only; the tau here just completes the scheme
+    scheme = stability.ThetaScheme(theta=args.theta, u=0.0, m=args.m, tau=1.0)
     stability.gamma_y(scheme, args.y, args.n).to_csv(args.output)
     return 0
 
@@ -119,7 +117,9 @@ def _cmd_region(args) -> int:
 def _cmd_fov(args) -> int:
     a = read_matrix(args.matrix)
     if args.matrix_b is not None:
-        a = fov.transformed_matrix(a, read_matrix(args.matrix_b), args.p)
+        a = fov.transformed_matrix(a, read_matrix(args.matrix_b), args.p or 0.0)
+    elif args.p is not None:
+        raise MatrixFileError("--p needs --matrix-b")
     fov.fov_boundary(a, args.n).to_csv(args.output)
     return 0
 
@@ -130,12 +130,12 @@ def _build_problem(args):
         problem = mol.build_example1(args.grid_m, args.lambda1, args.lambda2,
                                      args.l, tau)
         t_end = args.t_end if args.t_end is not None else 10.0 * math.pi
-        return problem.dde, problem, t_end, tau
+        return problem.dde, problem, t_end
     if args.problem == "example2":
         tau = args.tau if args.tau is not None else 1.0
         problem = mol.build_example2(args.grid_m, args.lam, args.mu, tau)
         t_end = args.t_end if args.t_end is not None else 10.0
-        return problem.dde, problem, t_end, tau
+        return problem.dde, problem, t_end
     # generic linear problem from matrix files
     if args.matrix_a is None or args.matrix_b is None or args.tau is None:
         raise MatrixFileError("--problem linear needs --matrix-a, --matrix-b, --tau")
@@ -152,37 +152,42 @@ def _build_problem(args):
         raise MatrixFileError("history vector length does not match the matrices")
     dde = solver.LinearDDE(a=a, b=b, tau=args.tau, history=lambda t: hist0)
     t_end = args.t_end if args.t_end is not None else 10.0 * args.tau
-    return dde, None, t_end, args.tau
+    return dde, None, t_end
+
+
+def _norm(state):
+    """2-norm of a state (hypot does not overflow where the squares do), or
+    None, written as JSON null, when it is not finite."""
+    with np.errstate(over="ignore"):
+        value = float(np.linalg.norm(state))
+    if not math.isfinite(value):
+        value = float(np.hypot.reduce(np.abs(state)))
+    return value if math.isfinite(value) else None
 
 
 def _cmd_solve(args) -> int:
-    dde, problem, t_end, tau = _build_problem(args)
-    scheme = stability.ThetaScheme(theta=args.theta, u=args.u, m=args.m, tau=tau)
-    n_steps = solver._n_steps(t_end, scheme.h)
+    dde, problem, t_end = _build_problem(args)
+    scheme = stability.ThetaScheme(theta=args.theta, u=args.u, m=args.m, tau=dde.tau)
     # a CSV holds every state, so --out-csv implies full retention
-    keep = (args.keep_trajectory or bool(args.out_csv)
-            or (n_steps + 1) * dde.dim <= AUTO_KEEP_LIMIT)
+    keep = args.keep_trajectory or bool(args.out_csv)
 
     if isinstance(dde, solver.LinearDDE):
         traj = solver.solve_linear(dde, scheme, t_end, keep_trajectory=keep)
     else:
         traj = solver.solve_semilinear(dde, scheme, t_end, keep_trajectory=keep)
 
-    initial = np.asarray(dde.history(0.0))
     summary = {
         "problem": args.problem,
         "dim": dde.dim,
         "scheme": scheme.to_dict(),
         "t_end": traj.final_time,
         "steps": round(traj.final_time / scheme.h),
-        "initial_norm": float(np.linalg.norm(initial)),
-        "final_norm": float(np.linalg.norm(traj.final_state)),
+        "initial_norm": _norm(dde.history(0.0)),
+        "final_norm": _norm(traj.final_state),
         "diverged": bool(traj.diverged),
+        "max_abs": traj.peak_max_norm if math.isfinite(traj.peak_max_norm) else None,
+        "max_norm_le_1": bool(traj.peak_max_norm <= 1.0 + 1e-12),
     }
-    if keep:
-        max_abs = traj.peak_max_norm
-        summary["max_abs"] = max_abs
-        summary["max_norm_le_1"] = bool(max_abs <= 1.0 + 1e-12)
     if problem is not None and problem.exact is not None and not traj.diverged:
         summary["errors"] = {
             f"v{c + 1}": problem.discrete_error(traj, traj.final_time, c)
@@ -191,7 +196,7 @@ def _cmd_solve(args) -> int:
     if args.out_csv:
         traj.to_csv(args.out_csv, norm_only=args.norm_only)
         summary["trajectory_csv"] = args.out_csv
-    _write_text(args.summary, json.dumps(summary, indent=2) + "\n")
+    _write_text(args.summary, json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -231,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--y", type=float, required=True)
     p_region.add_argument("--m", type=int, required=True)
     p_region.add_argument("--theta", type=float, default=1.0)
-    p_region.add_argument("--tau", type=float, default=1.0)
     p_region.add_argument("--n", type=int, default=512)
     p_region.add_argument("-o", "--output", default=None)
     p_region.set_defaults(func=_cmd_region)
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fov.add_argument("--matrix", required=True)
     p_fov.add_argument("--matrix-b", default=None,
                        help="with B: boundary of F(A^{p/2-1} B A^{-p/2})")
-    p_fov.add_argument("--p", type=float, default=0.0)
+    p_fov.add_argument("--p", type=float, default=None)
     p_fov.add_argument("--n", type=int, default=fov.DEFAULT_ANGLES)
     p_fov.add_argument("-o", "--output", default=None)
     p_fov.set_defaults(func=_cmd_fov)
@@ -264,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--matrix-b", default=None)
     p_solve.add_argument("--history-const", default=None,
                          help="comma-separated constant history vector")
-    p_solve.add_argument("--keep-trajectory", action="store_true")
+    p_solve.add_argument("--keep-trajectory", action="store_true",
+                         help="hold every state in memory (changes no output)")
     p_solve.add_argument("--norm-only", action="store_true")
     p_solve.add_argument("--out-csv", default=None,
                          help="write every state (implies --keep-trajectory)")

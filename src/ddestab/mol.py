@@ -18,9 +18,8 @@ to the theta solver:
   Anal. 7, 1970), so no sparse factorization is needed.
 
 The solver consumes the linear part with its natural (negative definite)
-sign; stability analyses expect the positive definite factor, so pass
-``-problem.linear_part()`` (densified with ``toarray()`` for example2) or
-``stability_matrices`` there.
+sign; stability analyses expect the positive definite factor, which
+``stability_matrices`` returns for the linear example1.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ __all__ = [
     "Grid1D", "MolProblem", "KroneckerLaplacian", "dirichlet_laplacian",
     "dirichlet_eigenvalues",
     "build_example1", "build_example2", "example2_condition",
-    "Example2Condition", "discrete_error",
+    "Example2Condition",
 ]
 
 
@@ -99,8 +98,7 @@ class KroneckerLaplacian:
 
     def __init__(self, n_interior: int, dx: float, lam: float):
         n = n_interior
-        l_sp = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
-                                  offsets=[-1, 0, 1], format="csr") / dx ** 2
+        l_sp = scipy.sparse.csr_matrix(dirichlet_laplacian(n, dx))
         eye = scipy.sparse.identity(n, format="csr")
         self.n_interior = n
         self.omega = lam * dirichlet_eigenvalues(n, dx)
@@ -151,7 +149,7 @@ class KroneckerLaplacian:
 
 @dataclass(frozen=True)
 class MolProblem:
-    """Assembled MOL system plus grid metadata and optional exact solution.
+    """Assembled MOL system: the DDE, its component count, an optional exact solution.
 
     ``exact(t)`` (when present) returns the stacked interior state; the
     stacked layout is component-major: component c occupies
@@ -159,52 +157,34 @@ class MolProblem:
     """
 
     dde: object
-    grid: Grid1D
-    tau: float
     exact: object = None
-    grid_y: Grid1D | None = None
     n_components: int = 1
 
     @property
-    def n_interior(self) -> int:
-        if self.grid_y is not None:
-            return self.grid.n_interior * self.grid_y.n_interior
-        return self.grid.n_interior
+    def tau(self) -> float:
+        return self.dde.tau
 
     @property
-    def dim(self) -> int:
-        return self.n_components * self.n_interior
-
-    def linear_part(self):
-        """The (negative definite) linear part the solver integrates: a dense
-        matrix for example1, a :class:`KroneckerLaplacian` for example2."""
-        if isinstance(self.dde, LinearDDE):
-            return -np.asarray(self.dde.a)
-        return self.dde.m_linear
+    def n_interior(self) -> int:
+        return self.dde.dim // self.n_components
 
     def stability_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) with A the positive definite factor of y' = -A y + B y(t-tau).
-
-        Only defined for the linear problem; densifies sparse storage.
-        """
+        """(A, B) with A the positive definite factor of y' = -A y + B y(t-tau);
+        only defined for the linear problem."""
         if not isinstance(self.dde, LinearDDE):
             raise InvalidParams("stability matrices are defined for linear problems")
         return np.asarray(self.dde.a), np.asarray(self.dde.b)
 
     def discrete_error(self, traj: Trajectory, t: float, component: int) -> float:
-        return discrete_error(traj, self.exact, t, component, self.n_interior)
-
-def discrete_error(traj: Trajectory, exact, t: float, component: int,
-                   n_interior: int) -> float:
-    """Root-sum-of-squares over interior nodes of (numerical - exact) for
-    one component at grid time t."""
-    if exact is None:
-        raise InvalidParams("no exact solution attached")
-    state = traj.state_at(t)  # raises TimeOffGrid off the grid
-    ref = np.asarray(exact(t))
-    sl = slice(component * n_interior, (component + 1) * n_interior)
-    diff = state[sl] - ref[sl]
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2)))
+        """Root-sum-of-squares over interior nodes of (numerical - exact) for
+        one component at grid time t."""
+        if self.exact is None:
+            raise InvalidParams("no exact solution attached")
+        state = traj.state_at(t)  # raises TimeOffGrid off the grid
+        ref = np.asarray(self.exact(t))
+        sl = slice(component * self.n_interior, (component + 1) * self.n_interior)
+        diff = state[sl] - ref[sl]
+        return float(np.sqrt(np.sum(np.abs(diff) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +225,7 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
     has_exact = (lambda1 == 1.0 and lambda2 == 1.0
                  and abs(tau - math.pi / 2.0) <= 1e-12)
     dde = LinearDDE(a=-a_mol, b=b_mol, tau=tau, history=state)
-    return MolProblem(
-        dde=dde, grid=grid, tau=tau,
-        exact=state if has_exact else None,
-        n_components=2)
+    return MolProblem(dde=dde, exact=state if has_exact else None, n_components=2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +254,7 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
     dde = SemilinearDDE(m_linear=KroneckerLaplacian(grid.n_interior, grid.dx, lam),
                         g=g, tau=tau,
                         history=lambda t: state0)
-    return MolProblem(
-        dde=dde, grid=grid, tau=tau,
-        grid_y=grid, n_components=1)
+    return MolProblem(dde=dde)
 
 
 @dataclass(frozen=True)

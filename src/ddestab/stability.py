@@ -198,12 +198,8 @@ def in_dy(mu: complex, y: float, scheme: ThetaScheme) -> DyMembership:
 class RegionBoundary:
     """Samples mu(alpha, y) of the curve Gamma_y, symmetric in alpha."""
 
-    y: float
     alphas: np.ndarray
     mus: np.ndarray
-    theta: float
-    u: float
-    m: int
 
     def to_csv(self, path) -> None:
         """Write alpha, re, im rows; ``path=None`` writes to stdout."""
@@ -226,8 +222,7 @@ def gamma_y(scheme: ThetaScheme, y: float, n_samples: int = 512) -> RegionBounda
     z = np.exp(1j * alphas)
     denom = y * (1.0 - scheme.theta + z * scheme.theta)
     mus = z ** scheme.m * (1.0 - z + denom) / denom
-    return RegionBoundary(y=y, alphas=alphas, mus=mus,
-                          theta=scheme.theta, u=scheme.u, m=scheme.m)
+    return RegionBoundary(alphas=alphas, mus=mus)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +272,6 @@ class OracleVerdict:
 
     def __bool__(self) -> bool:
         return self.stable
-
-    @property
-    def marginal(self) -> bool:
-        return abs(self.spectral_radius - 1.0) <= ROOT_TOL
 
     @property
     def certified_unstable(self) -> bool:
@@ -559,15 +550,10 @@ def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
                                      note=f"mu_{i} = {mus[i]:.6g}"))
             return StabilityReport(CERTIFIED_UNSTABLE, tuple(evidence), scheme)
 
-    all_inside = True
-    any_marginal = False
     for i, (lam_i, mu_i, radius) in enumerate(zip(lam, mus, radii)):
-        res = DyMembership.from_radius(float(radius))
-        evidence.append(Evidence("mu-in-dy", index=i, margin=res.margin,
+        evidence.append(Evidence("mu-in-dy", index=i, margin=1.0 - float(radius),
                                  note=f"lambda = {lam_i:.6g}, mu = {mu_i:.6g}"))
-        all_inside = all_inside and res.inside
-        any_marginal = any_marginal or res.marginal
-    if all_inside and not any_marginal:
+    if np.all(radii < 1.0 - ROOT_TOL):
         return StabilityReport(STABLE_FOR_THIS_STEP, tuple(evidence), scheme)
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
 

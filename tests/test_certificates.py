@@ -381,3 +381,21 @@ class TestModePath:
         rep = stability.certify(a, b, scheme(m=3))
         oracle = [e for e in rep.evidence if e.check == "oracle-spectral-radius"]
         assert oracle[0].note.endswith("dim 12, dense W")
+
+
+class TestModeReportThreshold:
+    @pytest.mark.parametrize("direction, verdict", [
+        (-math.inf, STABLE_FOR_THIS_STEP),
+        (None, UNCERTIFIED),
+        (math.inf, UNCERTIFIED),
+    ], ids=["below", "at", "above"])
+    def test_stable_only_below_one_minus_root_tol(self, direction, verdict):
+        # theta = u = 1/2 skips the unit-disk and Re(mu) tests, so the
+        # largest root moduli alone decide
+        edge = 1.0 - stability.ROOT_TOL
+        radius = edge if direction is None else np.nextafter(edge, direction)
+        lam, gamma = np.array([2.0, 1.0]), np.array([0.5, -0.25])
+        radii = np.array([0.5, radius])
+        rep = stability._mode_report(lam, gamma, radii, scheme(theta=0.5, u=0.5, m=3))
+        assert rep.verdict == verdict
+        assert [e.margin for e in rep.evidence] == [0.5, 1.0 - radius]

@@ -24,6 +24,15 @@ def bench_files(tmp_path):
     return str(a_path), str(b_path)
 
 
+def scalar_linear_solve(tmp_path, b: float) -> list:
+    """``solve`` argv for y' = -y + b y(t - 1) at h = 1 up to t = 50."""
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, np.array([[1.0]]))
+    write_matrix(b_path, np.array([[b]]))
+    return ["solve", "--problem", "linear", "--matrix-a", str(a_path),
+            "--matrix-b", str(b_path), "--tau", "1", "--m", "1", "--t-end", "50"]
+
+
 class TestMatrixFiles:
     def test_round_trip_bit_identical(self, tmp_path, rng):
         m = rng.standard_normal((4, 4)) * np.exp(rng.uniform(-30, 30, (4, 4)))
@@ -212,6 +221,23 @@ class TestFovCommand:
         assert abs(res.max() - 2.0) <= 1e-9
         assert abs(res.min() - 0.5) <= 1e-9
 
+    def test_p_without_matrix_b_exit_2(self, tmp_path, capsys):
+        m_path = tmp_path / "m.json"
+        write_matrix(m_path, np.array([[2.0, 1.0], [0.0, 3.0]]))
+        assert cli.main(["fov", "--matrix", str(m_path), "--p", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "--matrix-b" in captured.err and captured.out == ""
+
+    def test_p_defaults_to_zero_with_matrix_b(self, tmp_path, capsys):
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        write_matrix(a_path, np.array([[2.0, 0.5], [0.5, 1.0]]))
+        write_matrix(b_path, np.array([[0.3, -0.2], [0.4, 0.1]]))
+        argv = ["fov", "--matrix", str(a_path), "--matrix-b", str(b_path), "--n", "16"]
+        assert cli.main(argv) == 0
+        default = capsys.readouterr().out
+        assert cli.main(argv + ["--p", "0"]) == 0
+        assert capsys.readouterr().out == default
+
     @pytest.mark.parametrize("with_b", [False, True])
     def test_stdout_matches_to_csv(self, tmp_path, capsys, with_b):
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -294,10 +320,9 @@ class TestSolveCommand:
         assert "history" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_window_mode_counts_steps_actually_taken(self, tmp_path, monkeypatch):
-        # A = 1, B = 1e3 diverges long before t_end; window mode must report
-        # the steps taken up to the halt, not the planned count
-        monkeypatch.setattr(cli, "AUTO_KEEP_LIMIT", 0)
+    def test_window_mode_counts_steps_actually_taken(self, tmp_path):
+        # A = 1, B = 1e3 diverges long before t_end; window mode (the default)
+        # must report the steps taken up to the halt, not the planned count
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
         write_matrix(a_path, np.array([[1.0]]))
         write_matrix(b_path, np.array([[1e3]]))
@@ -307,7 +332,7 @@ class TestSolveCommand:
                          "--t-end", "500", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["diverged"] is True
-        assert "max_abs" not in doc  # window mode
+        assert doc["max_abs"] > 1e100  # tracked in window mode too
         assert doc["t_end"] < 500.0
         assert doc["steps"] == round(doc["t_end"])  # h = 1
 
@@ -322,10 +347,8 @@ class TestSolveCommand:
         assert lines[0] == "t,norm2"
 
     @pytest.mark.parametrize("norm_only", [False, True])
-    def test_out_csv_keeps_every_state_in_window_mode(self, tmp_path, monkeypatch,
-                                                      norm_only):
-        # a run past the retention budget still writes all steps + 1 states
-        monkeypatch.setattr(cli, "AUTO_KEEP_LIMIT", 0)
+    def test_out_csv_keeps_every_state_in_window_mode(self, tmp_path, norm_only):
+        # without --keep-trajectory a run still writes all steps + 1 states
         csv, out = tmp_path / "traj.csv", tmp_path / "s.json"
         argv = ["solve", "--problem", "example1", "--grid-m", "20", "--m", "5",
                 "--out-csv", str(csv), "-o", str(out)]
@@ -335,6 +358,39 @@ class TestSolveCommand:
         data = np.loadtxt(csv, delimiter=",", skiprows=1)
         assert data.shape == (doc["steps"] + 1, 2 if norm_only else 1 + 2 * 19)
         assert data[0, 0] == 0.0 and abs(data[-1, 0] - doc["t_end"]) <= 1e-12
+
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["example1", "diverged-linear"])
+    def test_keep_trajectory_changes_no_output(self, tmp_path, linear):
+        argv = ["solve", "--problem", "example1", "--grid-m", "20", "--m", "5"]
+        if linear:
+            argv = scalar_linear_solve(tmp_path, 1e3)
+        window, kept = tmp_path / "window.json", tmp_path / "kept.json"
+        assert cli.main(argv + ["-o", str(window)]) == 0
+        assert cli.main(argv + ["--keep-trajectory", "-o", str(kept)]) == 0
+        assert window.read_bytes() == kept.read_bytes()
+        assert "max_abs" in json.loads(window.read_text())
+
+    @pytest.mark.parametrize("b, history, key, value", [
+        (1e306, "1", "final_norm", 5e305),  # the state is finite, its square is not
+        (0.0, "1e200", "initial_norm", 1e200),
+    ], ids=["final-state", "history"])
+    def test_huge_norms_are_finite_json(self, tmp_path, b, history, key, value):
+        out = tmp_path / "summary.json"
+        assert cli.main(scalar_linear_solve(tmp_path, b) + [
+            "--history-const", history, "-o", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert doc["diverged"] is True and doc[key] == value
+
+    # the solver's own overflow warning is not what this test is about
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_non_finite_state_is_null(self, tmp_path):
+        out = tmp_path / "summary.json"
+        assert cli.main(scalar_linear_solve(tmp_path, 1e306) + [
+            "--history-const", "1000", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert doc["final_norm"] is None and doc["max_abs"] is None
+        assert doc["initial_norm"] == 1000.0 and doc["max_norm_le_1"] is False
 
 
 class TestReproduceCommand:

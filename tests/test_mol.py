@@ -98,7 +98,7 @@ class TestExample2:
     def test_m2_reduces_to_single_unknown(self):
         lam = 0.7
         problem = mol.build_example2(2, lam, 3.0, 1.0)
-        a = problem.linear_part().toarray()
+        a = problem.dde.m_linear.toarray()
         assert a.shape == (1, 1)
         assert_allclose(a[0, 0], -16.0 * lam, rtol=1e-14)
 
@@ -106,7 +106,7 @@ class TestExample2:
         lam = 0.5
         for m_grid in (4, 8, 16):
             problem = mol.build_example2(m_grid, lam, 3.0, 1.0)
-            a = problem.linear_part().toarray()
+            a = problem.dde.m_linear.toarray()
             omega = lam * mol.dirichlet_eigenvalues(m_grid - 1, 1.0 / m_grid)
             expected = np.sort((omega[:, None] + omega[None, :]).ravel())
             computed = np.sort(linalg.hermitian_eigen(a).values)
@@ -118,14 +118,20 @@ class TestExample2:
     @pytest.mark.parametrize("m_grid", [4, 12, 32])
     def test_linear_part_symmetric_negative_definite(self, m_grid):
         problem = mol.build_example2(m_grid, 1.0, 1.0, 1.0)
-        a = problem.linear_part().toarray()
+        a = problem.dde.m_linear.toarray()
         assert np.max(np.abs(a - a.T)) == 0.0
         assert linalg.hermitian_eigen(a).values[-1] < 0.0
+
+    @pytest.mark.parametrize("m_grid", [2, 5, 16])
+    def test_problem_reads_size_and_delay_from_the_dde(self, m_grid):
+        problem = mol.build_example2(m_grid, 0.5, 3.0, 0.75)
+        assert problem.n_interior == (m_grid - 1) ** 2 == problem.dde.dim
+        assert problem.tau == problem.dde.tau == 0.75
 
     def test_history_profile(self):
         problem = mol.build_example2(4, 0.5, 3.0, 1.0)
         state = problem.dde.history(-0.3)
-        xs = problem.grid.interior
+        xs = mol.Grid1D(4, 1.0).interior
         expected = np.outer(np.sin(np.pi * xs), np.sin(np.pi * xs)).ravel()
         assert_allclose(state, expected)
 
@@ -155,7 +161,7 @@ class TestExample2:
         cond = mol.example2_condition(m_grid, lam, mu)
         assert cond.holds
         problem = mol.build_example2(m_grid, lam, mu, 1.0)
-        a_pd = -problem.linear_part().toarray()
+        a_pd = -problem.dde.m_linear.toarray()
         b_worst = 3.0 * mu * np.eye(a_pd.shape[0])  # max delayed slope
         radius = np.max(np.abs(
             linalg.general_eigenvalues(b_worst @ np.linalg.inv(a_pd))))
@@ -178,7 +184,7 @@ class TestKroneckerLaplacian:
     @pytest.mark.parametrize("m_grid", [2, 3, 4, 17, 64])
     @pytest.mark.parametrize("c", [0.0, -0.05, -0.5])
     def test_shifted_solve_matches_splu(self, rng, m_grid, c):
-        op = mol.build_example2(m_grid, 0.5, 3.0, 1.0).linear_part()
+        op = mol.build_example2(m_grid, 0.5, 3.0, 1.0).dde.m_linear
         dim = (m_grid - 1) ** 2
         shifted = scipy.sparse.identity(dim, dtype=complex) + c * kron_sum_csr(m_grid, 0.5)
         rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -188,7 +194,7 @@ class TestKroneckerLaplacian:
 
     @pytest.mark.parametrize("m_grid", [2, 5, 32])
     def test_matvec_is_the_stencil(self, rng, m_grid):
-        op = mol.build_example2(m_grid, 0.7, 3.0, 1.0).linear_part()
+        op = mol.build_example2(m_grid, 0.7, 3.0, 1.0).dde.m_linear
         csr = kron_sum_csr(m_grid, 0.7)
         x = rng.standard_normal(csr.shape[0])
         assert np.array_equal(op @ x, csr @ x)
@@ -198,7 +204,7 @@ class TestKroneckerLaplacian:
 
     def test_singular_shift_raises(self):
         # 1 + c (omega_2 + omega_5) = delta; the largest |1 + c (...)| is about 0.93
-        op = mol.build_example2(8, 0.5, 3.0, 1.0).linear_part()
+        op = mol.build_example2(8, 0.5, 3.0, 1.0).dde.m_linear
         pair = op.omega[2] + op.omega[5]
         for delta in (0.0, 1e-15):
             with pytest.raises(errors.Singular):
