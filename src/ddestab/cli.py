@@ -41,10 +41,11 @@ def read_matrix(path) -> np.ndarray:
     except (OSError, json.JSONDecodeError) as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    except (KeyError, TypeError) as exc:
         raise MatrixFileError(f"{path}: need rows, cols and entries fields") from exc
+    if not all(type(n) is int for n in (rows, cols)):  # not 2.5, "2" or true
+        raise MatrixFileError(f"{path}: rows and cols must be integers")
     k = None
     try:
         if rows < 1 or cols < 1 or len(entries) != rows * cols:
@@ -92,9 +93,12 @@ consolidated_check = stability.certify
 
 def _parse_p_grid(text: str):
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise MatrixFileError(f"bad p grid {text!r}") from exc
+    if not all(map(math.isfinite, grid)):
+        raise MatrixFileError(f"bad p grid {text!r}: every p must be finite")
+    return grid
 
 
 def _cmd_check(args) -> int:
@@ -156,12 +160,9 @@ def _build_problem(args):
 
 
 def _norm(state):
-    """2-norm of a state (hypot does not overflow where the squares do), or
-    None, written as JSON null, when it is not finite."""
-    with np.errstate(over="ignore"):
-        value = float(np.linalg.norm(state))
-    if not math.isfinite(value):
-        value = float(np.hypot.reduce(np.abs(state)))
+    """``solver.state_norm`` of a state, or None (JSON null) when it is
+    not finite."""
+    value = solver.state_norm(state)
     return value if math.isfinite(value) else None
 
 

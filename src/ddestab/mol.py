@@ -15,7 +15,9 @@ to the theta solver:
   :class:`KroneckerLaplacian`: the 5-point stencil in CSR for products,
   plus shifted solves (I + c M) z = r by 2-D DST-I diagonalization with
   the closed-form spectrum (Buzbee, Golub and Nielson, SIAM J. Numer.
-  Anal. 7, 1970), so no sparse factorization is needed.
+  Anal. 7, 1970), so no sparse factorization is needed.  Example1's
+  linear part is a dense array; these are the two kinds of linear part
+  the solver accepts.
 
 The solver consumes the linear part with its natural (negative definite)
 sign; stability analyses expect the positive definite factor, which
@@ -88,8 +90,9 @@ class KroneckerLaplacian:
     """lam (L (+) L) on the n x n interior nodes of a square grid (x fast,
     y slow), L the 1-D Dirichlet second difference.
 
-    Products, ``toarray()``, ``tocsr()``, ``shape`` and ``dtype`` use the
-    5-point stencil stored in CSR.  ``shifted_solver(c)`` solves
+    It is the solver's operator kind of linear part (the other kind is a
+    dense array).  Products, ``toarray()``, ``shape`` and ``dtype`` use
+    the 5-point stencil stored in CSR.  ``shifted_solver(c)`` solves
     (I + c M) z = r without a factorization: the sine modes diagonalize
     both factors of the Kronecker sum, with eigenvalues omega_i + omega_j
     (omega the closed-form spectrum of lam L), so a solve is a 2-D DST-I,
@@ -118,9 +121,6 @@ class KroneckerLaplacian:
 
     def toarray(self) -> np.ndarray:
         return self._stencil.toarray()
-
-    def tocsr(self):
-        return self._stencil
 
     def shifted_solver(self, c: float):
         """Return a callable r -> (I + c M)^{-1} r for flat vectors r, real

@@ -16,20 +16,17 @@ serves the whole run.  g is called once per step; the explicit stage
 reuses the previous step's value, and at theta = 1 there is no explicit
 delayed term.
 
-The linear part M is one of
-
-* a dense array: the inverse K = (I - theta h M)^{-1} is computed once
-  from the LU factors of ``linalg.solver_for`` (whose pivot rule raises
-  ``Singular``), and each step applies it as one matvec;
-* a scipy.sparse matrix: I - theta h M is factored once with ``splu``;
-* an operator that provides its own shifted solve: ``shifted_solver(c)``
-  returns a callable for (I + c M)^{-1}, ``tocsr()`` the sparse matrix
-  the explicit stage multiplies with, plus ``shape`` and ``dtype``
-  (``mol.KroneckerLaplacian`` is one).
-
-Each :class:`Trajectory` the driver returns carries :class:`SolveStats`:
-which of these three implicit-solve paths ran, the steps and g calls,
-and the seconds spent setting up the solve and stepping.
+The linear part M is a dense numpy array or an operator; anything else,
+scipy.sparse included, raises ``InvalidParams``.  Both kinds give M @ z
+for the explicit stage, which is z_n + h (1-theta) [M z_n + g(d_n)] as
+written above.  The implicit stage of a dense M applies the inverse
+(I - theta h M)^{-1}, computed once from the LU factors of
+``linalg.solver_for`` (whose pivot rule raises ``Singular``), as one
+matvec per step.  An operator provides its own ``shifted_solver(c)``, a
+callable for (I + c M)^{-1}, plus ``shape`` and ``dtype``
+(``mol.KroneckerLaplacian`` is the one such operator).  The
+:class:`SolveStats` of each :class:`Trajectory` names the path that ran
+and counts the steps, g calls and seconds of set-up and stepping.
 
 The history is sampled at the grid times max(-k h, -tau), k = 0..m.  When
 u > 0 (or by rounding at u = 0) the time -m h lies below -tau; there the
@@ -43,9 +40,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import linalg
 from ._csv import write_csv
@@ -83,10 +77,11 @@ class LinearDDE:
 @dataclass(frozen=True)
 class SemilinearDDE:
     """z'(t) = m_linear z(t) + g(z(t - tau)) with a delayed-only
-    nonlinearity; ``m_linear`` may be dense, scipy.sparse or an operator
-    with its own shifted solve (see the module docstring).  ``history(t)``
-    is called for t in [-tau, 0] only; before -tau the solver extends it
-    as the constant history(-tau)."""
+    nonlinearity; ``m_linear`` is a dense numpy array or an operator with
+    its own ``shifted_solver(c)`` (see the module docstring), and any
+    other kind raises ``InvalidParams``.  ``history(t)`` is called for t
+    in [-tau, 0] only; before -tau the solver extends it as the constant
+    history(-tau)."""
 
     m_linear: object
     g: object
@@ -94,6 +89,11 @@ class SemilinearDDE:
     history: object
 
     def __post_init__(self):
+        if not (isinstance(self.m_linear, np.ndarray)
+                or callable(getattr(self.m_linear, "shifted_solver", None))):
+            raise InvalidParams(
+                "linear part must be a dense numpy array or an operator with "
+                f"shifted_solver(c), got {type(self.m_linear).__name__}")
         shape = self.m_linear.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise InvalidParams(f"linear part must be square, got shape {shape}")
@@ -109,18 +109,29 @@ class SemilinearDDE:
 class SolveStats:
     """How the stepping driver produced a trajectory.
 
-    ``path`` names the implicit solve: ``"dense-inverse"``, ``"sparse-lu"``
-    or ``"shifted"`` (the linear part's own shifted solve).  ``steps`` and
-    ``g_calls`` count what the run did, up to a halt by the overflow
-    guard.  ``setup_s`` is the time to build the implicit solve and the
-    explicit stage (for the dense path, the factorization and the
-    inverse); ``stepping_s`` the time of the step loop."""
+    ``path`` names the implicit solve: ``"dense-inverse"`` for a dense
+    linear part or ``"shifted"`` for an operator's own shifted solve.
+    ``steps`` and ``g_calls`` count what the run did, up to a halt by the
+    overflow guard.  ``setup_s`` is the time to build the implicit solve
+    (for the dense path, the factorization and the inverse);
+    ``stepping_s`` the time of the step loop."""
 
     path: str
     steps: int
     g_calls: int
     setup_s: float
     stepping_s: float
+
+
+def state_norm(state) -> float:
+    """2-norm of a state.  Where the squares overflow, ``np.hypot.reduce``
+    over the moduli gives the norm, finite when every entry is; a state
+    holding inf or NaN gives inf or NaN."""
+    with np.errstate(over="ignore"):
+        value = float(np.linalg.norm(state))
+    if not math.isfinite(value):
+        value = float(np.hypot.reduce(np.abs(state)))
+    return value
 
 
 @dataclass(frozen=True)
@@ -160,9 +171,10 @@ class Trajectory:
 
     def to_csv(self, path, norm_only: bool = False) -> None:
         """Write t plus one column per component (re/im pairs when
-        complex), or t plus the 2-norm in norm-only mode."""
+        complex), or t plus the 2-norm (:func:`state_norm`) in norm-only
+        mode."""
         if norm_only:
-            norms = (np.linalg.norm(row) for row in self.states)
+            norms = (state_norm(row) for row in self.states)
             write_csv(path, "t,norm2", (self.times, norms))
             return
         n = self.states.shape[1]
@@ -180,20 +192,6 @@ def _check_delay(scheme: ThetaScheme, tau: float) -> None:
     if abs(scheme.tau - tau) > 1e-12 * max(1.0, abs(tau)):
         raise InvalidParams(
             f"scheme delay {scheme.tau} does not match the problem delay {tau}")
-
-
-def _implicit_solver(mat):
-    """Return the path name and a solve callable for ``mat``, built once.
-
-    A sparse ``mat`` is factored with ``splu``.  A dense one is a
-    precomputed inverse: ``linalg.solver_for`` LU-factors it (raising
-    ``Singular`` by its pivot rule), its solve of the identity gives
-    mat^{-1}, and each step applies that inverse as one matvec.
-    """
-    if scipy.sparse.issparse(mat):
-        return "sparse-lu", scipy.sparse.linalg.splu(mat.tocsc()).solve
-    inverse = linalg.solver_for(mat).solve(np.eye(mat.shape[0], dtype=mat.dtype))
-    return "dense-inverse", inverse.__matmul__
 
 
 def _n_steps(t_end: float, h: float) -> int:
@@ -223,18 +221,12 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     dtype = np.result_type(dtype, probe, np.float64)
 
     t_setup = time.perf_counter()
-    shifted_solver = getattr(m_linear, "shifted_solver", None)
-    if shifted_solver is not None:
-        path, solve_step = "shifted", shifted_solver(-theta * h)
-        m_linear = m_linear.tocsr()
-    if scipy.sparse.issparse(m_linear):
-        eye = scipy.sparse.identity(dim, dtype=dtype, format="csr")
-    else:
+    if isinstance(m_linear, np.ndarray):
         eye = np.eye(dim, dtype=dtype)
-        m_linear = np.asarray(m_linear)
-    explicit = None if theta == 1.0 else eye + (1.0 - theta) * h * m_linear
-    if shifted_solver is None:
-        path, solve_step = _implicit_solver(eye - theta * h * m_linear)
+        inverse = linalg.solver_for(eye - theta * h * m_linear).solve(eye)
+        path, solve_step = "dense-inverse", inverse.__matmul__
+    else:
+        path, solve_step = "shifted", m_linear.shifted_solver(-theta * h)
     setup_s = time.perf_counter() - t_setup
     w_exp = h * (1.0 - theta)
     w_imp = h * theta
@@ -263,28 +255,31 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
             return z1
         return (1.0 - u) * z1 + u * buf[(n - m + 2) % size]
 
-    if theta < 1.0:
-        g_prev = np.asarray(g(delayed(-1)))
     diverged = False
     last = 0
-    t_stepping = time.perf_counter()
-    for n in range(n_steps):
-        g_new = np.asarray(g(delayed(n)))
-        rhs = buf[n % size] if explicit is None else explicit @ buf[n % size]
+    # a step may overflow straight to inf or NaN; the overflow guard
+    # reports that as divergence, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
         if theta < 1.0:
-            rhs = rhs + w_exp * g_prev
-            g_prev = g_new
-        new = solve_step(rhs + w_imp * g_new)
-        buf[(n + 1) % size] = new
-        last = n + 1
-        if keep_trajectory:
-            states[n + 1] = new
-        step_max = np.max(np.abs(new))
-        if not step_max <= peak:  # a NaN replaces the peak too
-            peak = step_max
-        if not step_max <= OVERFLOW_GUARD:  # NaN counts as diverged
-            diverged = True
-            break
+            g_prev = np.asarray(g(delayed(-1)))
+        t_stepping = time.perf_counter()
+        for n in range(n_steps):
+            g_new = np.asarray(g(delayed(n)))
+            rhs = buf[n % size]
+            if theta < 1.0:
+                rhs = rhs + w_exp * (m_linear @ rhs + g_prev)
+                g_prev = g_new
+            new = solve_step(rhs + w_imp * g_new)
+            buf[(n + 1) % size] = new
+            last = n + 1
+            if keep_trajectory:
+                states[n + 1] = new
+            step_max = np.max(np.abs(new))
+            if not step_max <= peak:  # a NaN replaces the peak too
+                peak = step_max
+            if not step_max <= OVERFLOW_GUARD:  # NaN counts as diverged
+                diverged = True
+                break
     # g ran once per step taken, plus once before the loop when theta < 1
     stats = SolveStats(path=path, steps=last, g_calls=last + int(theta < 1.0),
                        setup_s=setup_s,
@@ -327,5 +322,4 @@ def solve_semilinear(prob: SemilinearDDE, scheme: ThetaScheme, t_end: float,
     the single linear system (I - theta h M) z_{n+1} = rhs.
     """
     mm = prob.m_linear
-    dtype = mm.dtype if hasattr(mm, "dtype") else np.asarray(mm).dtype
-    return _integrate(prob, scheme, mm, prob.g, dtype, t_end, keep_trajectory)
+    return _integrate(prob, scheme, mm, prob.g, mm.dtype, t_end, keep_trajectory)

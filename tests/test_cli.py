@@ -72,6 +72,15 @@ class TestMatrixFiles:
         assert cli.main(["fov", "--matrix", str(path)]) == 2
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["2.5", '"2"'], ids=["float", "string"])
+    def test_rows_must_be_a_json_integer(self, tmp_path, capsys, rows):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"rows": {rows}, "cols": 2, "entries": [1, 0, 0, 1]}}')
+        with pytest.raises(cli.MatrixFileError, match="rows and cols must be integers"):
+            cli.read_matrix(path)
+        assert cli.main(["fov", "--matrix", str(path)]) == 2
+        assert "rows and cols must be integers" in capsys.readouterr().err
+
     def test_rejects_wrong_count(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"rows": 2, "cols": 2, "entries": [[1, 0]]}')
@@ -80,6 +89,14 @@ class TestMatrixFiles:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0,-inf"])
+    def test_non_finite_p_exits_2(self, bench_files, capsys, grid):
+        a, b = bench_files
+        code = cli.main(["check", "--matrix-a", a, "--matrix-b", b,
+                         "--tau", "1", "--m", "2", "--p-grid", grid])
+        assert code == 2
+        assert "every p must be finite" in capsys.readouterr().err
+
     def test_benchmark_m2_stable(self, bench_files, tmp_path, capsys):
         a, b = bench_files
         out = tmp_path / "report.json"
@@ -382,8 +399,6 @@ class TestSolveCommand:
         doc = json.loads(out.read_text(), parse_constant=pytest.fail)
         assert doc["diverged"] is True and doc[key] == value
 
-    # the solver's own overflow warning is not what this test is about
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_non_finite_state_is_null(self, tmp_path):
         out = tmp_path / "summary.json"
         assert cli.main(scalar_linear_solve(tmp_path, 1e306) + [
@@ -391,6 +406,26 @@ class TestSolveCommand:
         doc = json.loads(out.read_text(), parse_constant=pytest.fail)
         assert doc["final_norm"] is None and doc["max_abs"] is None
         assert doc["initial_norm"] == 1000.0 and doc["max_norm_le_1"] is False
+
+
+    def test_diverging_run_raises_no_numpy_warning(self, tmp_path):
+        # the step overflows straight to inf; the overflow guard reports it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = scalar_linear_solve(tmp_path, 1e306) + ["--history-const", "1000"]
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "ddestab.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["diverged"] is True
+
+    def test_norm_only_csv_ends_at_final_norm(self, tmp_path):
+        # the last state is finite (5e305) but its square is not
+        csv, out = tmp_path / "n.csv", tmp_path / "s.json"
+        assert cli.main(scalar_linear_solve(tmp_path, 1e306) + [
+            "--out-csv", str(csv), "--norm-only", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        last = csv.read_text().splitlines()[-1].split(",")
+        assert doc["diverged"] is True and float(last[1]) == doc["final_norm"] == 5e305
 
 
 class TestReproduceCommand:

@@ -194,31 +194,25 @@ class TestSemilinear:
             SemilinearDDE(-a, lambda z: z, 1.0, lambda t: hist), s, 6.0)
         assert np.array_equal(lin.states, semi.states)
 
-    def test_sparse_linear_part(self, rng):
+    @pytest.mark.parametrize("kind", ["csr", "list", "linear-operator"])
+    def test_other_linear_parts_rejected(self, kind):
+        # a dense array or an operator with shifted_solver(c), nothing else
         import scipy.sparse
+        import scipy.sparse.linalg
 
-        n = 20
-        main = -2.0 * np.ones(n)
-        off = np.ones(n - 1)
-        dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-        sparse = scipy.sparse.csr_matrix(dense)
-        hist = rng.standard_normal(n)
-        g = lambda z: 0.5 * z * (1.0 - z)
-        s = ThetaScheme(1.0, 0.0, 3, 1.0)
-        t_d = solver.solve_semilinear(SemilinearDDE(dense, g, 1.0, lambda t: hist), s, 4.0)
-        t_s = solver.solve_semilinear(SemilinearDDE(sparse, g, 1.0, lambda t: hist), s, 4.0)
-        assert np.max(np.abs(t_d.states - t_s.states)) <= 1e-11
+        dense = -np.eye(3)
+        m_lin = {"csr": lambda: scipy.sparse.csr_matrix(dense),
+                 "list": dense.tolist,
+                 "linear-operator": lambda: scipy.sparse.linalg.aslinearoperator(dense),
+                 }[kind]()
+        with pytest.raises(errors.InvalidParams, match="dense numpy array or an operator"):
+            SemilinearDDE(m_lin, lambda z: z, 1.0, lambda t: np.ones(3))
 
-
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_nan_forcing_flags_divergence(self, sparse):
-        import scipy.sparse
-
-        m_lin = -np.eye(2)
-        if sparse:
-            m_lin = scipy.sparse.csr_matrix(m_lin)
-        prob = SemilinearDDE(m_linear=m_lin, g=lambda z: np.full(2, np.nan),
-                             tau=1.0, history=lambda t: np.ones(2))
+    @pytest.mark.parametrize("operator", [False, True])
+    def test_nan_forcing_flags_divergence(self, operator):
+        m_lin = mol.KroneckerLaplacian(2, 1.0 / 3.0, 0.5) if operator else -np.eye(4)
+        prob = SemilinearDDE(m_linear=m_lin, g=lambda z: np.full(4, np.nan),
+                             tau=1.0, history=lambda t: np.ones(4))
         traj = solver.solve_semilinear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 3.0)
         assert traj.diverged
         assert len(traj.times) == 2  # halted after the first step
@@ -228,12 +222,13 @@ class TestSemilinear:
     @pytest.mark.parametrize("u", [0.0, 0.5])
     def test_shifted_solve_operator_matches_csr(self, theta, u):
         # example2 through its DST-I operator against the same problem on
-        # the bare CSR stencil (factored by splu)
+        # its CSR stencil as a dense array (the precomputed inverse path)
         dde = mol.build_example2(16, 0.5, 3.0, 1.0).dde
-        on_csr = SemilinearDDE(dde.m_linear.tocsr(), dde.g, dde.tau, dde.history)
+        on_csr = SemilinearDDE(dde.m_linear.toarray(), dde.g, dde.tau, dde.history)
         s = ThetaScheme(theta, u, 600 if theta == 0.0 else 10, 1.0)  # explicit: h |M| < 2
         got = solver.solve_semilinear(dde, s, 2.0)
         ref = solver.solve_semilinear(on_csr, s, 2.0)
+        assert got.stats.path == "shifted" and ref.stats.path == "dense-inverse"
         assert not ref.diverged and np.array_equal(got.times, ref.times)
         assert np.max(np.abs(got.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
 
@@ -349,12 +344,10 @@ class TestDenseInverse:
 
 class TestSolveStats:
     @pytest.mark.parametrize("kind, path", [("dense", "dense-inverse"),
-                                            ("sparse", "sparse-lu"),
                                             ("operator", "shifted")])
     def test_path_names_the_implicit_solve(self, kind, path):
         dde = mol.build_example2(8, 0.5, 3.0, 1.0).dde
-        m_lin = {"dense": dde.m_linear.toarray(), "sparse": dde.m_linear.tocsr(),
-                 "operator": dde.m_linear}[kind]
+        m_lin = {"dense": dde.m_linear.toarray(), "operator": dde.m_linear}[kind]
         prob = SemilinearDDE(m_lin, dde.g, dde.tau, dde.history)
         s = ThetaScheme(0.5, 0.0, 4, 1.0)
         traj = solver.solve_semilinear(prob, s, 2.0)

@@ -7,8 +7,11 @@ The snapshot holds what the command line prints and writes for:
 * the seeded ``check``, ``oracle`` and ``solve`` operations of the
   benchmark (``bench/workloads.build_ops``), with their input files;
 * the four ``reproduce`` targets, ``table1`` with ``--full``;
-* ``region``, ``fov`` with and without ``--matrix-b``, and a few inputs
-  at the edges (``fov --p`` without ``--matrix-b``, a diverging ``solve``);
+* ``region``, ``fov`` with and without ``--matrix-b``, example1 at
+  theta = 1/2 with its trajectory CSV, and a few inputs at the edges
+  (``fov --p`` without ``--matrix-b``, a diverging ``solve`` with and
+  without a norm-only CSV, ``check --p-grid nan``, a matrix file whose
+  ``rows`` is 2.5);
 * the ``--help`` of ``ddestab`` and of every subcommand.
 
 Each call leaves ``NAME.out`` (exit code, standard output, standard error)
@@ -105,6 +108,18 @@ def snapshot(ddestab, seed: int) -> None:
               "--matrix-b", "huge.json", "--tau", "1", "--m", "1", "--t-end", "50"]
     run(main, "solve-diverged", linear)
     run(main, "solve-diverged-kept", linear + ["--keep-trajectory"])
+    run(main, "solve-diverged-norm-csv",
+        linear + ["--out-csv", "diverged-norm.csv", "--norm-only"])
+    run(main, "solve-ex1-cn-csv", ["solve", "--problem", "example1", "--grid-m", "20",
+                                   "--m", "5", "--theta", "0.5", "--t-end", "5",
+                                   "--out-csv", "ex1-cn.csv"])
+
+    workloads.write_matrix("spd.json", [[2.0, 0.5], [0.5, 3.0]])
+    run(main, "check-p-grid-nan", ["check", "--matrix-a", "spd.json", "--matrix-b",
+                                   "b.json", "--tau", "1", "--m", "2", "--p-grid", "nan"])
+    Path("rows-float.json").write_text(
+        '{"rows": 2.5, "cols": 2, "entries": [1, 0, 0, 1]}', encoding="utf-8")
+    run(main, "fov-rows-float", ["fov", "--matrix", "rows-float.json", "--n", "8"])
 
     run(main, "help", ["--help"])
     for command in SUBCOMMANDS:
