@@ -27,7 +27,7 @@ from .errors import DdeStabError
 
 
 # ---------------------------------------------------------------------------
-# matrix file I/O: {"rows": n, "cols": n, "entries": [[re, im], ...]}
+# matrix file I/O: {"rows": n, "cols": n, "entries": [x, ...] or [[re, im], ...]}
 # ---------------------------------------------------------------------------
 
 class MatrixFileError(Exception):
@@ -35,6 +35,7 @@ class MatrixFileError(Exception):
 
 
 def read_matrix(path) -> np.ndarray:
+    """Entries, row-major: all finite JSON numbers or all finite ``[re, im]`` pairs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -46,32 +47,32 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFileError(f"{path}: need rows, cols and entries fields") from exc
     if not all(type(n) is int for n in (rows, cols)):  # not 2.5, "2" or true
         raise MatrixFileError(f"{path}: rows and cols must be integers")
-    k = None
+    if not isinstance(entries, list):
+        raise MatrixFileError(f"{path}: entries must be a list")
+    if rows < 1 or cols < 1 or len(entries) != rows * cols:
+        raise MatrixFileError(
+            f"{path}: entry count {len(entries)} does not match {rows}x{cols}")
+    values, fault = _parse_entries(entries)
+    if fault:  # some entry breaks the rule beside entry 0: name the first
+        k, fault = next((k, f) for k, entry in enumerate(entries)
+                        if (f := _parse_entries([entries[0], entry])[1]))
+        raise MatrixFileError(f"{path}: entry {k} {fault}")
+    # pairs become a complex view of the floats: no copy, every bit kept
+    matrix = (values if values.ndim == 1 else values.view(complex)).reshape(rows, cols)
+    return matrix.real.copy() if values.ndim == 2 and not matrix.imag.any() else matrix
+
+
+def _parse_entries(entries):
+    """(k,) or (k, 2) floats and None, or None and the fault; ints fit int64 or uint64."""
     try:
-        if rows < 1 or cols < 1 or len(entries) != rows * cols:
-            raise MatrixFileError(
-                f"{path}: entry count {len(entries)} does not match {rows}x{cols}")
-        values = np.empty(rows * cols, dtype=complex)
-        for k, entry in enumerate(entries):
-            if isinstance(entry, (int, float)):
-                re, im = float(entry), 0.0
-            elif isinstance(entry, (list, tuple)) and 1 <= len(entry) <= 2:
-                re = float(entry[0])
-                im = float(entry[1]) if len(entry) == 2 else 0.0
-            else:
-                raise MatrixFileError(f"{path}: entry {k} must be re or [re, im]")
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise MatrixFileError(f"{path}: entry {k} is not finite")
-            values[k] = complex(re, im)
-    except (TypeError, ValueError, OverflowError) as exc:
-        # a non-list entries field, or a re / im that is not a number
-        where = ("entries must be a list" if k is None
-                 else f"entry {k} must be re or [re, im]")
-        raise MatrixFileError(f"{path}: {where}") from exc
-    matrix = values.reshape(rows, cols)
-    if np.all(matrix.imag == 0.0):
-        return matrix.real.copy()
-    return matrix
+        values = np.array(entries)
+    except ValueError:  # ragged: numbers mixed with lists, or lists of unequal length
+        values = np.array(None)
+    if values.dtype.kind not in "biuf" or values.shape[1:] not in ((), (2,)):
+        return None, "must be re or [re, im]"
+    if not np.all(np.isfinite(values)):
+        return None, "is not finite"
+    return values.astype(float, copy=False), None
 
 
 def _write_text(path, text: str) -> None:
@@ -93,7 +94,7 @@ consolidated_check = stability.certify
 
 def _parse_p_grid(text: str):
     try:
-        grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        grid = tuple(float(tok) for tok in text.split(","))  # "" and "0,,1" fail here
     except ValueError as exc:
         raise MatrixFileError(f"bad p grid {text!r}") from exc
     if not all(map(math.isfinite, grid)):
@@ -102,8 +103,7 @@ def _parse_p_grid(text: str):
 
 
 def _cmd_check(args) -> int:
-    a = read_matrix(args.matrix_a)
-    b = read_matrix(args.matrix_b)
+    a, b = read_matrix(args.matrix_a), read_matrix(args.matrix_b)
     scheme = stability.ThetaScheme(theta=args.theta, u=args.u, m=args.m, tau=args.tau)
     report = consolidated_check(a, b, scheme, _parse_p_grid(args.p_grid),
                                 args.n_angles, args.oracle_cap)
@@ -143,8 +143,7 @@ def _build_problem(args):
     # generic linear problem from matrix files
     if args.matrix_a is None or args.matrix_b is None or args.tau is None:
         raise MatrixFileError("--problem linear needs --matrix-a, --matrix-b, --tau")
-    a = read_matrix(args.matrix_a)
-    b = read_matrix(args.matrix_b)
+    a, b = read_matrix(args.matrix_a), read_matrix(args.matrix_b)
     if args.history_const is not None:
         try:
             hist0 = np.array([float(t) for t in args.history_const.split(",")])

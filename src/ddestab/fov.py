@@ -32,6 +32,7 @@ from ._csv import write_csv
 from .errors import InvalidParams, NotPositiveDefinite
 
 DEFAULT_ANGLES = 256
+MIN_ANGLES = 8
 
 
 def fov_margin(m) -> float:
@@ -86,8 +87,8 @@ def fov_boundary(m, n_angles: int = DEFAULT_ANGLES) -> FovBoundary:
     are mirrored, ``points[k] = conj(points[n - k])``.
     """
     a = linalg.as_square_matrix(m).astype(complex)
-    if n_angles < 8:
-        raise InvalidParams("n_angles must be at least 8")
+    if n_angles < MIN_ANGLES:
+        raise InvalidParams(f"n_angles must be at least {MIN_ANGLES}")
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     herm = 0.5 * (a + a.conj().T)
     skew = -0.5j * (a - a.conj().T)  # Hermitian: -i times the skew part
@@ -129,10 +130,7 @@ def transformed_matrix(a, b, p: float) -> np.ndarray:
     A; every other p builds the fractional powers from the eigenbasis of a
     Hermitian positive definite A.
     """
-    am = linalg.as_square_matrix(a)
-    bm = linalg.as_square_matrix(b)
-    if am.shape != bm.shape:
-        raise InvalidParams(f"shape mismatch: {am.shape} vs {bm.shape}")
+    am, bm = linalg.square_pair(a, b)
     if p == 0.0:
         return linalg.solver_for(am).solve(bm)
     if p == 2.0:

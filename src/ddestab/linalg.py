@@ -42,6 +42,14 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
+def square_pair(a, b) -> tuple:
+    """``as_square_matrix`` of A and of B, which must have the same shape."""
+    am, bm = as_square_matrix(a), as_square_matrix(b)
+    if am.shape != bm.shape:
+        raise InvalidParams(f"A and B shapes differ: {am.shape} vs {bm.shape}")
+    return am, bm
+
+
 def scaled_norm(m) -> float:
     """Max-abs entry times dimension; the reference norm for tolerances."""
     a = np.asarray(m)

@@ -62,10 +62,7 @@ class LinearDDE:
     history: object
 
     def __post_init__(self):
-        am = linalg.as_square_matrix(self.a)
-        bm = linalg.as_square_matrix(self.b)
-        if am.shape != bm.shape:
-            raise InvalidParams(f"A and B shapes differ: {am.shape} vs {bm.shape}")
+        linalg.square_pair(self.a, self.b)
         if not 0.0 < self.tau < math.inf:
             raise InvalidParams("tau must be finite and positive")
 

@@ -237,10 +237,7 @@ def build_w(a, b, scheme: ThetaScheme) -> np.ndarray:
     at the block columns of y_n, y_{n-m+2}, y_{n-m+1} and y_{n-m};
     coinciding columns accumulate.  Rows below shift the history.
     """
-    am = linalg.as_square_matrix(a)
-    bm = linalg.as_square_matrix(b)
-    if am.shape != bm.shape:
-        raise InvalidParams(f"A and B shapes differ: {am.shape} vs {bm.shape}")
+    am, bm = linalg.square_pair(a, b)
     n = am.shape[0]
     m, h, theta, u = scheme.m, scheme.h, scheme.theta, scheme.u
     dtype = np.result_type(am, bm, 1.0)
@@ -464,10 +461,7 @@ def simdiag_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
     Raises ComplexSpectrum when A's spectrum is not real and positive,
     NotSimultaneouslyDiagonalizable when a test above fails.
     """
-    am = linalg.as_square_matrix(a)
-    bm = linalg.as_square_matrix(b)
-    if am.shape != bm.shape:
-        raise InvalidParams(f"A and B shapes differ: {am.shape} vs {bm.shape}")
+    am, bm = linalg.square_pair(a, b)
     equal = 16 * am.shape[0] * np.finfo(float).eps
     if linalg.hermitian_violation(am) <= equal:
         dec = linalg.hermitian_eigen(am)
@@ -573,6 +567,8 @@ def certify(a, b, scheme: ThetaScheme,
     instability witness, then an unconditional certificate, then any
     per-step certificate, else Uncertified.
     """
+    if n_angles < fov.MIN_ANGLES:  # the rule of fov_boundary, checked on every path
+        raise InvalidParams(f"n_angles must be at least {fov.MIN_ANGLES}")
     evidence = []
     verdicts = []
     dim = (scheme.m + 1) * np.asarray(a).shape[0]

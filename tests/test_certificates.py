@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from ddestab import errors, fov, linalg, mol, stability
+from ddestab.solver import LinearDDE
 from ddestab.stability import (
     CERTIFIED_UNSTABLE,
     STABLE_FOR_THIS_STEP,
@@ -290,6 +291,24 @@ class TestSimdiag:
         rep = stability.simdiag_analysis([[2e15]], [[1e15]], s)
         assert rep.verdict == UNCERTIFIED
         assert rep.evidence[-1].margin < -1e14
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: stability.build_w(a, b, scheme()),
+    stability.simdiag_pairs,
+    lambda a, b: fov.transformed_matrix(a, b, 0.0),
+    lambda a, b: LinearDDE(a=a, b=b, tau=1.0, history=lambda t: np.ones(2)),
+], ids=["build_w", "simdiag_pairs", "transformed_matrix", "LinearDDE"])
+def test_pair_shape_mismatch_has_one_message(call):
+    message = r"A and B shapes differ: \(2, 2\) vs \(3, 3\)"
+    with pytest.raises(errors.InvalidParams, match=message):
+        call(np.eye(2), np.eye(3))
+
+
+def test_certify_rejects_few_angles_before_any_analysis():
+    # a commuting pair takes the mode path, which sweeps no field of values
+    with pytest.raises(errors.InvalidParams, match="n_angles must be at least"):
+        stability.certify(BENCH_A, BENCH_B, scheme(), n_angles=fov.MIN_ANGLES - 1)
 
 
 class TestConsolidatedCheck:

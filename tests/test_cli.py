@@ -63,10 +63,26 @@ class TestMatrixFiles:
         ('[["a"]]', "entry 0 must be re or [re, im]"),
         ("[[null]]", "entry 0 must be re or [re, im]"),
         ("[[1" + "0" * 400 + "]]", "entry 0 must be re or [re, im]"),
-    ], ids=["number", "string", "null", "float-overflow"])
+        # all numbers or all [re, im] pairs: no [re], no mix, no strings
+        ("[[1.5], [2.0]]", "entry 0 must be re or [re, im]"),
+        ("[[1, 0], [2]]", "entry 1 must be re or [re, im]"),
+        ("[1, [2, 0]]", "entry 1 must be re or [re, im]"),
+        ("[[1, 0], 2]", "entry 1 must be re or [re, im]"),
+        ('[["1.5", 0]]', "entry 0 must be re or [re, im]"),
+        ('[[1, 0], [2, "0"]]', "entry 1 must be re or [re, im]"),
+        ("[[1, 0], [2, 0, 0]]", "entry 1 must be re or [re, im]"),
+        ("[1, 18446744073709551616]", "entry 1 must be re or [re, im]"),
+        ("[1, NaN]", "entry 1 is not finite"),
+        ("[[1, 0], [2, -Infinity]]", "entry 1 is not finite"),
+        ("[NaN, null]", "entry 0 is not finite"),
+    ], ids=["number", "string", "null", "float-overflow", "re-only", "re-only-at-1",
+            "mixed-list-at-1", "mixed-number-at-1", "string-re", "string-im-at-1",
+            "triple-at-1", "int-past-uint64", "nan-at-1", "pair-inf-at-1",
+            "first-fault-wins"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, entries, where):
+        cols = len(json.loads(entries)) if entries.startswith("[") else 1
         path = tmp_path / "m.json"
-        path.write_text(f'{{"rows": 1, "cols": 1, "entries": {entries}}}')
+        path.write_text(f'{{"rows": 1, "cols": {cols}, "entries": {entries}}}')
         with pytest.raises(cli.MatrixFileError, match=re.escape(where)):
             cli.read_matrix(path)
         assert cli.main(["fov", "--matrix", str(path)]) == 2
@@ -87,6 +103,30 @@ class TestMatrixFiles:
         with pytest.raises(cli.MatrixFileError):
             cli.read_matrix(path)
 
+    def test_numbers_keep_every_bit(self, tmp_path):
+        # JSON integers within int64/uint64 and true/false read as float(x)
+        numbers = [-0.0, 5e-324, 1.7976931348623157e308, 9007199254740993,
+                   -9223372036854775808, 18446744073709551615, True, False, -3]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": numbers}))
+        back = cli.read_matrix(path)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        want = np.array([float(x) for x in numbers]).reshape(3, 3)
+        assert back.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("complex_part", [False, True], ids=["real", "complex"])
+    def test_large_matrix_round_trip_keeps_every_bit(self, tmp_path, rng, complex_part):
+        m = rng.standard_normal((60, 60)) * np.exp(rng.uniform(-600, 600, (60, 60)))
+        m[0, :3] = [-0.0, 5e-324, -5e-324]
+        if complex_part:
+            m = m + 1j * rng.standard_normal((60, 60))
+            m[1, 0] = complex(-0.0, -0.0)
+        path = tmp_path / "m.json"
+        write_matrix(path, m)
+        back = cli.read_matrix(path)
+        assert back.dtype == m.dtype and back.flags.c_contiguous
+        assert back.tobytes() == m.tobytes()
+
 
 class TestCheckCommand:
     @pytest.mark.parametrize("grid", ["nan", "inf", "0,-inf"])
@@ -96,6 +136,30 @@ class TestCheckCommand:
                          "--tau", "1", "--m", "2", "--p-grid", grid])
         assert code == 2
         assert "every p must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["", ",,", " , ", "0,,1", "0,1,"])
+    def test_empty_p_exits_2(self, bench_files, capsys, grid):
+        # every comma-separated field must be a p: a grid is never empty
+        a, b = bench_files
+        code = cli.main(["check", "--matrix-a", a, "--matrix-b", b,
+                         "--tau", "1", "--m", "2", "--p-grid", grid])
+        assert code == 2
+        assert f"bad p grid {grid!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("commuting", [True, False])
+    def test_few_angles_exit_3_on_every_path(self, bench_files, tmp_path, capsys, commuting):
+        # example 3.1 takes the mode path, where no FOV sweep reads n_angles
+        a, b = bench_files
+        if not commuting:
+            a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+            write_matrix(a, np.diag([2.0, 3.0]))
+            write_matrix(b, np.array([[0.1, 0.3], [0.0, 0.2]]))
+        code = cli.main(["check", "--matrix-a", a, "--matrix-b", b,
+                         "--tau", "1", "--m", "2", "--n-angles", "4"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f"n_angles must be at least {fov.MIN_ANGLES}" in captured.err
+        assert captured.out == ""
 
     def test_benchmark_m2_stable(self, bench_files, tmp_path, capsys):
         a, b = bench_files

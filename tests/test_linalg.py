@@ -24,6 +24,21 @@ def characteristic_polynomial(m):
     return coeffs
 
 
+class TestSquarePair:
+    def test_returns_both_matrices(self):
+        a, b = linalg.square_pair([[2.0]], np.array([[1j]]))
+        assert a.shape == b.shape == (1, 1) and b[0, 0] == 1j
+
+    @pytest.mark.parametrize("b, message", [
+        (np.eye(3), "A and B shapes differ"),
+        (np.ones((2, 3)), "expected a square matrix"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "NaN or Inf"),
+    ], ids=["shapes-differ", "not-square", "not-finite"])
+    def test_rejects(self, b, message):
+        with pytest.raises(errors.InvalidParams, match=message):
+            linalg.square_pair(np.eye(2), b)
+
+
 class TestHermitianEigen:
     def test_identity(self):
         dec = linalg.hermitian_eigen(np.eye(2))

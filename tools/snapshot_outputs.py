@@ -10,8 +10,10 @@ The snapshot holds what the command line prints and writes for:
 * ``region``, ``fov`` with and without ``--matrix-b``, example1 at
   theta = 1/2 with its trajectory CSV, and a few inputs at the edges
   (``fov --p`` without ``--matrix-b``, a diverging ``solve`` with and
-  without a norm-only CSV, ``check --p-grid nan``, a matrix file whose
-  ``rows`` is 2.5);
+  without a norm-only CSV, ``check --p-grid nan``, matrix files whose
+  ``rows`` is 2.5 or whose entries are ``[re]`` lists, mixed or hold a
+  string, and ``check`` of example 3.1 with ``--n-angles 4`` and with an
+  empty ``--p-grid``);
 * the ``--help`` of ``ddestab`` and of every subcommand.
 
 Each call leaves ``NAME.out`` (exit code, standard output, standard error)
@@ -120,6 +122,20 @@ def snapshot(ddestab, seed: int) -> None:
     Path("rows-float.json").write_text(
         '{"rows": 2.5, "cols": 2, "entries": [1, 0, 0, 1]}', encoding="utf-8")
     run(main, "fov-rows-float", ["fov", "--matrix", "rows-float.json", "--n", "8"])
+    # entry forms outside "all numbers or all [re, im] pairs"
+    for name, entries in {"re-only": "[[2], [0], [0], [3]]",
+                          "mixed": "[[2, 0], 0, 0, [3, 0]]",
+                          "string-part": '[[2, 0], [0, 0], [0, "0"], [3, 0]]'}.items():
+        Path(f"{name}.json").write_text(
+            f'{{"rows": 2, "cols": 2, "entries": {entries}}}', encoding="utf-8")
+        run(main, f"fov-{name}", ["fov", "--matrix", f"{name}.json", "--n", "8"])
+
+    workloads.write_matrix("ex31-a.json", ddestab.reproduce.EXAMPLE31_A)
+    workloads.write_matrix("ex31-b.json", ddestab.reproduce.EXAMPLE31_B)
+    ex31 = ["check", "--matrix-a", "ex31-a.json", "--matrix-b", "ex31-b.json",
+            "--tau", "1", "--m", "2"]
+    run(main, "check-ex31-n-angles-4", ex31 + ["--n-angles", "4"])
+    run(main, "check-ex31-p-grid-empty", ex31 + ["--p-grid", ""])
 
     run(main, "help", ["--help"])
     for command in SUBCOMMANDS:
