@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 from contextlib import nullcontext
+
+CHUNK_ROWS = 64
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -11,12 +14,14 @@ def write_csv(path, header: str, columns) -> None:
 
     Values are printed with ``%.17g``: 17 significant digits round-trip
     every IEEE double, so reading a file back gives the computed numbers
-    bit for bit.  Rows are formatted one at a time, so no copy of the
-    table is built in memory.  ``path=None`` writes to stdout.
+    bit for bit.  One ``%`` call formats ``CHUNK_ROWS`` rows, so memory is
+    bounded by a chunk, and a column may be a generator.  ``path=None``
+    writes to stdout.
     """
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*columns)
     target = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
     with target as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(row_format % row)
+        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+            fh.write(row_format * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))

@@ -248,6 +248,15 @@ class LinearSolver:
         return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
 
 
+def require_pivots(d) -> np.ndarray:
+    """Return the diagonal ``d`` of a diagonal matrix, or raise
+    :class:`Singular` if some |d_i| is at or below 1e-14 times the largest."""
+    smallest, floor = np.min(np.abs(d)), 1e-14 * np.max(np.abs(d))
+    if smallest <= floor:
+        raise Singular(f"pivot {smallest:.3e} at or below {floor:.3e}")
+    return d
+
+
 def solver_for(m) -> LinearSolver:
     """LU-factor a square nonsingular matrix for repeated solves.
 

@@ -10,33 +10,32 @@ to the theta solver:
   e^{l t} (sin t, cos t) sin(pi x / 2) is attached, so discretization
   errors can be measured directly.
 * ``example2`` -- a delayed Fisher-Kolmogorov equation on the unit square
-  with logistic delayed reaction mu z (1 - z); the Laplacian is the
-  Kronecker sum L (+) L, handed to the solver as a structured
-  :class:`KroneckerLaplacian`: the 5-point stencil in CSR for products,
-  plus shifted solves (I + c M) z = r by 2-D DST-I diagonalization with
-  the closed-form spectrum (Buzbee, Golub and Nielson, SIAM J. Numer.
-  Anal. 7, 1970), so no sparse factorization is needed.  Example1's
-  linear part is a dense array; these are the two kinds of linear part
-  the solver accepts.
+  with logistic delayed reaction mu z (1 - z).
 
-The solver consumes the linear part with its natural (negative definite)
-sign; stability analyses expect the positive definite factor, which
-``stability_matrices`` returns for the linear example1.
+Both linear parts are a :class:`SineLaplacian`, the Dirichlet Laplacian
+(1-D, or the Kronecker sum L (+) L) times one coefficient per component,
+diagonalized by sine modes with the closed-form spectrum: the solver
+steps example1 in mode space and solves example2's implicit stages by
+2-D DST-I.  Example2's operator is its linear part M; example1's is the
+positive definite A of y' = -A y + B y(t - tau), which
+``stability_matrices`` returns as a dense array with B.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .errors import InvalidParams, Singular
+from .errors import InvalidParams
+from .linalg import require_pivots
 from .solver import LinearDDE, SemilinearDDE, Trajectory
 
 __all__ = [
-    "Grid1D", "MolProblem", "KroneckerLaplacian", "dirichlet_laplacian",
+    "Grid1D", "MolProblem", "SineLaplacian", "dirichlet_laplacian",
     "dirichlet_eigenvalues",
     "build_example1", "build_example2", "example2_condition",
     "Example2Condition",
@@ -86,27 +85,38 @@ def dirichlet_eigenvalues(n_interior: int, dx: float) -> np.ndarray:
     return -(4.0 / dx ** 2) * np.sin(k * np.pi / (2 * m)) ** 2
 
 
-class KroneckerLaplacian:
-    """lam (L (+) L) on the n x n interior nodes of a square grid (x fast,
-    y slow), L the 1-D Dirichlet second difference.
+class SineLaplacian:
+    """blockdiag(c_1 D, ..., c_k D), one coefficient per component, D the
+    Dirichlet second difference L on n interior nodes (``dims`` = 1) or
+    L (+) L on an n x n grid (x fast, y slow): the solver's operator kind.
 
-    It is the solver's operator kind of linear part (the other kind is a
-    dense array).  Products, ``toarray()``, ``shape`` and ``dtype`` use
-    the 5-point stencil stored in CSR.  ``shifted_solver(c)`` solves
-    (I + c M) z = r without a factorization: the sine modes diagonalize
-    both factors of the Kronecker sum, with eigenvalues omega_i + omega_j
-    (omega the closed-form spectrum of lam L), so a solve is a 2-D DST-I,
-    a divide by 1 + c (omega_i + omega_j) and the inverse DST-I.
-    """
+    Its sine modes diagonalize it: ``to_modes`` and ``from_modes`` map a
+    stack of states (over the last axis) to mode coefficients and back,
+    and ``omega`` is each mode's closed-form eigenvalue.  In 1-D the map is
+    one product with S_jk = sqrt(2/M) sin(pi j k / M), its own inverse; in
+    2-D, the 2-D DST-I and its inverse (Buzbee, Golub and Nielson, SIAM J.
+    Numer. Anal. 7, 1970).  ``@``, ``toarray()``, ``shape`` and ``dtype``
+    use the stencil in CSR; ``-op`` negates the coefficients."""
 
-    def __init__(self, n_interior: int, dx: float, lam: float):
-        n = n_interior
-        l_sp = scipy.sparse.csr_matrix(dirichlet_laplacian(n, dx))
-        eye = scipy.sparse.identity(n, format="csr")
-        self.n_interior = n
-        self.omega = lam * dirichlet_eigenvalues(n, dx)
-        self._stencil = (lam * (scipy.sparse.kron(l_sp, eye)
-                                + scipy.sparse.kron(eye, l_sp))).tocsr()
+    def __init__(self, n: int, dx: float, coefs, dims: int = 1):
+        if dims not in (1, 2):
+            raise InvalidParams(f"dims must be 1 or 2, got {dims}")
+        stencil = scipy.sparse.csr_matrix(dirichlet_laplacian(n, dx))
+        if dims == 2:
+            eye = scipy.sparse.identity(n, format="csr")
+            stencil = scipy.sparse.kron(stencil, eye) + scipy.sparse.kron(eye, stencil)
+        blocks = [c * stencil for c in coefs]  # one block stays as it is: no COO copy
+        self._stencil = blocks[0] if len(blocks) == 1 else scipy.sparse.block_diag(
+            blocks, format="csr")
+        omega = [c * dirichlet_eigenvalues(n, dx) for c in coefs]
+        if dims == 2:
+            omega = [(w[:, None] + w[None, :]).ravel() for w in omega]
+        self.omega = np.concatenate(omega)
+        self._grid = (len(omega),) + (n,) * dims
+        self._sine = None
+        if dims == 1:  # j k mod 2M keeps every argument of S in [0, 2 pi)
+            jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * n + 2)
+            self._sine = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * jk)
 
     @property
     def shape(self) -> tuple:
@@ -119,30 +129,43 @@ class KroneckerLaplacian:
     def __matmul__(self, x):
         return self._stencil @ x
 
+    def __neg__(self) -> SineLaplacian:
+        neg = copy.copy(self)  # the sine basis is shared
+        neg._stencil, neg.omega = -self._stencil, -self.omega
+        return neg
+
     def toarray(self) -> np.ndarray:
-        return self._stencil.toarray()
+        # every zero comes out as -0.0, the bits example1's dense A had
+        return -(-self._stencil).toarray()
 
-    def shifted_solver(self, c: float):
-        """Return a callable r -> (I + c M)^{-1} r for flat vectors r, real
-        or complex.
+    def to_modes(self, states) -> np.ndarray:
+        """Mode coefficients of each state in a stack (over the last axis)."""
+        return self._transform(states, inverse=False)
 
-        Raises :class:`Singular` when some |1 + c (omega_i + omega_j)| is at
-        or below 1e-14 times the largest one (the pivot rule of
-        ``linalg.solver_for``).
-        """
+    def from_modes(self, coefs) -> np.ndarray:
+        """The states with mode coefficients ``coefs``: ``to_modes`` inverted."""
+        return self._transform(coefs, inverse=True)
+
+    def _transform(self, x, inverse: bool, overwrite: bool = False) -> np.ndarray:
+        x = np.asarray(x)
+        if self._sine is not None:
+            return (x.reshape(-1, self._grid[-1]) @ self._sine).reshape(x.shape)
         # imported here: scipy.fft adds about 0.1 s to every CLI start
         from scipy.fft import dstn, idstn
 
-        denom = 1.0 + c * (self.omega[:, None] + self.omega[None, :])
-        smallest, floor = np.min(np.abs(denom)), 1e-14 * np.max(np.abs(denom))
-        if smallest <= floor:
-            raise Singular(f"shifted eigenvalue {smallest:.3e} at or below {floor:.3e}")
-        shape = (self.n_interior, self.n_interior)
+        grid = x.reshape(x.shape[:-1] + self._grid)
+        return (idstn if inverse else dstn)(grid, type=1, axes=(-2, -1),
+                                            overwrite_x=overwrite).reshape(x.shape)
 
-        def solve(rhs):
-            coef = dstn(np.reshape(rhs, shape), type=1)
+    def shifted_solver(self, c: float):
+        """Return r -> (I + c M)^{-1} r = from_modes(to_modes(r) / (1 + c omega))
+        for flat r; raises :class:`Singular` by ``linalg.require_pivots``."""
+        denom = require_pivots(1.0 + c * self.omega)
+
+        def solve(rhs):  # in place after the forward transform: one new array per solve
+            coef = self.to_modes(rhs)
             coef /= denom
-            return idstn(coef, type=1, overwrite_x=True).reshape(-1)
+            return self._transform(coef, inverse=True, overwrite=True)
 
         return solve
 
@@ -173,7 +196,8 @@ class MolProblem:
         only defined for the linear problem."""
         if not isinstance(self.dde, LinearDDE):
             raise InvalidParams("stability matrices are defined for linear problems")
-        return np.asarray(self.dde.a), np.asarray(self.dde.b)
+        a = self.dde.a
+        return (a if isinstance(a, np.ndarray) else a.toarray()), np.asarray(self.dde.b)
 
     def discrete_error(self, traj: Trajectory, t: float, component: int) -> float:
         """Root-sum-of-squares over interior nodes of (numerical - exact) for
@@ -195,20 +219,19 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
                    l: float = -0.1, tau: float = math.pi / 2) -> MolProblem:
     """Two-component delayed reaction-diffusion system on [0, 2].
 
-    The linear part is blockdiag(lambda1 L, lambda2 L); the delayed
+    The linear part is blockdiag(lambda1 L, lambda2 L), handed to the
+    solver as A = -(that), a 1-D :class:`SineLaplacian`; the delayed
     coupling is  e^{l pi / 2} [[-I, cI], [-cI, -I]]  with c = l + pi^2/4.
     For lambda1 = lambda2 = 1 and tau = pi/2 the exact solution
     v1 = e^{lt} sin(t) sin(pi x / 2), v2 = e^{lt} cos(t) sin(pi x / 2)
     is attached and also supplies the history.
     """
-    if lambda1 <= 0.0 or lambda2 <= 0.0:
-        raise InvalidParams("diffusion coefficients must be positive")
+    if not (0.0 < lambda1 < math.inf and 0.0 < lambda2 < math.inf):
+        raise InvalidParams("diffusion coefficients must be positive and finite")
+    if not (math.isfinite(l) and math.isfinite(tau)):
+        raise InvalidParams("l and tau must be finite")
     grid = Grid1D(m=m_grid, length=2.0)
     n = grid.n_interior
-    l_mat = dirichlet_laplacian(n, grid.dx)
-    a_mol = np.zeros((2 * n, 2 * n))
-    a_mol[:n, :n] = lambda1 * l_mat
-    a_mol[n:, n:] = lambda2 * l_mat
 
     c = l + np.pi ** 2 / 4.0
     scale = math.exp(l * math.pi / 2.0)
@@ -224,7 +247,8 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
 
     has_exact = (lambda1 == 1.0 and lambda2 == 1.0
                  and abs(tau - math.pi / 2.0) <= 1e-12)
-    dde = LinearDDE(a=-a_mol, b=b_mol, tau=tau, history=state)
+    dde = LinearDDE(a=SineLaplacian(n, grid.dx, (-lambda1, -lambda2)), b=b_mol,
+                    tau=tau, history=state)
     return MolProblem(dde=dde, exact=state if has_exact else None, n_components=2)
 
 
@@ -237,12 +261,12 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
     """2-D diffusion with logistic delayed reaction mu z (1 - z).
 
     The Laplacian lam (L (+) L) on the (M-1)^2 interior nodes (x fast,
-    y slow) is a :class:`KroneckerLaplacian`: a structured operator whose
-    implicit solves are DST-I shifted solves; the history is the
+    y slow) is a 2-D :class:`SineLaplacian`, whose implicit solves are
+    DST-I shifted solves; the history is the
     stationary initial profile sin(pi x) sin(pi y).
     """
-    if lam <= 0.0 or reaction_mu <= 0.0:
-        raise InvalidParams("lambda and mu must be positive")
+    if not (0.0 < lam < math.inf and 0.0 < reaction_mu < math.inf):
+        raise InvalidParams("lambda and mu must be positive and finite")
     grid = Grid1D(m=m_grid, length=1.0)
 
     sin_axis = np.sin(np.pi * grid.interior)
@@ -251,7 +275,7 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
     def g(z):
         return reaction_mu * z * (1.0 - z)
 
-    dde = SemilinearDDE(m_linear=KroneckerLaplacian(grid.n_interior, grid.dx, lam),
+    dde = SemilinearDDE(m_linear=SineLaplacian(grid.n_interior, grid.dx, (lam,), dims=2),
                         g=g, tau=tau,
                         history=lambda t: state0)
     return MolProblem(dde=dde)
@@ -280,8 +304,8 @@ class Example2Condition:
 
 def example2_condition(m_grid: int, lam: float, reaction_mu: float) -> Example2Condition:
     """Example 2's unconditional-stability test on an M-cell grid."""
-    if m_grid < 2 or lam <= 0.0 or reaction_mu <= 0.0:
-        raise InvalidParams("need M >= 2 and positive lambda, mu")
+    if m_grid < 2 or not (0.0 < lam < math.inf and 0.0 < reaction_mu < math.inf):
+        raise InvalidParams("need M >= 2 and positive, finite lambda, mu")
     denom = 8.0 * m_grid ** 2 * math.sin(math.pi / (2.0 * m_grid)) ** 2
     rhs = 3.0 * reaction_mu / denom
     return Example2Condition(

@@ -16,17 +16,22 @@ serves the whole run.  g is called once per step; the explicit stage
 reuses the previous step's value, and at theta = 1 there is no explicit
 delayed term.
 
-The linear part M is a dense numpy array or an operator; anything else,
-scipy.sparse included, raises ``InvalidParams``.  Both kinds give M @ z
-for the explicit stage, which is z_n + h (1-theta) [M z_n + g(d_n)] as
-written above.  The implicit stage of a dense M applies the inverse
-(I - theta h M)^{-1}, computed once from the LU factors of
-``linalg.solver_for`` (whose pivot rule raises ``Singular``), as one
-matvec per step.  An operator provides its own ``shifted_solver(c)``, a
-callable for (I + c M)^{-1}, plus ``shape`` and ``dtype``
-(``mol.KroneckerLaplacian`` is the one such operator).  The
-:class:`SolveStats` of each :class:`Trajectory` names the path that ran
-and counts the steps, g calls and seconds of set-up and stepping.
+The linear part M is a dense numpy array or an operator (anything else,
+scipy.sparse included, raises ``InvalidParams``), and the driver takes
+one of three paths, named in :class:`SolveStats`:
+
+* ``"dense-inverse"``, a dense M: one matvec per step with (I - theta h
+  M)^{-1}, formed once from ``linalg.solver_for`` (which raises ``Singular``);
+* ``"shifted"``, a semilinear problem whose M has its own
+  ``shifted_solver(c)``, a callable for (I + c M)^{-1}: one call per step;
+* ``"modes"``, a linear problem whose A has a sine basis (``to_modes``,
+  ``from_modes``, the eigenvalues ``omega`` and negation).  In a block of
+  L <= m steps (m - 1 when u > 0) every delayed value is known (the
+  method of steps), so a block's delayed terms are one product with
+  B^ = T B T^{-1}, T = to_modes, and its implicit stage is the elementwise
+  w_{n+1} = kappa w_n + f_n, kappa = (1 + h (1-theta) omega) /
+  (1 - h theta omega) with omega the eigenvalues of M = -A.  The block goes
+  back to physical space in one transform, for the guard and retention.
 
 The history is sampled at the grid times max(-k h, -tau), k = 0..m.  When
 u > 0 (or by rounding at u = 0) the time -m h lies below -tau; there the
@@ -47,28 +52,32 @@ from .errors import InvalidParams, TimeOffGrid
 from .stability import ThetaScheme
 
 OVERFLOW_GUARD = 1e100
+BLOCK_STEPS = 128
 
 
 @dataclass(frozen=True)
 class LinearDDE:
     """y'(t) = -a y(t) + b y(t - tau); ``a`` is the (expected positive
-    definite) factor on the minus sign.  ``history(t)`` is called for t in
-    [-tau, 0] only; before -tau the solver extends it as the constant
-    history(-tau)."""
+    definite) factor on the minus sign, dense or an operator with a sine
+    basis (see the module docstring).  ``history(t)`` is called for t in
+    [-tau, 0] only; before -tau the solver extends it as history(-tau)."""
 
-    a: np.ndarray
+    a: object
     b: np.ndarray
     tau: float
     history: object
 
     def __post_init__(self):
-        linalg.square_pair(self.a, self.b)
+        if not callable(getattr(self.a, "to_modes", None)):
+            object.__setattr__(self, "a", linalg.square_pair(self.a, self.b)[0])
+        elif linalg.as_square_matrix(self.b).shape != self.a.shape:
+            raise InvalidParams(f"A and B shapes differ: {self.a.shape} vs {np.shape(self.b)}")
         if not 0.0 < self.tau < math.inf:
             raise InvalidParams("tau must be finite and positive")
 
     @property
     def dim(self) -> int:
-        return np.asarray(self.a).shape[0]
+        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -106,12 +115,11 @@ class SemilinearDDE:
 class SolveStats:
     """How the stepping driver produced a trajectory.
 
-    ``path`` names the implicit solve: ``"dense-inverse"`` for a dense
-    linear part or ``"shifted"`` for an operator's own shifted solve.
-    ``steps`` and ``g_calls`` count what the run did, up to a halt by the
-    overflow guard.  ``setup_s`` is the time to build the implicit solve
-    (for the dense path, the factorization and the inverse);
-    ``stepping_s`` the time of the step loop."""
+    ``path`` is ``"dense-inverse"``, ``"shifted"`` or ``"modes"`` (see
+    the module docstring).  ``steps`` and ``g_calls`` count the steps taken
+    and the delayed terms they used, up to a halt by the overflow guard.
+    ``setup_s`` is the time to build the implicit solve (the inverse; on
+    the modes path, B^ and kappa); ``stepping_s`` the time of the steps."""
 
     path: str
     steps: int
@@ -202,11 +210,11 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     """The one stepping driver, for z' = M z + g(z(t - tau)).
 
     A ring buffer of m+2 states is indexed modulo by the absolute step
-    index n.  g is called once per step, on the implicit-stage delayed
-    value; the explicit stage of step n+1 reuses that result, since its
-    delayed value is the same interpolant of the same buffer rows.  At
-    theta = 1 the explicit stage is the current state itself: no matvec
-    and no explicit delayed term.
+    index n.  On the per-step paths g is called once per step, on the
+    implicit-stage delayed value; the explicit stage of step n+1 reuses
+    that result, since its delayed value is the same interpolant of the
+    same buffer rows.  At theta = 1 the explicit stage is the current
+    state itself: no matvec and no explicit delayed term.
     """
     _check_delay(scheme, prob.tau)
     m, h, u, theta = scheme.m, scheme.h, scheme.u, scheme.theta
@@ -222,6 +230,8 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
         eye = np.eye(dim, dtype=dtype)
         inverse = linalg.solver_for(eye - theta * h * m_linear).solve(eye)
         path, solve_step = "dense-inverse", inverse.__matmul__
+    elif isinstance(prob, LinearDDE):
+        path, march = "modes", _mode_blocks(m_linear, np.asarray(prob.b), scheme, dtype)
     else:
         path, solve_step = "shifted", m_linear.shifted_solver(-theta * h)
     setup_s = time.perf_counter() - t_setup
@@ -240,6 +250,7 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
         raise InvalidParams(
             f"history is not finite at every grid time in [{t_first:.6g}, 0]")
 
+    states = None
     if keep_trajectory:
         states = np.empty((n_steps + 1, dim), dtype=dtype)
         states[0] = buf[0]
@@ -257,27 +268,30 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     # a step may overflow straight to inf or NaN; the overflow guard
     # reports that as divergence, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        if theta < 1.0:
-            g_prev = np.asarray(g(delayed(-1)))
         t_stepping = time.perf_counter()
-        for n in range(n_steps):
-            g_new = np.asarray(g(delayed(n)))
-            rhs = buf[n % size]
+        if path == "modes":
+            last, diverged, peak = march(buf, states, n_steps, peak)
+        else:
             if theta < 1.0:
-                rhs = rhs + w_exp * (m_linear @ rhs + g_prev)
-                g_prev = g_new
-            new = solve_step(rhs + w_imp * g_new)
-            buf[(n + 1) % size] = new
-            last = n + 1
-            if keep_trajectory:
-                states[n + 1] = new
-            step_max = np.max(np.abs(new))
-            if not step_max <= peak:  # a NaN replaces the peak too
-                peak = step_max
-            if not step_max <= OVERFLOW_GUARD:  # NaN counts as diverged
-                diverged = True
-                break
-    # g ran once per step taken, plus once before the loop when theta < 1
+                g_prev = np.asarray(g(delayed(-1)))
+            for n in range(n_steps):
+                g_new = np.asarray(g(delayed(n)))
+                rhs = buf[n % size]
+                if theta < 1.0:
+                    rhs = rhs + w_exp * (m_linear @ rhs + g_prev)
+                    g_prev = g_new
+                new = solve_step(rhs + w_imp * g_new)
+                buf[(n + 1) % size] = new
+                last = n + 1
+                if keep_trajectory:
+                    states[n + 1] = new
+                step_max = np.max(np.abs(new))
+                if not step_max <= peak:  # a NaN replaces the peak too
+                    peak = step_max
+                if not step_max <= OVERFLOW_GUARD:  # NaN counts as diverged
+                    diverged = True
+                    break
+    # one delayed term per step taken, plus step 0's explicit one when theta < 1
     stats = SolveStats(path=path, steps=last, g_calls=last + int(theta < 1.0),
                        setup_s=setup_s,
                        stepping_s=time.perf_counter() - t_stepping)
@@ -296,19 +310,67 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                       stats=stats)
 
 
+def _mode_blocks(m_op, b: np.ndarray, scheme: ThetaScheme, dtype):
+    """Set up the modes path for z' = M z + B z(t - tau), M the operator
+    ``m_op``; return its march (buf, states, n_steps, peak) -> (steps taken,
+    diverged, peak).  A block holds at most ``BLOCK_STEPS`` steps, so its
+    scratch memory does not grow with m."""
+    m, h, u, theta = scheme.m, scheme.h, scheme.u, scheme.theta
+    size = m + 2
+    span = min(m if u == 0.0 else m - 1, BLOCK_STEPS)
+    ring = m + 1 + span
+    lhs = linalg.require_pivots(1.0 - theta * h * m_op.omega)
+    kappa = (1.0 + (1.0 - theta) * h * m_op.omega) / lhs
+    w_exp, w_imp = (1.0 - theta) * h / lhs, theta * h / lhs
+    # rows of mode coefficients times B^ = T B T^{-1}, for T = to_modes
+    b_hat_t = m_op.to_modes(m_op.from_modes(np.eye(b.shape[0], dtype=dtype)) @ b.T)
+
+    def march(buf, states, n_steps, peak):
+        w = np.empty((ring, b.shape[0]), dtype=dtype)  # row n % ring: modes of state n
+        w[np.arange(-m, 1) % ring] = m_op.to_modes(buf[np.arange(-m, 1) % size])
+        n0 = 0
+        while n0 < n_steps:
+            k = min(span, n_steps - n0)
+            # B^ times the implicit-stage delayed values of steps n0-1 .. n0+k-1
+            d = w[np.arange(n0 - m, n0 - m + k + 1) % ring]
+            if u != 0.0:
+                d = (1.0 - u) * d + u * w[np.arange(n0 - m + 1, n0 - m + k + 2) % ring]
+            g = d @ b_hat_t
+            new = w_imp * g[1:]
+            if theta < 1.0:
+                new += w_exp * g[:-1]
+            prev = w[n0 % ring]
+            for row in new:
+                row += kappa * prev
+                prev = row
+            w[np.arange(n0 + 1, n0 + k + 1) % ring] = new
+            z = m_op.from_modes(new)
+            row_max = np.max(np.abs(z), axis=1)
+            tripped = np.flatnonzero(~(row_max <= OVERFLOW_GUARD))  # NaN trips it
+            k = int(tripped[0]) + 1 if tripped.size else k
+            peak = np.maximum(peak, np.max(row_max[:k]))  # a NaN replaces the peak too
+            buf[np.arange(n0 + 1, n0 + 1 + k) % size] = z[:k]
+            if states is not None:
+                states[n0 + 1:n0 + 1 + k] = z[:k]
+            n0 += k
+            if tripped.size:
+                return n0, True, peak
+        return n_steps, False, peak
+
+    return march
+
+
 def solve_linear(prob: LinearDDE, scheme: ThetaScheme, t_end: float,
                  keep_trajectory: bool = True) -> Trajectory:
     """Integrate y' = -A y + B y(t - tau) up to (at least) t_end.
 
-    The inverse of the implicit matrix I + theta h A is computed once and
-    applied as one matvec per step; the run halts early with
-    ``diverged=True`` if any state exceeds the overflow guard of 1e100 in
-    max norm or holds a NaN.
+    A dense A takes the ``"dense-inverse"`` path, an operator the
+    ``"modes"`` path; the run halts early with ``diverged=True`` if any
+    state exceeds the overflow guard of 1e100 in max norm or holds a NaN.
     """
-    am = np.asarray(prob.a)
     bm = np.asarray(prob.b)
-    return _integrate(prob, scheme, -am, lambda d: bm @ d,
-                      np.result_type(am, bm), t_end, keep_trajectory)
+    return _integrate(prob, scheme, -prob.a, lambda d: bm @ d,
+                      np.result_type(prob.a.dtype, bm), t_end, keep_trajectory)
 
 
 def solve_semilinear(prob: SemilinearDDE, scheme: ThetaScheme, t_end: float,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddestab import cli, fov, reproduce, stability
+from ddestab import cli, fov, mol, reproduce, stability
 from ddestab.reproduce import EXAMPLE31_A, EXAMPLE31_B
 
 from conftest import write_matrix
@@ -373,6 +373,22 @@ class TestSolveCommand:
         assert "tau must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, flag, value", [
+        ("example1", "--lambda1", "inf"), ("example1", "--lambda1", "nan"),
+        ("example1", "--lambda2", "inf"), ("example1", "--l", "inf"),
+        ("example1", "--l", "nan"), ("example1", "--tau", "nan"),
+        ("example2", "--mu", "nan"), ("example2", "--mu", "inf"),
+        ("example2", "--lam", "nan"), ("example2", "--lam", "inf"),
+    ])
+    def test_non_finite_problem_parameter_exit_3(self, tmp_path, capsys, problem, flag,
+                                                 value):
+        out = tmp_path / "summary.json"
+        code = cli.main(["solve", "--problem", problem, "--grid-m", "10", "--m", "5",
+                         f"{flag}={value}", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("numerical failure in solve")
+        assert "Warning" not in err and not out.exists()
+
     def test_zero_history_zero_trajectory(self, tmp_path):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
         write_matrix(a_path, np.diag([1.0, 2.0]))
@@ -520,10 +536,36 @@ class TestReproduceCommand:
         assert exc.value.code == 2
 
 
+def example1_dense_pair(m_grid, lambda1, lambda2, l):
+    """Example1's (A, B) as it was assembled densely before its linear part
+    became a sine operator: A = -blockdiag(lambda1 L, lambda2 L)."""
+    n, dx = m_grid - 1, 2.0 / m_grid
+    l_mat = np.zeros((n, n))
+    np.fill_diagonal(l_mat, -2.0)
+    idx = np.arange(n - 1)
+    l_mat[idx, idx + 1] = 1.0
+    l_mat[idx + 1, idx] = 1.0
+    l_mat = l_mat / dx ** 2
+    a_mol = np.zeros((2 * n, 2 * n))
+    a_mol[:n, :n] = lambda1 * l_mat
+    a_mol[n:, n:] = lambda2 * l_mat
+    c = l + np.pi ** 2 / 4.0
+    eye = np.eye(n)
+    b_mol = math.exp(l * math.pi / 2.0) * np.block([[-eye, c * eye], [-c * eye, -eye]])
+    return -a_mol, b_mol
+
+
 def test_import_leaves_scipy_fft_unloaded():
-    # scipy.fft is imported where a DST-I shifted solve is built; importing
-    # it with the package would add about 0.1 s to every CLI start
+    # scipy.fft is imported where a 2-D DST-I is built; importing it with
+    # the package, or building example1 and its matrices (the set-up of
+    # check and oracle runs), would add about 0.1 s to every CLI start
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import ddestab, ddestab.cli, sys; assert 'scipy.fft' not in sys.modules"
+    code = ("import ddestab, ddestab.cli, sys; "
+            "ddestab.mol.build_example1(30, l=0.1).stability_matrices(); "
+            "assert 'scipy.fft' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    for args in ((100, 1.0, 1.0, -0.1), (100, 1.0, 1.0, 0.1), (7, 2.0, 0.5, -0.1)):
+        got = mol.build_example1(*args).stability_matrices()
+        for matrix, want in zip(got, example1_dense_pair(*args)):
+            assert matrix.dtype == want.dtype and matrix.tobytes() == want.tobytes()

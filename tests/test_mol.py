@@ -92,6 +92,11 @@ class TestExample1:
     def test_rejects_bad_parameters(self):
         with pytest.raises(errors.InvalidParams):
             mol.build_example1(5, -1.0, 1.0, 0.0, 1.0)
+        for bad in (math.inf, math.nan):
+            for args in ((bad, 1.0, 0.0, 1.0), (1.0, bad, 0.0, 1.0),
+                         (1.0, 1.0, bad, 1.0), (1.0, 1.0, 0.0, bad)):
+                with pytest.raises(errors.InvalidParams):
+                    mol.build_example1(5, *args)
 
 
 class TestExample2:
@@ -142,6 +147,14 @@ class TestExample2:
         assert abs(cond.margin - expected) <= 1e-15
         assert cond.slope_range == (-3.0, 9.0)
         assert cond.transformed_interval[0] < 0.0 < cond.transformed_interval[1]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_parameters(self, bad):
+        for lam, mu in ((bad, 3.0), (0.5, bad)):
+            with pytest.raises(errors.InvalidParams):
+                mol.build_example2(4, lam, mu, 1.0)
+            with pytest.raises(errors.InvalidParams):
+                mol.example2_condition(100, lam, mu)
 
     def test_condition_fails_for_small_diffusion(self):
         assert not mol.example2_condition(100, 1e-4, 3.0).holds
@@ -201,10 +214,29 @@ class TestKroneckerLaplacian:
         assert op.shape == csr.shape and op.dtype == csr.dtype
         assert np.array_equal(op.toarray(), csr.toarray())
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_modes_diagonalize_the_stencil(self, rng, dims):
+        # two components with their own coefficients, in 1-D and 2-D
+        op = mol.SineLaplacian(6, 0.3, (0.7, -1.5), dims=dims)
+        dense = op.toarray()
+        x = rng.standard_normal((3, op.shape[0]))
+        w = op.to_modes(x)
+        scale = np.max(np.abs(x))
+        assert np.max(np.abs(op.from_modes(w) - x)) <= 1e-14 * scale
+        scale *= np.max(np.abs(op.omega))
+        assert np.max(np.abs(op.from_modes(op.omega * w) - x @ dense.T)) <= 1e-14 * scale
+        rhs = x[0] + 1j * x[1]
+        got = op.shifted_solver(0.01)(rhs)
+        expected = np.linalg.solve(np.eye(op.shape[0]) + 0.01 * dense, rhs)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        neg = -op
+        assert np.array_equal(neg.omega, -op.omega)
+        assert np.array_equal(neg.toarray(), -dense) and np.array_equal(neg @ x[2], -(op @ x[2]))
+
     def test_singular_shift_raises(self):
         # 1 + c (omega_2 + omega_5) = delta; the largest |1 + c (...)| is about 0.93
         op = mol.build_example2(8, 0.5, 3.0, 1.0).dde.m_linear
-        pair = op.omega[2] + op.omega[5]
+        pair = op.omega[2 * 7 + 5]  # mode (2, 5) of the 7 x 7 grid: omega_2 + omega_5
         for delta in (0.0, 1e-15):
             with pytest.raises(errors.Singular):
                 op.shifted_solver(-(1.0 - delta) / pair)

@@ -210,7 +210,7 @@ class TestSemilinear:
 
     @pytest.mark.parametrize("operator", [False, True])
     def test_nan_forcing_flags_divergence(self, operator):
-        m_lin = mol.KroneckerLaplacian(2, 1.0 / 3.0, 0.5) if operator else -np.eye(4)
+        m_lin = mol.SineLaplacian(2, 1.0 / 3.0, (0.5,), dims=2) if operator else -np.eye(4)
         prob = SemilinearDDE(m_linear=m_lin, g=lambda z: np.full(4, np.nan),
                              tau=1.0, history=lambda t: np.ones(4))
         traj = solver.solve_semilinear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 3.0)
