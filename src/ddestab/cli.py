@@ -166,6 +166,8 @@ def _norm(state):
 
 
 def _cmd_solve(args) -> int:
+    if args.norm_only and not args.out_csv:
+        raise MatrixFileError("--norm-only needs --out-csv")
     dde, problem, t_end = _build_problem(args)
     scheme = stability.ThetaScheme(theta=args.theta, u=args.u, m=args.m, tau=dde.tau)
     # a CSV holds every state, so --out-csv implies full retention

@@ -14,11 +14,12 @@ to the theta solver:
 
 Both linear parts are a :class:`SineLaplacian`, the Dirichlet Laplacian
 (1-D, or the Kronecker sum L (+) L) times one coefficient per component,
-diagonalized by sine modes with the closed-form spectrum: the solver
-steps example1 in mode space and solves example2's implicit stages by
-2-D DST-I.  Example2's operator is its linear part M; example1's is the
-positive definite A of y' = -A y + B y(t - tau), which
-``stability_matrices`` returns as a dense array with B.
+diagonalized by sine modes with the closed-form spectrum, so the solver
+steps both problems in mode space: example1 by one product with the
+sine matrix, example2 by the 2-D DST-I.  Example2's operator is its
+linear part M; example1's is the positive definite A of
+y' = -A y + B y(t - tau), which ``stability_matrices`` returns as a dense
+array with B.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InvalidParams
-from .linalg import require_pivots
 from .solver import LinearDDE, SemilinearDDE, Trajectory
 
 __all__ = [
@@ -95,19 +94,14 @@ class SineLaplacian:
     and ``omega`` is each mode's closed-form eigenvalue.  In 1-D the map is
     one product with S_jk = sqrt(2/M) sin(pi j k / M), its own inverse; in
     2-D, the 2-D DST-I and its inverse (Buzbee, Golub and Nielson, SIAM J.
-    Numer. Anal. 7, 1970).  ``@``, ``toarray()``, ``shape`` and ``dtype``
-    use the stencil in CSR; ``-op`` negates the coefficients."""
+    Numer. Anal. 7, 1970).  ``toarray()`` assembles the dense stencil,
+    ``shape`` and ``dtype`` are those of ``omega``'s diagonal, and ``-op``
+    negates the coefficients."""
 
     def __init__(self, n: int, dx: float, coefs, dims: int = 1):
         if dims not in (1, 2):
             raise InvalidParams(f"dims must be 1 or 2, got {dims}")
-        stencil = scipy.sparse.csr_matrix(dirichlet_laplacian(n, dx))
-        if dims == 2:
-            eye = scipy.sparse.identity(n, format="csr")
-            stencil = scipy.sparse.kron(stencil, eye) + scipy.sparse.kron(eye, stencil)
-        blocks = [c * stencil for c in coefs]  # one block stays as it is: no COO copy
-        self._stencil = blocks[0] if len(blocks) == 1 else scipy.sparse.block_diag(
-            blocks, format="csr")
+        self._n, self._dx, self._coefs = n, dx, tuple(coefs)
         omega = [c * dirichlet_eigenvalues(n, dx) for c in coefs]
         if dims == 2:
             omega = [(w[:, None] + w[None, :]).ravel() for w in omega]
@@ -120,23 +114,25 @@ class SineLaplacian:
 
     @property
     def shape(self) -> tuple:
-        return self._stencil.shape
+        return self.omega.shape * 2
 
     @property
     def dtype(self):
-        return self._stencil.dtype
-
-    def __matmul__(self, x):
-        return self._stencil @ x
+        return self.omega.dtype
 
     def __neg__(self) -> SineLaplacian:
         neg = copy.copy(self)  # the sine basis is shared
-        neg._stencil, neg.omega = -self._stencil, -self.omega
+        neg._coefs, neg.omega = tuple(-c for c in self._coefs), -self.omega
         return neg
 
     def toarray(self) -> np.ndarray:
-        # every zero comes out as -0.0, the bits example1's dense A had
-        return -(-self._stencil).toarray()
+        block = dirichlet_laplacian(self._n, self._dx)
+        if len(self._grid) == 3:
+            eye = np.eye(self._n)
+            block = np.kron(block, eye) + np.kron(eye, block)
+        out = np.kron(np.diag(self._coefs), block)  # blockdiag(c_1 D, ..., c_k D)
+        out[out == 0.0] = -0.0  # the zeros example1's dense A had
+        return out
 
     def to_modes(self, states) -> np.ndarray:
         """Mode coefficients of each state in a stack (over the last axis)."""
@@ -146,7 +142,7 @@ class SineLaplacian:
         """The states with mode coefficients ``coefs``: ``to_modes`` inverted."""
         return self._transform(coefs, inverse=True)
 
-    def _transform(self, x, inverse: bool, overwrite: bool = False) -> np.ndarray:
+    def _transform(self, x, inverse: bool) -> np.ndarray:
         x = np.asarray(x)
         if self._sine is not None:
             return (x.reshape(-1, self._grid[-1]) @ self._sine).reshape(x.shape)
@@ -154,20 +150,7 @@ class SineLaplacian:
         from scipy.fft import dstn, idstn
 
         grid = x.reshape(x.shape[:-1] + self._grid)
-        return (idstn if inverse else dstn)(grid, type=1, axes=(-2, -1),
-                                            overwrite_x=overwrite).reshape(x.shape)
-
-    def shifted_solver(self, c: float):
-        """Return r -> (I + c M)^{-1} r = from_modes(to_modes(r) / (1 + c omega))
-        for flat r; raises :class:`Singular` by ``linalg.require_pivots``."""
-        denom = require_pivots(1.0 + c * self.omega)
-
-        def solve(rhs):  # in place after the forward transform: one new array per solve
-            coef = self.to_modes(rhs)
-            coef /= denom
-            return self._transform(coef, inverse=True, overwrite=True)
-
-        return solve
+        return (idstn if inverse else dstn)(grid, type=1, axes=(-2, -1)).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -261,9 +244,9 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
     """2-D diffusion with logistic delayed reaction mu z (1 - z).
 
     The Laplacian lam (L (+) L) on the (M-1)^2 interior nodes (x fast,
-    y slow) is a 2-D :class:`SineLaplacian`, whose implicit solves are
-    DST-I shifted solves; the history is the
-    stationary initial profile sin(pi x) sin(pi y).
+    y slow) is a 2-D :class:`SineLaplacian`, which the solver steps in
+    its DST-I modes; the history is the stationary initial profile
+    sin(pi x) sin(pi y).
     """
     if not (0.0 < lam < math.inf and 0.0 < reaction_mu < math.inf):
         raise InvalidParams("lambda and mu must be positive and finite")

@@ -11,27 +11,24 @@ advances
 
 with the delayed value of the implicit stage interpolated linearly,
 d_{n+1} = (1-u) z_{n-m+1} + u z_{n-m+2}.  g acts on the delayed state
-only, so the implicit stage stays linear: one solver for I - theta h M
-serves the whole run.  g is called once per step; the explicit stage
-reuses the previous step's value, and at theta = 1 there is no explicit
-delayed term.
+only, and within k <= m steps (m - 1 when u > 0) every delayed value is
+already known (the method of steps).  So the driver marches in blocks of
+k steps: it evaluates a block's delayed terms f_n together (g once per
+step; the explicit stage carries the previous step's term), advances
+w_{n+1} = K w_n + f_n state by state and returns to physical space once
+per block, for the overflow guard, the peak and retention.
 
-The linear part M is a dense numpy array or an operator (anything else,
-scipy.sparse included, raises ``InvalidParams``), and the driver takes
-one of three paths, named in :class:`SolveStats`:
+The linear part M is a dense numpy array or an operator with a sine
+basis (``to_modes``, ``from_modes``, its eigenvalues ``omega``, and
+negation); anything else, scipy.sparse included, raises ``InvalidParams``.
+The two paths are named in :class:`SolveStats`:
 
-* ``"dense-inverse"``, a dense M: one matvec per step with (I - theta h
-  M)^{-1}, formed once from ``linalg.solver_for`` (which raises ``Singular``);
-* ``"shifted"``, a semilinear problem whose M has its own
-  ``shifted_solver(c)``, a callable for (I + c M)^{-1}: one call per step;
-* ``"modes"``, a linear problem whose A has a sine basis (``to_modes``,
-  ``from_modes``, the eigenvalues ``omega`` and negation).  In a block of
-  L <= m steps (m - 1 when u > 0) every delayed value is known (the
-  method of steps), so a block's delayed terms are one product with
-  B^ = T B T^{-1}, T = to_modes, and its implicit stage is the elementwise
-  w_{n+1} = kappa w_n + f_n, kappa = (1 + h (1-theta) omega) /
-  (1 - h theta omega) with omega the eigenvalues of M = -A.  The block goes
-  back to physical space in one transform, for the guard and retention.
+* ``"dense-inverse"``: w is the state, K = (I - theta h M)^{-1}
+  (I + (1-theta) h M) one matvec, and f_n carries (I - theta h M)^{-1},
+  formed once by ``linalg.solver_for`` (which raises ``Singular``);
+* ``"modes"``: w holds mode coefficients and K is the elementwise
+  kappa = (1 + h (1-theta) omega) / (1 - h theta omega).  On a linear
+  problem a block's delayed terms are one product with to_modes(B^T).
 
 The history is sampled at the grid times max(-k h, -tau), k = 0..m.  When
 u > 0 (or by rounding at u = 0) the time -m h lies below -tau; there the
@@ -52,15 +49,21 @@ from .errors import InvalidParams, TimeOffGrid
 from .stability import ThetaScheme
 
 OVERFLOW_GUARD = 1e100
-BLOCK_STEPS = 128
+# scratch per array in a block: ~165 steps of example1, 1 of example2 at M = 200
+BLOCK_BYTES = 256 * 1024
+
+
+def _has_modes(op) -> bool:
+    return callable(getattr(op, "to_modes", None))
 
 
 @dataclass(frozen=True)
 class LinearDDE:
     """y'(t) = -a y(t) + b y(t - tau); ``a`` is the (expected positive
-    definite) factor on the minus sign, dense or an operator with a sine
-    basis (see the module docstring).  ``history(t)`` is called for t in
-    [-tau, 0] only; before -tau the solver extends it as history(-tau)."""
+    definite) factor on the minus sign, a dense array or an operator with
+    a sine basis (see the module docstring), ``b`` a dense array.
+    ``history(t)`` is called for t in [-tau, 0] only; before -tau the
+    solver extends it as history(-tau)."""
 
     a: object
     b: np.ndarray
@@ -68,7 +71,7 @@ class LinearDDE:
     history: object
 
     def __post_init__(self):
-        if not callable(getattr(self.a, "to_modes", None)):
+        if not _has_modes(self.a):
             object.__setattr__(self, "a", linalg.square_pair(self.a, self.b)[0])
         elif linalg.as_square_matrix(self.b).shape != self.a.shape:
             raise InvalidParams(f"A and B shapes differ: {self.a.shape} vs {np.shape(self.b)}")
@@ -84,10 +87,9 @@ class LinearDDE:
 class SemilinearDDE:
     """z'(t) = m_linear z(t) + g(z(t - tau)) with a delayed-only
     nonlinearity; ``m_linear`` is a dense numpy array or an operator with
-    its own ``shifted_solver(c)`` (see the module docstring), and any
-    other kind raises ``InvalidParams``.  ``history(t)`` is called for t
-    in [-tau, 0] only; before -tau the solver extends it as the constant
-    history(-tau)."""
+    a sine basis (see the module docstring), and any other kind raises
+    ``InvalidParams``.  ``history(t)`` is called for t in [-tau, 0] only;
+    before -tau the solver extends it as the constant history(-tau)."""
 
     m_linear: object
     g: object
@@ -95,11 +97,10 @@ class SemilinearDDE:
     history: object
 
     def __post_init__(self):
-        if not (isinstance(self.m_linear, np.ndarray)
-                or callable(getattr(self.m_linear, "shifted_solver", None))):
+        if not (isinstance(self.m_linear, np.ndarray) or _has_modes(self.m_linear)):
             raise InvalidParams(
-                "linear part must be a dense numpy array or an operator with "
-                f"shifted_solver(c), got {type(self.m_linear).__name__}")
+                "linear part must be a dense numpy array or an operator with a "
+                f"sine basis (to_modes, from_modes, omega), got {type(self.m_linear).__name__}")
         shape = self.m_linear.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise InvalidParams(f"linear part must be square, got shape {shape}")
@@ -115,11 +116,12 @@ class SemilinearDDE:
 class SolveStats:
     """How the stepping driver produced a trajectory.
 
-    ``path`` is ``"dense-inverse"``, ``"shifted"`` or ``"modes"`` (see
-    the module docstring).  ``steps`` and ``g_calls`` count the steps taken
-    and the delayed terms they used, up to a halt by the overflow guard.
-    ``setup_s`` is the time to build the implicit solve (the inverse; on
-    the modes path, B^ and kappa); ``stepping_s`` the time of the steps."""
+    ``path`` is ``"dense-inverse"`` or ``"modes"`` (see the module
+    docstring).  ``steps`` and ``g_calls`` count the steps taken and the
+    delayed terms they used, up to a halt by the overflow guard.
+    ``setup_s`` is the time to build the implicit stage (the inverse and K;
+    on the modes path kappa, and to_modes(B^T) for a linear problem);
+    ``stepping_s`` the time of the steps."""
 
     path: str
     steps: int
@@ -207,15 +209,9 @@ def _n_steps(t_end: float, h: float) -> int:
 
 def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                keep_trajectory: bool) -> Trajectory:
-    """The one stepping driver, for z' = M z + g(z(t - tau)).
-
-    A ring buffer of m+2 states is indexed modulo by the absolute step
-    index n.  On the per-step paths g is called once per step, on the
-    implicit-stage delayed value; the explicit stage of step n+1 reuses
-    that result, since its delayed value is the same interpolant of the
-    same buffer rows.  At theta = 1 the explicit stage is the current
-    state itself: no matvec and no explicit delayed term.
-    """
+    """The one stepping driver, for z' = M z + g(z(t - tau)), on a ring
+    buffer of m+2 states indexed modulo by the absolute step index n.  A
+    block reads every delayed state it needs before it writes a state."""
     _check_delay(scheme, prob.tau)
     m, h, u, theta = scheme.m, scheme.h, scheme.u, scheme.theta
     dim = prob.dim
@@ -226,17 +222,31 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     dtype = np.result_type(dtype, probe, np.float64)
 
     t_setup = time.perf_counter()
+    w_exp, w_imp = h * (1.0 - theta), h * theta
     if isinstance(m_linear, np.ndarray):
+        path = "dense-inverse"
         eye = np.eye(dim, dtype=dtype)
-        inverse = linalg.solver_for(eye - theta * h * m_linear).solve(eye)
-        path, solve_step = "dense-inverse", inverse.__matmul__
-    elif isinstance(prob, LinearDDE):
-        path, march = "modes", _mode_blocks(m_linear, np.asarray(prob.b), scheme, dtype)
+        inverse = linalg.solver_for(eye - w_imp * m_linear).solve(eye)
+        step = inverse if theta == 1.0 else inverse @ (eye + w_exp * m_linear)
+        to_modes = from_modes = lambda x: x
+        lift = lambda g_rows: g_rows @ inverse.T
+        advance = step.__matmul__
     else:
-        path, solve_step = "shifted", m_linear.shifted_solver(-theta * h)
+        path = "modes"
+        lhs = linalg.require_pivots(1.0 - w_imp * m_linear.omega)
+        kappa = (1.0 + w_exp * m_linear.omega) / lhs
+        w_exp, w_imp = w_exp / lhs, w_imp / lhs
+        to_modes = lift = m_linear.to_modes
+        from_modes = m_linear.from_modes
+        advance = lambda w: kappa * w
+    if path == "modes" and isinstance(prob, LinearDDE):
+        fold = to_modes(np.asarray(prob.b).T)
+        terms = lambda d: d @ fold
+    else:
+        def terms(d):
+            g_rows = [np.asarray(g(row), dtype=dtype) for row in d]
+            return lift(g_rows[0][None] if len(g_rows) == 1 else np.stack(g_rows))
     setup_s = time.perf_counter() - t_setup
-    w_exp = h * (1.0 - theta)
-    w_imp = h * theta
 
     n_steps = _n_steps(t_end, h)
     size = m + 2
@@ -256,108 +266,74 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
         states[0] = buf[0]
     peak = np.max(np.abs(buf[0]))
 
-    def delayed(n):
-        """Interpolated delayed state of the implicit stage of step n."""
-        z1 = buf[(n - m + 1) % size]
-        if u == 0.0:
-            return z1
-        return (1.0 - u) * z1 + u * buf[(n - m + 2) % size]
+    def ring(first, k):
+        """States first .. first + k - 1 of the buffer: a view unless they wrap."""
+        start = first % size
+        if start + k <= size:
+            return buf[start:start + k]
+        return buf[np.arange(first, first + k) % size]
 
+    def delayed_terms(n0, k):
+        """Terms of the implicit-stage delayed values of steps n0 .. n0 + k - 1."""
+        d = ring(n0 - m + 1, k)
+        if u != 0.0:
+            d = (1.0 - u) * d + u * ring(n0 - m + 2, k)
+        return terms(d)
+
+    span = min(m if u == 0.0 else m - 1,
+               max(1, BLOCK_BYTES // (dim * np.dtype(dtype).itemsize)))
     diverged = False
-    last = 0
+    n0 = 0
     # a step may overflow straight to inf or NaN; the overflow guard
     # reports that as divergence, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         t_stepping = time.perf_counter()
-        if path == "modes":
-            last, diverged, peak = march(buf, states, n_steps, peak)
-        else:
-            if theta < 1.0:
-                g_prev = np.asarray(g(delayed(-1)))
-            for n in range(n_steps):
-                g_new = np.asarray(g(delayed(n)))
-                rhs = buf[n % size]
-                if theta < 1.0:
-                    rhs = rhs + w_exp * (m_linear @ rhs + g_prev)
-                    g_prev = g_new
-                new = solve_step(rhs + w_imp * g_new)
-                buf[(n + 1) % size] = new
-                last = n + 1
-                if keep_trajectory:
-                    states[n + 1] = new
-                step_max = np.max(np.abs(new))
-                if not step_max <= peak:  # a NaN replaces the peak too
-                    peak = step_max
-                if not step_max <= OVERFLOW_GUARD:  # NaN counts as diverged
-                    diverged = True
-                    break
+        prev = to_modes(buf[0])
+        if theta < 1.0:
+            carry = w_exp * delayed_terms(-1, 1)[0]
+        while n0 < n_steps:
+            k = min(span, n_steps - n0)
+            new = delayed_terms(n0, k)  # turned in place into f_n, then w_{n+1}
+            if theta < 1.0:  # the explicit stage carries the previous step's term
+                explicit = w_exp * new
+                new *= w_imp
+                new[0] += carry
+                new[1:] += explicit[:-1]
+                carry = explicit[-1]
+            else:
+                new *= w_imp
+            for row in new:
+                row += advance(prev)
+                prev = row
+            z = from_modes(new)
+            row_max = np.max(np.abs(z), axis=1)
+            tripped = np.flatnonzero(~(row_max <= OVERFLOW_GUARD))  # NaN trips it
+            if tripped.size:
+                k, diverged = int(tripped[0]) + 1, True
+            peak = np.maximum(peak, np.max(row_max[:k]))  # a NaN replaces the peak too
+            buf[np.arange(n0 + 1, n0 + 1 + k) % size] = z[:k]
+            if keep_trajectory:
+                states[n0 + 1:n0 + 1 + k] = z[:k]
+            n0 += k
+            if diverged:
+                break
     # one delayed term per step taken, plus step 0's explicit one when theta < 1
-    stats = SolveStats(path=path, steps=last, g_calls=last + int(theta < 1.0),
+    stats = SolveStats(path=path, steps=n0, g_calls=n0 + int(theta < 1.0),
                        setup_s=setup_s,
                        stepping_s=time.perf_counter() - t_stepping)
 
     if keep_trajectory:
-        times = h * np.arange(last + 1)
-        return Trajectory(times=times, states=states[:last + 1], scheme=scheme,
+        times = h * np.arange(n0 + 1)
+        return Trajectory(times=times, states=states[:n0 + 1], scheme=scheme,
                           diverged=diverged, peak_max_norm=float(peak),
                           stats=stats)
     # window mode: return the trailing buffer in time order
-    n_keep = min(size, last + m + 1)
-    idx = np.arange(last - n_keep + 1, last + 1)
+    n_keep = min(size, n0 + m + 1)
+    idx = np.arange(n0 - n_keep + 1, n0 + 1)
     return Trajectory(times=h * idx.astype(float),
                       states=buf[idx % size].copy(), scheme=scheme,
                       diverged=diverged, peak_max_norm=float(peak),
                       stats=stats)
-
-
-def _mode_blocks(m_op, b: np.ndarray, scheme: ThetaScheme, dtype):
-    """Set up the modes path for z' = M z + B z(t - tau), M the operator
-    ``m_op``; return its march (buf, states, n_steps, peak) -> (steps taken,
-    diverged, peak).  A block holds at most ``BLOCK_STEPS`` steps, so its
-    scratch memory does not grow with m."""
-    m, h, u, theta = scheme.m, scheme.h, scheme.u, scheme.theta
-    size = m + 2
-    span = min(m if u == 0.0 else m - 1, BLOCK_STEPS)
-    ring = m + 1 + span
-    lhs = linalg.require_pivots(1.0 - theta * h * m_op.omega)
-    kappa = (1.0 + (1.0 - theta) * h * m_op.omega) / lhs
-    w_exp, w_imp = (1.0 - theta) * h / lhs, theta * h / lhs
-    # rows of mode coefficients times B^ = T B T^{-1}, for T = to_modes
-    b_hat_t = m_op.to_modes(m_op.from_modes(np.eye(b.shape[0], dtype=dtype)) @ b.T)
-
-    def march(buf, states, n_steps, peak):
-        w = np.empty((ring, b.shape[0]), dtype=dtype)  # row n % ring: modes of state n
-        w[np.arange(-m, 1) % ring] = m_op.to_modes(buf[np.arange(-m, 1) % size])
-        n0 = 0
-        while n0 < n_steps:
-            k = min(span, n_steps - n0)
-            # B^ times the implicit-stage delayed values of steps n0-1 .. n0+k-1
-            d = w[np.arange(n0 - m, n0 - m + k + 1) % ring]
-            if u != 0.0:
-                d = (1.0 - u) * d + u * w[np.arange(n0 - m + 1, n0 - m + k + 2) % ring]
-            g = d @ b_hat_t
-            new = w_imp * g[1:]
-            if theta < 1.0:
-                new += w_exp * g[:-1]
-            prev = w[n0 % ring]
-            for row in new:
-                row += kappa * prev
-                prev = row
-            w[np.arange(n0 + 1, n0 + k + 1) % ring] = new
-            z = m_op.from_modes(new)
-            row_max = np.max(np.abs(z), axis=1)
-            tripped = np.flatnonzero(~(row_max <= OVERFLOW_GUARD))  # NaN trips it
-            k = int(tripped[0]) + 1 if tripped.size else k
-            peak = np.maximum(peak, np.max(row_max[:k]))  # a NaN replaces the peak too
-            buf[np.arange(n0 + 1, n0 + 1 + k) % size] = z[:k]
-            if states is not None:
-                states[n0 + 1:n0 + 1 + k] = z[:k]
-            n0 += k
-            if tripped.size:
-                return n0, True, peak
-        return n_steps, False, peak
-
-    return march
 
 
 def solve_linear(prob: LinearDDE, scheme: ThetaScheme, t_end: float,
@@ -377,8 +353,9 @@ def solve_semilinear(prob: SemilinearDDE, scheme: ThetaScheme, t_end: float,
                      keep_trajectory: bool = True) -> Trajectory:
     """Integrate z' = M z + g(z(t - tau)) up to (at least) t_end.
 
-    g is evaluated at the interpolated delayed state, so each step solves
-    the single linear system (I - theta h M) z_{n+1} = rhs.
+    g is evaluated once per step at the interpolated delayed state, so
+    the implicit stage stays linear; a dense M takes the
+    ``"dense-inverse"`` path, an operator the ``"modes"`` path.
     """
     mm = prob.m_linear
     return _integrate(prob, scheme, mm, prob.g, mm.dtype, t_end, keep_trajectory)

@@ -498,6 +498,14 @@ class TestSolveCommand:
         assert done.returncode == 0 and done.stderr == ""
         assert json.loads(done.stdout)["diverged"] is True
 
+    def test_norm_only_without_out_csv_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert cli.main(["solve", "--problem", "example1", "--grid-m", "10",
+                         "--m", "4", "--norm-only", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--out-csv" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_norm_only_csv_ends_at_final_norm(self, tmp_path):
         # the last state is finite (5e305) but its square is not
         csv, out = tmp_path / "n.csv", tmp_path / "s.json"
@@ -558,12 +566,14 @@ def example1_dense_pair(m_grid, lambda1, lambda2, l):
 def test_import_leaves_scipy_fft_unloaded():
     # scipy.fft is imported where a 2-D DST-I is built; importing it with
     # the package, or building example1 and its matrices (the set-up of
-    # check and oracle runs), would add about 0.1 s to every CLI start
+    # check and oracle runs), would add about 0.1 s to every CLI start.
+    # No program path needs scipy.sparse at all.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import ddestab, ddestab.cli, sys; "
             "ddestab.mol.build_example1(30, l=0.1).stability_matrices(); "
-            "assert 'scipy.fft' not in sys.modules")
+            "assert 'scipy.fft' not in sys.modules; "
+            "assert 'scipy.sparse' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
     for args in ((100, 1.0, 1.0, -0.1), (100, 1.0, 1.0, 0.1), (7, 2.0, 0.5, -0.1)):
         got = mol.build_example1(*args).stability_matrices()

@@ -1,14 +1,16 @@
-"""The modes path of the stepping driver (example1 in its sine basis,
-stepped a delay-block at a time) against the dense-inverse path and
-against example1's closed-form single-mode recurrence."""
+"""The modes path of the stepping driver (example1 and example2 in their
+sine bases, stepped a block at a time) against the dense-inverse path,
+against example1's closed-form single-mode recurrence and against
+one-step blocks."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from ddestab import errors, mol, solver
-from ddestab.solver import LinearDDE
+from ddestab.solver import LinearDDE, SemilinearDDE
 from ddestab.stability import ThetaScheme
 
 
@@ -79,9 +81,10 @@ def test_matches_dense_inverse(theta, u, m, l):
 
 @pytest.mark.parametrize("u", [0.0, 0.3])
 def test_blocks_shorter_than_the_delay(monkeypatch, u):
-    # a block holds at most BLOCK_STEPS steps; with 5 of them m = 25 takes
-    # five blocks per delay, and the halt at l = 40 falls inside one
-    monkeypatch.setattr(solver, "BLOCK_STEPS", 5)
+    # a block holds at most BLOCK_BYTES of states; with five rows of ten
+    # float64 (400 bytes) m = 25 takes five blocks per delay, and the halt
+    # at l = 40 falls inside one
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 5 * 10 * 8)
     for l, t_end in ((-0.1, 7.3 * 0.05), (40.0, 20.0)):
         dde = mol.build_example1(6, 1.0, 0.6, l, 0.05 if l < 0 else math.pi / 2).dde
         s = ThetaScheme(0.5, u, 25, dde.tau)
@@ -148,3 +151,31 @@ def test_operator_and_b_must_match():
         LinearDDE(op, np.eye(4), 1.0, lambda t: np.ones(3))
     with pytest.raises(errors.InvalidParams):
         LinearDDE(op, np.full((3, 3), np.nan), 1.0, lambda t: np.ones(3))
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("u", [0.0, 0.5])
+def test_one_step_blocks(monkeypatch, theta, u):
+    # example2's states at M = 200 (317 KB) exceed BLOCK_BYTES, so each of
+    # its blocks is one step; a 1-byte budget does the same at M = 16
+    dde = mol.build_example2(16, 0.5, 3.0, 1.0).dde
+    s = ThetaScheme(theta, u, 10, dde.tau)
+
+    def run():
+        g_calls, blocks = [], []
+        op = copy.copy(dde.m_linear)
+        op.from_modes = lambda w: blocks.append(1) or dde.m_linear.from_modes(w)
+        prob = SemilinearDDE(op, lambda z: g_calls.append(1) or dde.g(z), dde.tau,
+                             dde.history)
+        traj = solver.solve_semilinear(prob, s, 3.0)
+        assert traj.stats.path == "modes" and not traj.diverged
+        assert len(g_calls) == traj.stats.steps + int(theta < 1.0) == traj.stats.g_calls
+        return traj, len(blocks)
+
+    ref, ref_blocks = run()
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 1)
+    got, got_blocks = run()
+    span = s.m if u == 0.0 else s.m - 1
+    assert ref_blocks == math.ceil(ref.stats.steps / span) and got_blocks == got.stats.steps
+    assert np.array_equal(got.times, ref.times)
+    assert np.max(np.abs(got.states - ref.states)) <= 1e-13 * np.max(np.abs(ref.states))

@@ -197,20 +197,24 @@ class TestKroneckerLaplacian:
     @pytest.mark.parametrize("m_grid", [2, 3, 4, 17, 64])
     @pytest.mark.parametrize("c", [0.0, -0.05, -0.5])
     def test_shifted_solve_matches_splu(self, rng, m_grid, c):
+        # one driver step of example2 with g = 0 from a complex state r solves
+        # (I + c M) z_1 = (I + (h + c) M) r with c = -theta h: theta = 1 and
+        # h = -c, except at c = 0, the explicit step (theta = 0, h = 0.05)
         op = mol.build_example2(m_grid, 0.5, 3.0, 1.0).dde.m_linear
-        dim = (m_grid - 1) ** 2
-        shifted = scipy.sparse.identity(dim, dtype=complex) + c * kron_sum_csr(m_grid, 0.5)
-        rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        expected = scipy.sparse.linalg.splu(shifted.tocsc()).solve(rhs)
-        got = op.shifted_solver(c)(rhs)
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        theta, h = (1.0, -c) if c else (0.0, 0.05)
+        r = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        prob = solver.SemilinearDDE(op, np.zeros_like, h, lambda t: r)
+        traj = solver.solve_semilinear(prob, stability.ThetaScheme(theta, 0.0, 1, h), h)
+        csr = kron_sum_csr(m_grid, 0.5)
+        shifted = scipy.sparse.identity(op.shape[0], dtype=complex) + c * csr
+        expected = scipy.sparse.linalg.splu(shifted.tocsc()).solve(r + (h + c) * (csr @ r))
+        assert traj.stats.path == "modes" and traj.stats.steps == 1
+        assert np.linalg.norm(traj.states[1] - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("m_grid", [2, 5, 32])
-    def test_matvec_is_the_stencil(self, rng, m_grid):
+    def test_matvec_is_the_stencil(self, m_grid):
         op = mol.build_example2(m_grid, 0.7, 3.0, 1.0).dde.m_linear
         csr = kron_sum_csr(m_grid, 0.7)
-        x = rng.standard_normal(csr.shape[0])
-        assert np.array_equal(op @ x, csr @ x)
         assert op.shape == csr.shape and op.dtype == csr.dtype
         assert np.array_equal(op.toarray(), csr.toarray())
 
@@ -225,22 +229,29 @@ class TestKroneckerLaplacian:
         assert np.max(np.abs(op.from_modes(w) - x)) <= 1e-14 * scale
         scale *= np.max(np.abs(op.omega))
         assert np.max(np.abs(op.from_modes(op.omega * w) - x @ dense.T)) <= 1e-14 * scale
-        rhs = x[0] + 1j * x[1]
-        got = op.shifted_solver(0.01)(rhs)
-        expected = np.linalg.solve(np.eye(op.shape[0]) + 0.01 * dense, rhs)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
         neg = -op
         assert np.array_equal(neg.omega, -op.omega)
-        assert np.array_equal(neg.toarray(), -dense) and np.array_equal(neg @ x[2], -(op @ x[2]))
+        assert np.array_equal(neg.toarray(), -dense)
 
     def test_singular_shift_raises(self):
-        # 1 + c (omega_2 + omega_5) = delta; the largest |1 + c (...)| is about 0.93
+        # M = -(example2's operator) has the positive eigenvalue pair =
+        # omega_2 + omega_5 (mode (2, 5) of the 7 x 7 grid); a theta = 1 step
+        # of h = (1 - delta) / pair leaves the pivot 1 - h pair = delta, and
+        # the largest |1 - h omega| is about 0.93
         op = mol.build_example2(8, 0.5, 3.0, 1.0).dde.m_linear
-        pair = op.omega[2 * 7 + 5]  # mode (2, 5) of the 7 x 7 grid: omega_2 + omega_5
+        pair = -op.omega[2 * 7 + 5]
+
+        def run(delta):
+            h = (1.0 - delta) / pair
+            s = stability.ThetaScheme(1.0, 0.0, 1, h)
+            hist = lambda t: np.ones(op.shape[0])
+            solver.solve_semilinear(solver.SemilinearDDE(-op, np.zeros_like, h, hist), s, h)
+            solver.solve_linear(solver.LinearDDE(op, np.zeros(op.shape), h, hist), s, h)
+
         for delta in (0.0, 1e-15):
             with pytest.raises(errors.Singular):
-                op.shifted_solver(-(1.0 - delta) / pair)
-        op.shifted_solver(-(1.0 - 1e-11) / pair)  # above the 1e-14 floor
+                run(delta)
+        run(1e-11)  # above the 1e-14 floor
 
 
 class TestDiscreteError:

@@ -196,7 +196,7 @@ class TestSemilinear:
 
     @pytest.mark.parametrize("kind", ["csr", "list", "linear-operator"])
     def test_other_linear_parts_rejected(self, kind):
-        # a dense array or an operator with shifted_solver(c), nothing else
+        # a dense array or an operator with a sine basis, nothing else
         import scipy.sparse
         import scipy.sparse.linalg
 
@@ -221,14 +221,14 @@ class TestSemilinear:
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("u", [0.0, 0.5])
     def test_shifted_solve_operator_matches_csr(self, theta, u):
-        # example2 through its DST-I operator against the same problem on
-        # its CSR stencil as a dense array (the precomputed inverse path)
+        # example2 stepped in its DST-I modes against the same problem with
+        # its stencil as a dense array (the precomputed inverse path)
         dde = mol.build_example2(16, 0.5, 3.0, 1.0).dde
         on_csr = SemilinearDDE(dde.m_linear.toarray(), dde.g, dde.tau, dde.history)
         s = ThetaScheme(theta, u, 600 if theta == 0.0 else 10, 1.0)  # explicit: h |M| < 2
         got = solver.solve_semilinear(dde, s, 2.0)
         ref = solver.solve_semilinear(on_csr, s, 2.0)
-        assert got.stats.path == "shifted" and ref.stats.path == "dense-inverse"
+        assert got.stats.path == "modes" and ref.stats.path == "dense-inverse"
         assert not ref.diverged and np.array_equal(got.times, ref.times)
         assert np.max(np.abs(got.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
 
@@ -344,7 +344,7 @@ class TestDenseInverse:
 
 class TestSolveStats:
     @pytest.mark.parametrize("kind, path", [("dense", "dense-inverse"),
-                                            ("operator", "shifted")])
+                                            ("operator", "modes")])
     def test_path_names_the_implicit_solve(self, kind, path):
         dde = mol.build_example2(8, 0.5, 3.0, 1.0).dde
         m_lin = {"dense": dde.m_linear.toarray(), "operator": dde.m_linear}[kind]

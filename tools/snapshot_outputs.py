@@ -7,10 +7,13 @@ The snapshot holds what the command line prints and writes for:
 * the seeded ``check``, ``oracle`` and ``solve`` operations of the
   benchmark (``bench/workloads.build_ops``), with their input files;
 * the four ``reproduce`` targets, ``table1`` with ``--full``;
-* ``region``, ``fov`` with and without ``--matrix-b``, example1 at
-  theta = 1/2 with its trajectory CSV, and a few inputs at the edges
+* ``region``, ``fov`` with and without ``--matrix-b``, trajectory CSVs of
+  example1 at theta = 1/2, of example2 (M = 16) at theta = 1 and 1/2 and
+  of a decaying ``--problem linear`` run at theta = 1/2, u = 1/2, so that
+  every stepping path shows its states; and a few inputs at the edges
   (``fov --p`` without ``--matrix-b``, a diverging ``solve`` with and
-  without a norm-only CSV, ``check --p-grid nan``, matrix files whose
+  without a norm-only CSV and with ``--norm-only`` but no CSV,
+  ``check --p-grid nan``, matrix files whose
   ``rows`` is 2.5 or whose entries are ``[re]`` lists, mixed or hold a
   string, and ``check`` of example 3.1 with ``--n-angles 4`` and with an
   empty ``--p-grid``);
@@ -112,11 +115,20 @@ def snapshot(ddestab, seed: int) -> None:
     run(main, "solve-diverged-kept", linear + ["--keep-trajectory"])
     run(main, "solve-diverged-norm-csv",
         linear + ["--out-csv", "diverged-norm.csv", "--norm-only"])
+    run(main, "solve-norm-only-without-csv", linear + ["--norm-only"])
     run(main, "solve-ex1-cn-csv", ["solve", "--problem", "example1", "--grid-m", "20",
                                    "--m", "5", "--theta", "0.5", "--t-end", "5",
                                    "--out-csv", "ex1-cn.csv"])
-
+    for name, theta in (("be", "1"), ("cn", "0.5")):
+        run(main, f"solve-ex2-{name}-csv", ["solve", "--problem", "example2", "--grid-m", "16",
+                                           "--m", "10", "--theta", theta, "--t-end", "3",
+                                           "--out-csv", f"ex2-{name}.csv"])
     workloads.write_matrix("spd.json", [[2.0, 0.5], [0.5, 3.0]])
+    run(main, "solve-linear-cn-csv", ["solve", "--problem", "linear", "--matrix-a", "spd.json",
+                                      "--matrix-b", "b.json", "--tau", "1", "--m", "4",
+                                      "--theta", "0.5", "--u", "0.5", "--t-end", "10",
+                                      "--out-csv", "linear-cn.csv"])
+
     run(main, "check-p-grid-nan", ["check", "--matrix-a", "spd.json", "--matrix-b",
                                    "b.json", "--tau", "1", "--m", "2", "--p-grid", "nan"])
     Path("rows-float.json").write_text(
