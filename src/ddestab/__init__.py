@@ -56,10 +56,7 @@ from .stability import (
     gamma_y,
     in_dy,
     oracle_stability,
-    simdiag_analysis,
     simdiag_pairs,
-    step_certificate,
-    unconditional_certificate,
 )
 
 __version__ = "0.1.0"
@@ -75,8 +72,7 @@ __all__ = [
     "CERTIFIED_UNSTABLE", "STABLE_FOR_THIS_STEP", "UNCERTIFIED",
     "UNCONDITIONALLY_STABLE", "DyMembership", "Evidence", "OracleVerdict",
     "RegionBoundary", "StabilityReport", "ThetaScheme", "build_w", "certify",
-    "gamma_y", "in_dy", "oracle_stability", "simdiag_analysis",
-    "simdiag_pairs", "step_certificate", "unconditional_certificate",
+    "gamma_y", "in_dy", "oracle_stability", "simdiag_pairs",
     # solver
     "LinearDDE", "SemilinearDDE", "Trajectory", "solve_linear",
     "solve_semilinear",

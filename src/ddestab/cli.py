@@ -128,23 +128,34 @@ def _cmd_fov(args) -> int:
     return 0
 
 
+# The solve options that only some problems read.  These, and --tau and
+# --t-end, whose defaults depend on the problem, are in ``args`` only when given.
+_READ_BY = {"example1": ("grid_m", "lambda1", "lambda2", "l"),
+            "example2": ("grid_m", "lam", "mu"),
+            "linear": ("matrix_a", "matrix_b", "history_const")}
+
+
 def _build_problem(args):
+    unread = [name for names in _READ_BY.values() for name in names
+              if hasattr(args, name) and name not in _READ_BY[args.problem]]
+    if unread:
+        raise MatrixFileError(f"--problem {args.problem} does not read "
+                              f"--{unread[0].replace('_', '-')}")
+    opt = vars(args).get
     if args.problem == "example1":
-        tau = args.tau if args.tau is not None else math.pi / 2.0
-        problem = mol.build_example1(args.grid_m, args.lambda1, args.lambda2,
-                                     args.l, tau)
-        t_end = args.t_end if args.t_end is not None else 10.0 * math.pi
-        return problem.dde, problem, t_end
+        problem = mol.build_example1(opt("grid_m", 100), opt("lambda1", 1.0),
+                                     opt("lambda2", 1.0), opt("l", -0.1),
+                                     opt("tau", math.pi / 2.0))
+        return problem.dde, problem, opt("t_end", 10.0 * math.pi)
     if args.problem == "example2":
-        tau = args.tau if args.tau is not None else 1.0
-        problem = mol.build_example2(args.grid_m, args.lam, args.mu, tau)
-        t_end = args.t_end if args.t_end is not None else 10.0
-        return problem.dde, problem, t_end
+        problem = mol.build_example2(opt("grid_m", 100), opt("lam", 0.5), opt("mu", 3.0),
+                                     opt("tau", 1.0))
+        return problem.dde, problem, opt("t_end", 10.0)
     # generic linear problem from matrix files
-    if args.matrix_a is None or args.matrix_b is None or args.tau is None:
+    if opt("matrix_a") is None or opt("matrix_b") is None or opt("tau") is None:
         raise MatrixFileError("--problem linear needs --matrix-a, --matrix-b, --tau")
     a, b = read_matrix(args.matrix_a), read_matrix(args.matrix_b)
-    if args.history_const is not None:
+    if opt("history_const") is not None:
         try:
             hist0 = np.array([float(t) for t in args.history_const.split(",")])
         except ValueError as exc:
@@ -154,8 +165,7 @@ def _build_problem(args):
     if hist0.shape != (a.shape[0],):
         raise MatrixFileError("history vector length does not match the matrices")
     dde = solver.LinearDDE(a=a, b=b, tau=args.tau, history=lambda t: hist0)
-    t_end = args.t_end if args.t_end is not None else 10.0 * args.tau
-    return dde, None, t_end
+    return dde, None, opt("t_end", 10.0 * args.tau)
 
 
 def _norm(state):
@@ -258,17 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="delay resolution: h = tau / (m - u)")
     p_solve.add_argument("--theta", type=float, default=1.0)
     p_solve.add_argument("--u", type=float, default=0.0)
-    p_solve.add_argument("--tau", type=float, default=None)
-    p_solve.add_argument("--t-end", type=float, default=None)
-    p_solve.add_argument("--grid-m", type=int, default=100)
-    p_solve.add_argument("--l", type=float, default=-0.1)
-    p_solve.add_argument("--lambda1", type=float, default=1.0)
-    p_solve.add_argument("--lambda2", type=float, default=1.0)
-    p_solve.add_argument("--lam", type=float, default=0.5)
-    p_solve.add_argument("--mu", type=float, default=3.0)
-    p_solve.add_argument("--matrix-a", default=None)
-    p_solve.add_argument("--matrix-b", default=None)
-    p_solve.add_argument("--history-const", default=None,
+    p_solve.add_argument("--tau", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--t-end", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--grid-m", type=int, default=argparse.SUPPRESS)
+    p_solve.add_argument("--l", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--lambda1", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--lambda2", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--lam", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--mu", type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--matrix-a", default=argparse.SUPPRESS)
+    p_solve.add_argument("--matrix-b", default=argparse.SUPPRESS)
+    p_solve.add_argument("--history-const", default=argparse.SUPPRESS,
                          help="comma-separated constant history vector")
     p_solve.add_argument("--keep-trajectory", action="store_true",
                          help="hold every state in memory (changes no output)")

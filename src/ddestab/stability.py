@@ -21,37 +21,29 @@ while root-counting is robust for every theta, u, m.  Every D_y question
 call over its (y, mu) rows.  The leading coefficient 1 - y theta >= 1 is
 never trimmed: at large |y| the root it carries is the largest one.
 
-Certificates offered, strongest first:
+``certify`` is the one entry point.  It validates the pair once, in a
+``_Facts``, which then computes each shared fact at most once and only
+when a stage first asks for it: the transformed matrix
+M_p = A^{p/2-1} B A^{-p/2} of each p, the field-of-values boundary of
+M_p, and sigma(A^{-1} B), taken from M_0.  The stages:
 
-* ``unconditional_certificate`` -- u = 0, theta > 1/2: if the field of
-  values F(A^{p/2-1} B A^{-p/2}) fits in the open unit disk for some p,
-  the method is stable for every step size.  The disk test uses the
-  supporting-line outer bound of the sampled field of values; an
-  eigenvalue of A^{-1} B of modulus >= 1 rules out every p before any
-  sweep.
-* ``step_certificate`` -- theta = 1, u = 0: the regions D_y are nested
-  (y1 < y2 < 0 implies D_{y1} subset of D_{y2}), so containment of the
-  transformed field of values in D_{-h*lambda_max(A)} certifies stability
-  for the given step.  An eigenvalue of A^{-1} B outside that D_y rules
-  out every p before any sweep.
-* ``simdiag_analysis`` -- A, B simultaneously diagonalizable (a
-  Hermitian A may repeat eigenvalues, see ``simdiag_pairs``): exact
-  mode-by-mode verdicts from the pairs (lambda_i, gamma_i), with the
-  roots of every mode from one batched companion eigenvalue call.
-* ``oracle_stability`` -- brute force: the spectral radius of the dense W
-  itself, the independent reference of the tests.
+* ``_modes`` -- A, B simultaneously diagonalizable (``simdiag_pairs``):
+  exact verdicts mode by mode, from one batched root call.
+* ``_unconditional`` -- no modes, u = 0, theta > 1/2: F(M_p) inside the
+  open unit disk for some p means stability for every step size.
+* ``_step`` -- no modes and no unconditional certificate, theta = 1,
+  u = 0: F(M_p) inside D_{-h lambda_max(A)} means stability for this
+  step.  It reuses the unconditional stage's transforms and sweeps.
+* ``_oracle`` -- rho(W), while dim W = (m + 1) N fits under
+  ``ORACLE_CAP``: over the modes when they exist, else from the dense W
+  of ``oracle_stability``, the tests' reference.
 
-``certify`` is the one entry point that merges them.  It computes the
-modes once.  When they exist it runs the mode analysis, and the oracle's
-rho(W) is the largest root modulus over the N mode polynomials of degree
-m + 1: det P(z) factors over the modes, so this is the number the dense
-oracle computes, and W is never built.  Otherwise it runs the
-unconditional and then the step certificate, and the oracle builds the
-dense W.  Either oracle runs while dim W = (m + 1) N stays under
-``ORACLE_CAP``; its note names the path ("per-mode over N modes" or
-"dense W").  The verdict is, in order of precedence: CertifiedUnstable
-(an instability witness from any analysis), UnconditionallyStable,
-StableForThisStep, Uncertified.
+sigma(A^{-1} B) = sigma(M_p) lies in F(M_p) for every p, so both field-of-
+values stages test it before any sweep: one eigenvalue outside the target
+region rules out every p.  The verdict is the first of CertifiedUnstable,
+UnconditionallyStable and StableForThisStep that some stage reached, else
+Uncertified.  ``unconditional_certificate``, ``step_certificate`` and
+``simdiag_analysis`` run one stage alone, on fresh facts.
 """
 
 from __future__ import annotations
@@ -59,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +59,7 @@ from . import fov, linalg
 from ._csv import write_csv
 from .errors import (
     ComplexSpectrum,
+    DdeStabError,
     InvalidParams,
     NotHermitian,
     NotPositiveDefinite,
@@ -281,11 +275,7 @@ class OracleVerdict:
 
 
 def oracle_stability(a, b, scheme: ThetaScheme) -> OracleVerdict:
-    """Brute-force check: build the dense W and test rho(W) < 1 - ROOT_TOL.
-
-    ``certify`` calls it only when A, B have no modes; with modes it takes
-    the same radius from the mode polynomials.
-    """
+    """Brute-force check: build the dense W and test rho(W) < 1 - ROOT_TOL."""
     w_mat = build_w(a, b, scheme)
     return OracleVerdict.from_radius(
         float(np.max(np.abs(linalg.general_eigenvalues(w_mat)))), w_mat.shape[0])
@@ -330,48 +320,76 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# shared facts and the certification stages
 # ---------------------------------------------------------------------------
 
-def _spectrum_a_inv_b(a, b) -> np.ndarray:
-    """sigma(A^{-1} B) = sigma(A^{p/2-1} B A^{-p/2}) for every p (a
-    similarity), and it lies inside each of those fields of values; so one
-    failed spectral check rules the whole p family out."""
-    return linalg.general_eigenvalues(fov.transformed_matrix(a, b, 0.0))
+class _Facts:
+    """The facts the stages share about one pair (A, B), each computed at
+    most once, on first use.  A transform that raised is not retried:
+    asking again raises the same error."""
+
+    def __init__(self, a, b, n_angles: int = fov.DEFAULT_ANGLES):
+        if n_angles < fov.MIN_ANGLES:  # the rule of fov_boundary, checked on every path
+            raise InvalidParams(f"n_angles must be at least {fov.MIN_ANGLES}")
+        self.a, self.b = linalg.square_pair(a, b)
+        self.n_angles = n_angles
+        self._known = {}  # (fact, p) -> value, or the error computing it raised
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """sigma(A^{-1} B), from the p = 0 transform."""
+        return linalg.general_eigenvalues(self.transform(0.0))
+
+    def transform(self, p: float) -> np.ndarray:
+        """A^{p/2-1} B A^{-p/2} (``fov.transformed_matrix``)."""
+        return self._once("transform", p,
+                          lambda: fov.transformed_matrix(self.a, self.b, p))
+
+    def boundary(self, p: float) -> fov.FovBoundary:
+        """The sampled field-of-values boundary of ``transform(p)``."""
+        return self._once("boundary", p,
+                          lambda: fov.fov_boundary(self.transform(p), self.n_angles))
+
+    def _once(self, fact: str, p: float, compute):
+        if (fact, p) not in self._known:
+            try:
+                self._known[fact, p] = compute()
+            except DdeStabError as exc:
+                self._known[fact, p] = exc
+        if isinstance(self._known[fact, p], DdeStabError):
+            raise self._known[fact, p]
+        return self._known[fact, p]
 
 
-def unconditional_certificate(a, b, scheme: ThetaScheme,
-                              p_grid=DEFAULT_P_GRID,
-                              n_angles: int = fov.DEFAULT_ANGLES) -> StabilityReport:
-    """Certify stability for every step size (u = 0, theta > 1/2 only).
+def _refusal(check: str, note: str, scheme=None, margin=None) -> StabilityReport:
+    """An Uncertified report whose one entry says why ``check`` grants nothing."""
+    return StabilityReport(UNCERTIFIED, (Evidence(check, margin=margin, note=note),), scheme)
 
-    Scans the p grid for F(A^{p/2-1} B A^{-p/2}) inside the open unit
-    disk.  A p is accepted only when the supporting-line outer bound on
-    the numerical radius (:meth:`fov.FovBoundary.outer_radius`, rounding
-    allowance included) is below 1, so an acceptance is one-sided sound;
-    that bound is recorded as the ``fov-unit-disk`` margin 1 - bound.
-    Outside the scheme hypotheses the verdict is Uncertified with the
-    reason recorded (for theta <= 1/2 no mu can ever qualify).
+
+def _unconditional(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityReport:
+    """Certify stability for every step size (u = 0, theta > 1/2 only; for
+    theta <= 1/2 no mu can ever qualify).
+
+    A p is accepted only when the supporting-line outer bound on the
+    numerical radius of M_p (:meth:`fov.FovBoundary.outer_radius`,
+    rounding allowance included) is below 1, so an acceptance is
+    one-sided sound; the ``fov-unit-disk`` margin is 1 - that bound.
     """
     if scheme.u != 0.0 or scheme.theta <= 0.5:
-        reason = ("unconditional region is empty for theta <= 1/2"
-                  if scheme.u == 0.0 else "certificate requires u = 0")
-        return StabilityReport(UNCERTIFIED, (Evidence("scheme-hypotheses", note=reason),),
-                               scheme)
-    evidence = []
-    rho = float(np.max(np.abs(_spectrum_a_inv_b(a, b))))
+        return _refusal("scheme-hypotheses", "certificate requires u = 0" if scheme.u
+                        else "unconditional region is empty for theta <= 1/2", scheme)
+    rho = float(np.max(np.abs(facts.spectrum)))
     if rho >= 1.0:
-        evidence.append(Evidence("spectrum-obstruction", margin=1.0 - rho,
-                                 note="an eigenvalue of A^{p/2-1} B A^{-p/2} has "
-                                      "modulus >= 1 for every p; certificate inapplicable"))
-        return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
+        return _refusal("spectrum-obstruction", "an eigenvalue of A^{p/2-1} B A^{-p/2} "
+                        "has modulus >= 1 for every p; certificate inapplicable",
+                        scheme, 1.0 - rho)
+    evidence = []
     for p in p_grid:
         try:
-            t_mat = fov.transformed_matrix(a, b, p)
+            outer = facts.boundary(p).outer_radius()
         except (NotHermitian, NotPositiveDefinite) as exc:
             evidence.append(Evidence("fov-unit-disk", index=p, note=f"skipped: {exc}"))
             continue
-        outer = fov.fov_boundary(t_mat, n_angles).outer_radius()
         evidence.append(Evidence("fov-unit-disk", index=p, margin=1.0 - outer,
                                  note="outer bound on the numerical radius"))
         if outer < 1.0:
@@ -379,58 +397,40 @@ def unconditional_certificate(a, b, scheme: ThetaScheme,
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
 
 
-def step_certificate(a, b, scheme: ThetaScheme,
-                     p_grid=DEFAULT_P_GRID,
-                     n_angles: int = fov.DEFAULT_ANGLES) -> StabilityReport:
+def _step(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityReport:
     """Certify stability for this particular step size (theta = 1, u = 0).
 
-    Region nesting collapses the intersection of D_y over y in -h F(A) to
-    the single worst parameter y = -h lambda_max(A); each sampled point of
-    the transformed field of values must lie in D_y with margin at least
-    the inflation margin.
-
-    Before any sweep, the eigenvalues of A^{-1} B are tested: they lie in
-    the transformed field of values for every p, so if one of them has
-    D_y margin <= 0 at y, no p can pass.  The report is then Uncertified
-    with a single ``spectrum-obstruction`` entry (margin = the worst
-    eigenvalue margin) and nothing is swept.  This check can only withhold
-    a certificate, never grant one.
-
-    The margins come from one stacked root call over sigma(A^{-1} B) and
-    one per swept p over its sampled points.
+    Region nesting (y1 < y2 < 0 implies D_{y1} subset of D_{y2}) reduces
+    the intersection of D_y over y in -h F(A) to y = -h lambda_max(A).
+    Each sampled point of F(M_p) must lie in that D_y with margin at least
+    the inflation margin.  The margins come from one stacked root call
+    over sigma(A^{-1} B) and one per swept p.  Raises NotHermitian or
+    NotPositiveDefinite unless A is Hermitian positive definite.
     """
     if scheme.theta != 1.0 or scheme.u != 0.0:
-        return StabilityReport(
-            UNCERTIFIED,
-            (Evidence("scheme-hypotheses",
-                      note="step certificate requires theta = 1 and u = 0"),),
-            scheme)
-    dec = linalg.hermitian_eigen(a)
-    floor = linalg.PD_TOL * linalg.scaled_norm(a)
+        return _refusal("scheme-hypotheses", "step certificate requires theta = 1 and u = 0",
+                        scheme)
+    dec = linalg.hermitian_eigen(facts.a)
+    floor = linalg.PD_TOL * linalg.scaled_norm(facts.a)
     if np.min(dec.values) <= floor:
         raise NotPositiveDefinite("step certificate needs positive definite A")
     y_worst = -scheme.h * float(dec.values[-1])
-    spectral = 1.0 - float(np.max(_dy_radii(y_worst, _spectrum_a_inv_b(a, b), scheme)))
+    spectral = 1.0 - float(np.max(_dy_radii(y_worst, facts.spectrum, scheme)))
     if spectral <= 0.0:
-        return StabilityReport(
-            UNCERTIFIED,
-            (Evidence("spectrum-obstruction", margin=spectral,
-                      note=f"an eigenvalue of A^{{-1}} B lies outside D_y at "
-                           f"y = {y_worst:.6g}, which rules out every p"),),
-            scheme)
+        return _refusal("spectrum-obstruction", "an eigenvalue of A^{-1} B lies outside "
+                        f"D_y at y = {y_worst:.6g}, which rules out every p",
+                        scheme, spectral)
     evidence = []
     for p in p_grid:
         try:
-            t_mat = fov.transformed_matrix(a, b, p)
+            t_mat, boundary = facts.transform(p), facts.boundary(p)
         except (NotHermitian, NotPositiveDefinite) as exc:
             evidence.append(Evidence("fov-in-dy", index=p, note=f"skipped: {exc}"))
             continue
-        boundary = fov.fov_boundary(t_mat, n_angles)
-        needed = fov.fov_margin(t_mat)
         worst = 1.0 - float(np.max(_dy_radii(y_worst, boundary.points, scheme)))
         evidence.append(Evidence("fov-in-dy", index=p, margin=worst,
                                  note=f"y = {y_worst:.6g}"))
-        if worst >= needed:
+        if worst >= fov.fov_margin(t_mat):
             return StabilityReport(STABLE_FOR_THIS_STEP, tuple(evidence), scheme)
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
 
@@ -505,8 +505,18 @@ def simdiag_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
     return mode_lam[order], gamma[order]
 
 
-def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
-    """Mode-by-mode verdict for simultaneously diagonalizable A, B.
+def _modes(facts: _Facts, scheme: ThetaScheme) -> tuple[StabilityReport, np.ndarray]:
+    """The verdict of :func:`_mode_report` and every mode's largest root
+    modulus, from one stacked root call over the rows (y_i, mu_i).  Raises
+    what ``simdiag_pairs`` raises for a pair without modes."""
+    lam, gamma = simdiag_pairs(facts.a, facts.b)
+    radii = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
+    return _mode_report(lam, gamma, radii, scheme), radii
+
+
+def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
+    """Mode-by-mode verdict from the pairs (lambda_i, gamma_i) of
+    simultaneously diagonalizable A, B and their largest root moduli.
 
     With mu_i = gamma_i / lambda_i and y_i = -lambda_i h:
 
@@ -515,17 +525,7 @@ def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
       (unstable for every step size);
     * all mu_i in D_{y_i}                  -> StableForThisStep;
     * anything else                        -> Uncertified.
-
-    The D_{y_i} tests are one stacked root call over the rows (y_i, mu_i).
     """
-    lam, gamma = simdiag_pairs(a, b)
-    radii = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
-    return _mode_report(lam, gamma, radii, scheme)
-
-
-def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
-    """The verdict of :func:`simdiag_analysis` from the mode pairs and
-    their largest root moduli ``radii``."""
     mus = gamma / lam
     evidence = []
 
@@ -552,73 +552,68 @@ def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
 
 
+def unconditional_certificate(a, b, scheme: ThetaScheme, p_grid=DEFAULT_P_GRID,
+                              n_angles: int = fov.DEFAULT_ANGLES) -> StabilityReport:
+    """The unconditional stage (``_unconditional``) alone, on fresh facts."""
+    return _unconditional(_Facts(a, b, n_angles), scheme, p_grid)
+
+
+def step_certificate(a, b, scheme: ThetaScheme, p_grid=DEFAULT_P_GRID,
+                     n_angles: int = fov.DEFAULT_ANGLES) -> StabilityReport:
+    """The step stage (``_step``) alone, on fresh facts."""
+    return _step(_Facts(a, b, n_angles), scheme, p_grid)
+
+
+def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
+    """The mode stage (``_modes``) alone, on fresh facts."""
+    return _modes(_Facts(a, b), scheme)[0]
+
+
+def _oracle(facts: _Facts, scheme: ThetaScheme, radii, cap: int) -> StabilityReport:
+    """rho(W) while dim W fits under ``cap``: the largest of the modes'
+    root moduli ``radii`` when there are modes (det P(z) factors over
+    them, so W is never built), else rho of the dense W.  Its note names
+    the path ("per-mode over N modes" or "dense W")."""
+    dim = (scheme.m + 1) * facts.a.shape[0]
+    if dim > cap:
+        return _refusal("oracle-spectral-radius", f"skipped: dim {dim} exceeds {cap}")
+    if radii is None:
+        oracle, path = oracle_stability(facts.a, facts.b, scheme), "dense W"
+    else:
+        oracle = OracleVerdict.from_radius(float(np.max(radii)), dim)
+        path = f"per-mode over {radii.size} modes"
+    verdict = (CERTIFIED_UNSTABLE if oracle.certified_unstable
+               else STABLE_FOR_THIS_STEP if oracle.stable else UNCERTIFIED)
+    return StabilityReport(verdict, (Evidence(
+        "oracle-spectral-radius", margin=1.0 - oracle.spectral_radius,
+        note=f"rho(W) = {oracle.spectral_radius:.12g}, dim {oracle.dim}, {path}"),), scheme)
+
+
 def certify(a, b, scheme: ThetaScheme,
             p_grid=DEFAULT_P_GRID,
             n_angles: int = fov.DEFAULT_ANGLES,
             oracle_cap: int = ORACLE_CAP) -> StabilityReport:
-    """Run the applicable analyses and merge them into one report.
-
-    The modes of A, B are computed once.  When they exist (simultaneously
-    diagonalizable, real positive spectrum of A) the mode analysis runs;
-    otherwise the field-of-values certificates.  The spectral radius of W
-    is added whenever its dimension fits under ``oracle_cap``: as the
-    largest root modulus over the modes when they exist (W is never
-    built), else from the dense W.  Verdict precedence: a concrete
-    instability witness, then an unconditional certificate, then any
-    per-step certificate, else Uncertified.
-    """
-    if n_angles < fov.MIN_ANGLES:  # the rule of fov_boundary, checked on every path
-        raise InvalidParams(f"n_angles must be at least {fov.MIN_ANGLES}")
-    evidence = []
-    verdicts = []
-    dim = (scheme.m + 1) * np.asarray(a).shape[0]
-
+    """Merge the applicable stages over one set of facts: the mode stage
+    when A, B have modes, else the unconditional stage and, unless it
+    certified, the step stage.  The oracle runs before the sweeps, so W is
+    never held with their matrices; its evidence comes last.  Verdict
+    precedence: instability witness, unconditional, per-step certificate."""
+    facts = _Facts(a, b, n_angles)
     try:
-        modes = simdiag_pairs(a, b)
+        report, radii = _modes(facts, scheme)
+        reports = [report]
     except (NotSimultaneouslyDiagonalizable, ComplexSpectrum) as exc:
-        modes = None
-        evidence.append(Evidence("simdiag", note=f"not applicable: {exc}"))
-
-    if modes is not None:
-        lam, gamma = modes
-        radii = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
-        report = _mode_report(lam, gamma, radii, scheme)
-        evidence.extend(report.evidence)
-        verdicts.append(report.verdict)
-    else:
-        report = unconditional_certificate(a, b, scheme, p_grid, n_angles)
-        evidence.extend(report.evidence)
-        verdicts.append(report.verdict)
-        if report.verdict != UNCONDITIONALLY_STABLE:
+        radii, reports = None, [_refusal("simdiag", f"not applicable: {exc}")]
+    oracle = _oracle(facts, scheme, radii, oracle_cap)
+    if radii is None:
+        reports.append(_unconditional(facts, scheme, p_grid))
+        if reports[-1].verdict != UNCONDITIONALLY_STABLE:
             try:
-                step = step_certificate(a, b, scheme, p_grid, n_angles)
-                evidence.extend(step.evidence)
-                verdicts.append(step.verdict)
+                reports.append(_step(facts, scheme, p_grid))
             except (NotHermitian, NotPositiveDefinite) as exc:
-                evidence.append(Evidence(
-                    "step-certificate", note=f"not applicable: {exc}"))
-
-    oracle = None
-    if dim <= oracle_cap:
-        if modes is None:
-            oracle, path = oracle_stability(a, b, scheme), "dense W"
-        else:
-            oracle = OracleVerdict.from_radius(float(np.max(radii)), dim)
-            path = f"per-mode over {radii.size} modes"
-        evidence.append(Evidence(
-            "oracle-spectral-radius", margin=1.0 - oracle.spectral_radius,
-            note=f"rho(W) = {oracle.spectral_radius:.12g}, dim {oracle.dim}, {path}"))
-    else:
-        evidence.append(Evidence(
-            "oracle-spectral-radius", note=f"skipped: dim {dim} exceeds {oracle_cap}"))
-
-    if (oracle is not None and oracle.certified_unstable) \
-            or CERTIFIED_UNSTABLE in verdicts:
-        verdict = CERTIFIED_UNSTABLE
-    elif UNCONDITIONALLY_STABLE in verdicts:
-        verdict = UNCONDITIONALLY_STABLE
-    elif STABLE_FOR_THIS_STEP in verdicts or (oracle is not None and oracle.stable):
-        verdict = STABLE_FOR_THIS_STEP
-    else:
-        verdict = UNCERTIFIED
-    return StabilityReport(verdict, tuple(evidence), scheme)
+                reports.append(_refusal("step-certificate", f"not applicable: {exc}"))
+    reports.append(oracle)
+    verdicts = {r.verdict for r in reports}
+    verdict = next((v for v in (CERTIFIED_UNSTABLE, UNCONDITIONALLY_STABLE,
+                                STABLE_FOR_THIS_STEP) if v in verdicts), UNCERTIFIED)
+    return StabilityReport(verdict, tuple(e for r in reports for e in r.evidence), scheme)

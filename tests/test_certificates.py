@@ -298,11 +298,41 @@ class TestSimdiag:
     stability.simdiag_pairs,
     lambda a, b: fov.transformed_matrix(a, b, 0.0),
     lambda a, b: LinearDDE(a=a, b=b, tau=1.0, history=lambda t: np.ones(2)),
-], ids=["build_w", "simdiag_pairs", "transformed_matrix", "LinearDDE"])
+    lambda a, b: stability.certify(a, b, scheme()),
+], ids=["build_w", "simdiag_pairs", "transformed_matrix", "LinearDDE", "certify"])
 def test_pair_shape_mismatch_has_one_message(call):
     message = r"A and B shapes differ: \(2, 2\) vs \(3, 3\)"
     with pytest.raises(errors.InvalidParams, match=message):
         call(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("m", [5.0, [1.0, 2.0]], ids=["0-d", "1-d"])
+def test_certify_rejects_a_pair_that_is_not_matrices(m):
+    with pytest.raises(errors.InvalidParams, match="expected a square matrix"):
+        stability.certify(m, m, scheme())
+
+
+def test_certify_computes_each_shared_fact_once(monkeypatch):
+    # a non-commuting theta = 1 pair whose unconditional sweep fails at
+    # every p, so the step stage needs every p again
+    gen = np.random.default_rng(0)
+    q = orthogonal(gen, 6)
+    a = (q * np.linspace(1.0, 3.0, 6)) @ q.T
+    b = gen.standard_normal((6, 6))
+    b *= 0.9 / np.max(np.abs(np.linalg.eigvals(np.linalg.solve(a, b))))
+    calls = {}
+    for module, name in ((fov, "transformed_matrix"), (fov, "fov_boundary"),
+                         (linalg, "general_eigenvalues")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    rep = stability.certify(a, b, scheme())
+    swept = [e.check for e in rep.evidence if e.check in ("fov-unit-disk", "fov-in-dy")]
+    assert swept == ["fov-unit-disk"] * 3 + ["fov-in-dy"] * 3
+    # one transform and one sweep per p; eigenvalues of A^{-1} B and of the dense W
+    assert calls == {"transformed_matrix": 3, "fov_boundary": 3, "general_eigenvalues": 2}
 
 
 def test_certify_rejects_few_angles_before_any_analysis():

@@ -506,6 +506,22 @@ class TestSolveCommand:
         assert "--out-csv" in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, flag, value", [
+        ("example1", "--matrix-a", "a.json"), ("example2", "--matrix-b", "b.json"),
+        ("example2", "--history-const", "1,2"), ("linear", "--grid-m", "7"),
+        ("example2", "--l", "0.1"), ("linear", "--lambda1", "2"),
+        ("example2", "--lambda2", "2"), ("example1", "--lam", "9"), ("linear", "--mu", "1"),
+    ])
+    def test_option_the_problem_does_not_read_exit_2(self, tmp_path, capsys, problem, flag,
+                                                     value):
+        out = tmp_path / "s.json"
+        argv = (scalar_linear_solve(tmp_path, 0.5) if problem == "linear"
+                else ["solve", "--problem", problem, "--grid-m", "10", "--m", "4"])
+        assert cli.main(argv + [flag, value, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --problem {problem} does not read {flag}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_norm_only_csv_ends_at_final_norm(self, tmp_path):
         # the last state is finite (5e305) but its square is not
         csv, out = tmp_path / "n.csv", tmp_path / "s.json"

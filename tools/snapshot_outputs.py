@@ -17,6 +17,11 @@ The snapshot holds what the command line prints and writes for:
   ``rows`` is 2.5 or whose entries are ``[re]`` lists, mixed or hold a
   string, and ``check`` of example 3.1 with ``--n-angles 4`` and with an
   empty ``--p-grid``);
+* ``check`` of two non-commuting pairs at theta = 1: an SPD A whose
+  unconditional sweep fails at every p, so that the step certificate
+  sweeps every p again, and a non-Hermitian A, for which p = 1 is skipped
+  and the step certificate does not apply;
+* ``solve`` given options that the chosen problem does not read;
 * the ``--help`` of ``ddestab`` and of every subcommand.
 
 Each call leaves ``NAME.out`` (exit code, standard output, standard error)
@@ -48,6 +53,8 @@ import contextlib  # noqa: E402
 import io  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 SUBCOMMANDS = ("check", "region", "fov", "solve", "reproduce")
@@ -148,6 +155,26 @@ def snapshot(ddestab, seed: int) -> None:
             "--tau", "1", "--m", "2"]
     run(main, "check-ex31-n-angles-4", ex31 + ["--n-angles", "4"])
     run(main, "check-ex31-p-grid-empty", ex31 + ["--p-grid", ""])
+
+    # rho(A^{-1} B) = 0.9, so no spectrum test rules the sweeps out
+    gen = np.random.default_rng(0)
+    q, _ = np.linalg.qr(gen.standard_normal((6, 6)))
+    pairs = {"double-swept": ((q * np.linspace(1.0, 3.0, 6)) @ q.T, gen.standard_normal((6, 6))),
+             "non-hermitian": (np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [0.0, 0.0, 4.0]]),
+                               np.random.default_rng(3).standard_normal((3, 3)))}
+    for name, (a, b) in pairs.items():
+        b = b * (0.9 / np.max(np.abs(np.linalg.eigvals(np.linalg.solve(a, b)))))
+        workloads.write_matrix(f"{name}-a.json", a)
+        workloads.write_matrix(f"{name}-b.json", b)
+        run(main, f"check-{name}", ["check", "--matrix-a", f"{name}-a.json", "--matrix-b",
+                                    f"{name}-b.json", "--tau", "1", "--m", "2"])
+
+    run(main, "solve-example1-unread-options",
+        ["solve", "--problem", "example1", "--grid-m", "10", "--m", "4", "--t-end", "1",
+         "--history-const", "1,2", "--matrix-a", "nonexistent.json"])
+    run(main, "solve-example2-unread-l", ["solve", "--problem", "example2", "--grid-m", "16",
+                                          "--m", "4", "--t-end", "1", "--l", "0.1"])
+    run(main, "solve-linear-unread-options", linear + ["--grid-m", "7", "--lam", "9"])
 
     run(main, "help", ["--help"])
     for command in SUBCOMMANDS:
