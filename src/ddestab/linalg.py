@@ -4,7 +4,8 @@ Thin, contract-checked wrappers around LAPACK (via numpy/scipy): Hermitian
 eigendecompositions (full, or the largest eigenpair alone), general
 eigenvalues and polynomial roots through the balanced companion matrix
 (of one matrix or polynomial, or of a stack in one call), and reusable LU
-solvers.
+solvers.  A stack of polynomials has each distinct row (up to
+conjugation) solved once, and its real rows in real arithmetic.
 
 All tolerances are relative to ``scaled_norm`` (max-abs entry times
 dimension) so the contracts are scale-free.  Every function is pure; all
@@ -193,26 +194,39 @@ def stacked_poly_roots(coeffs) -> np.ndarray:
     """Roots of every row ``c[k, 0] + c[k, 1] z + ... + c[k, n] z^n``.
 
     Computed as eigenvalues of the companion matrices (built as
-    :func:`numpy.roots` builds them) in one stacked call; returns an
-    (rows, n) array.  Nothing is trimmed, so every row needs a nonzero
-    leading coefficient.  Each root is verified to satisfy
+    :func:`numpy.roots` builds them); returns an (rows, n) array.  Nothing
+    is trimmed, so every row needs a nonzero leading coefficient.
+
+    Each distinct row is solved once: a row whose first nonzero imaginary
+    part is negative is replaced by its conjugate, whose roots are the
+    conjugates of its own, so equal and conjugate rows share one solve and
+    get exactly equal or exactly conjugate roots.  Distinct real rows go
+    through one stacked real eigenvalue call, the others through one
+    complex call; both are backward stable (Edelman & Murakami, Math.
+    Comp. 64, 1995).  Every root of every row is verified to satisfy
     |p(root)| <= 1e-8 * max|c| * (1 + |root|)^n.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] < 2:
         raise InvalidParams("coefficients must be rows of at least two entries")
-    lead = c[:, -1]
-    if np.any(lead == 0.0):
+    if np.any(c[:, -1] == 0.0):
         raise DegenerateLeading("a leading coefficient vanishes")
+    first = np.argmax(c.imag != 0.0, axis=1)  # 0 for a real row, never flipped
+    flip = c.imag[np.arange(c.shape[0]), first] < 0.0
+    canonical = np.where(flip[:, None], c.conj(), c) + 0.0  # -0.0 becomes 0.0
+    # rows match by their bytes: np.unique(axis=0) would sort structured
+    # rows, and its first call adds about 256 KiB of resident memory
+    index = {}
+    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in canonical])
+    distinct = canonical[np.unique(inverse, return_index=True)[1]]
     degree = c.shape[1] - 1
-    companion = np.zeros((c.shape[0], degree, degree), dtype=complex)
-    companion[:, 0, :] = -c[:, -2::-1] / lead[:, None]
-    sub = np.arange(degree - 1)
-    companion[:, sub + 1, sub] = 1.0
-    try:
-        roots = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"companion eigenvalue iteration failed: {exc}") from exc
+    solved = np.empty((distinct.shape[0], degree), dtype=complex)
+    real = ~np.any(distinct.imag, axis=1)
+    for rows, part in ((real, distinct.real), (~real, distinct)):
+        if np.any(rows):
+            solved[rows] = _companion_eigenvalues(part[rows])
+    roots = solved[inverse]
+    roots[flip] = roots[flip].conj()
     value = np.zeros_like(roots)
     for j in range(degree, -1, -1):  # Horner, leading coefficient first
         value = value * roots + c[:, j, None]
@@ -223,6 +237,20 @@ def stacked_poly_roots(coeffs) -> np.ndarray:
         raise NoConvergence(
             f"root residual {abs(value[row, col]):.3e} exceeds its bound in row {row}")
     return roots
+
+
+def _companion_eigenvalues(c) -> np.ndarray:
+    """Eigenvalues of the companion matrix of every row of ``c`` (real or
+    complex, constant first), from one stacked call in ``c``'s arithmetic."""
+    degree = c.shape[1] - 1
+    companion = np.zeros((c.shape[0], degree, degree), dtype=c.dtype)
+    companion[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
+    sub = np.arange(degree - 1)
+    companion[:, sub + 1, sub] = 1.0
+    try:
+        return np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalue iteration failed: {exc}") from exc
 
 
 class LinearSolver:

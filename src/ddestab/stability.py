@@ -18,14 +18,18 @@ point-in-polygon tests against the boundary curve Gamma_y: the curve
 self-intersects for larger m and only its innermost loop bounds D_y,
 while root-counting is robust for every theta, u, m.  Every D_y question
 (``in_dy``, the step certificate, the mode analysis) is one stacked root
-call over its (y, mu) rows.  The leading coefficient 1 - y theta >= 1 is
-never trimmed: at large |y| the root it carries is the largest one.
+call over its (y, mu) rows, which solves each distinct row once: y and the
+weights are real, so a row of mu is real for real mu and the exact
+conjugate of the row of conj(mu), whose roots it shares conjugated.  The
+leading coefficient 1 - y theta >= 1 is never trimmed: at large |y| the
+root it carries is the largest one.
 
 ``certify`` is the one entry point.  It validates the pair once, in a
 ``_Facts``, which then computes each shared fact at most once and only
 when a stage first asks for it: the transformed matrix
 M_p = A^{p/2-1} B A^{-p/2} of each p, the field-of-values boundary of
-M_p, and sigma(A^{-1} B), taken from M_0.  The stages:
+M_p, sigma(A^{-1} B), taken from M_0, and the eigenvalues of a Hermitian
+A, from the one eigendecomposition the mode stage also uses.  The stages:
 
 * ``_modes`` -- A, B simultaneously diagonalizable (``simdiag_pairs``):
   exact verdicts mode by mode, from one batched root call.
@@ -345,12 +349,24 @@ class _Facts:
         return self._once("transform", p,
                           lambda: fov.transformed_matrix(self.a, self.b, p))
 
+    def eigen_a(self) -> linalg.EigenDecomposition:
+        """``linalg.hermitian_eigen`` of A, of which the facts keep only the
+        eigenvalues: no later stage reads the vectors, and the dense W is
+        never built beside them."""
+        dec = linalg.hermitian_eigen(self.a)
+        self._known.setdefault(("eigenvalues", None), dec.values)
+        return dec
+
+    def eigenvalues_a(self) -> np.ndarray:
+        """The eigenvalues of ``eigen_a``, ascending."""
+        return self._once("eigenvalues", None, lambda: self.eigen_a().values)
+
     def boundary(self, p: float) -> fov.FovBoundary:
         """The sampled field-of-values boundary of ``transform(p)``."""
         return self._once("boundary", p,
                           lambda: fov.fov_boundary(self.transform(p), self.n_angles))
 
-    def _once(self, fact: str, p: float, compute):
+    def _once(self, fact: str, p, compute):
         if (fact, p) not in self._known:
             try:
                 self._known[fact, p] = compute()
@@ -410,11 +426,11 @@ def _step(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityReport:
     if scheme.theta != 1.0 or scheme.u != 0.0:
         return _refusal("scheme-hypotheses", "step certificate requires theta = 1 and u = 0",
                         scheme)
-    dec = linalg.hermitian_eigen(facts.a)
+    lam = facts.eigenvalues_a()
     floor = linalg.PD_TOL * linalg.scaled_norm(facts.a)
-    if np.min(dec.values) <= floor:
+    if np.min(lam) <= floor:
         raise NotPositiveDefinite("step certificate needs positive definite A")
-    y_worst = -scheme.h * float(dec.values[-1])
+    y_worst = -scheme.h * float(lam[-1])
     spectral = 1.0 - float(np.max(_dy_radii(y_worst, facts.spectrum, scheme)))
     if spectral <= 0.0:
         return _refusal("spectrum-obstruction", "an eigenvalue of A^{-1} B lies outside "
@@ -461,10 +477,17 @@ def simdiag_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
     Raises ComplexSpectrum when A's spectrum is not real and positive,
     NotSimultaneouslyDiagonalizable when a test above fails.
     """
-    am, bm = linalg.square_pair(a, b)
+    return _simdiag(_Facts(a, b))
+
+
+def _simdiag(facts: _Facts) -> tuple[np.ndarray, np.ndarray]:
+    """``simdiag_pairs`` of the facts' pair; the Hermitian branch takes
+    A's eigendecomposition from the facts, so later stages reuse its
+    eigenvalues."""
+    am, bm = facts.a, facts.b
     equal = 16 * am.shape[0] * np.finfo(float).eps
     if linalg.hermitian_violation(am) <= equal:
-        dec = linalg.hermitian_eigen(am)
+        dec = facts.eigen_a()
         lam, vec = dec.values, dec.vectors
         d_b = vec.conj().T @ (bm @ vec)
         cuts = np.flatnonzero(np.diff(lam) > equal * np.max(np.abs(lam))) + 1
@@ -509,7 +532,7 @@ def _modes(facts: _Facts, scheme: ThetaScheme) -> tuple[StabilityReport, np.ndar
     """The verdict of :func:`_mode_report` and every mode's largest root
     modulus, from one stacked root call over the rows (y_i, mu_i).  Raises
     what ``simdiag_pairs`` raises for a pair without modes."""
-    lam, gamma = simdiag_pairs(facts.a, facts.b)
+    lam, gamma = _simdiag(facts)
     radii = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
     return _mode_report(lam, gamma, radii, scheme), radii
 

@@ -335,6 +335,23 @@ def test_certify_computes_each_shared_fact_once(monkeypatch):
     assert calls == {"transformed_matrix": 3, "fov_boundary": 3, "general_eigenvalues": 2}
 
 
+def test_certify_decomposes_hermitian_a_once(monkeypatch):
+    # example1 with l = +0.1 and B perturbed off the modes: the mode stage
+    # decomposes the Hermitian A before it rejects B, and the step stage
+    # reads lambda_min and lambda_max of A from that decomposition
+    a, b = mol.build_example1(10, l=0.1).stability_matrices()
+    noise = np.random.default_rng(1).standard_normal(b.shape)
+    b = b + noise * (1e-3 * np.linalg.norm(b, 2) / np.linalg.norm(noise, 2))
+    calls = []
+    original = linalg.hermitian_eigen
+    monkeypatch.setattr(linalg, "hermitian_eigen",
+                        lambda m: calls.append(m.shape) or original(m))
+    rep = stability.certify(a, b, ThetaScheme(1.0, 0.0, 2, math.pi / 2.0))
+    assert [e.check for e in rep.evidence[:3]] == ["simdiag"] + ["spectrum-obstruction"] * 2
+    assert "D_y" in rep.evidence[2].note  # the step stage's obstruction
+    assert calls == [a.shape]
+
+
 def test_certify_rejects_few_angles_before_any_analysis():
     # a commuting pair takes the mode path, which sweeps no field of values
     with pytest.raises(errors.InvalidParams, match="n_angles must be at least"):

@@ -181,6 +181,56 @@ class TestStackedPolyRoots:
         with pytest.raises(errors.DegenerateLeading):
             linalg.stacked_poly_roots([[1.0, 2.0], [1.0, 0.0]])
 
+    @staticmethod
+    def mixed_stack(rng):
+        """Real rows, conjugate pairs, exact duplicates and generic complex
+        rows in a shuffled order; 6 distinct rows up to conjugation.  The
+        paired rows end in real coefficients, as stability polynomials do,
+        and both rows of a pair hold +0.0 imaginary parts there."""
+        real = rng.standard_normal((2, 7)).astype(complex)
+        paired = rng.standard_normal((2, 7)) + 1j * rng.standard_normal((2, 7))
+        paired[:, -2:] = paired[:, -2:].real
+        generic = rng.standard_normal((2, 7)) + 1j * rng.standard_normal((2, 7))
+        rows = np.concatenate([real, real[:1], paired, paired.conj() + 0.0, paired[1:],
+                               generic, generic[:1]])
+        return rows[rng.permutation(len(rows))]
+
+    def test_mixed_stack_matches_per_row_complex_companion(self, rng):
+        for _ in range(5):
+            coeffs = self.mixed_stack(rng)
+            got = linalg.stacked_poly_roots(coeffs)
+            for row, roots in zip(coeffs, got):
+                # numpy.roots takes the leading coefficient first
+                assert multiset_distance(roots, np.roots(row[::-1])) <= 1e-10
+
+    def test_equal_and_conjugate_rows_get_exact_roots(self, rng):
+        row = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        got = linalg.stacked_poly_roots([row, row.conj(), row])
+        assert np.array_equal(got[1], got[0].conj())
+        assert np.array_equal(got[2], got[0])
+
+    def test_solves_each_distinct_row_once(self, rng, monkeypatch):
+        calls = []
+        original = np.linalg.eigvals
+
+        def counted(m):
+            calls.append((m.shape[0], np.iscomplexobj(m)))
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        linalg.stacked_poly_roots(self.mixed_stack(rng))
+        assert sorted(calls) == [(2, False), (4, True)]
+
+    @pytest.mark.parametrize("rows", [
+        [[2.0, -3.0, 1.0], [2.0, -3.0, 1.0]],
+        [[1.0 + 1j, 2.0, 1.0], [1.0 - 1j, 2.0, 1.0], [1.0 + 1j, 2.0, 1.0]],
+    ], ids=["real", "deduplicated"])
+    def test_wrong_roots_raise(self, rows, monkeypatch):
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: original(m) + 0.1)
+        with pytest.raises(errors.NoConvergence, match="root residual"):
+            linalg.stacked_poly_roots(rows)
+
 
 
 class TestLinearSolver:

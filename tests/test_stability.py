@@ -120,6 +120,34 @@ class TestInDy:
         assert not in_dy(5.0 + 0j, -1.0, s).inside
 
 
+class TestDyRadiiSymmetry:
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_conjugate_mu_gives_identical_radii(self, rng, theta, u):
+        s = scheme(theta=theta, u=u, m=6)
+        mus = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        ys = -rng.uniform(0.1, 10.0, 40)
+        assert np.array_equal(stability._dy_radii(ys, mus.conj(), s),
+                              stability._dy_radii(ys, mus, s))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mode_path_matches_dense_oracle(self, seed):
+        # real A with three double eigenvalues and B acting on each
+        # eigenspace by a random real 2 x 2 block, whose two modes are real
+        # or an exact conjugate pair (both occur over these seeds)
+        gen = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(gen.standard_normal((6, 6)))
+        lam = np.repeat(gen.uniform(1.0, 5.0, 3), 2)
+        blocks = np.zeros((6, 6))
+        for k in range(0, 6, 2):
+            blocks[k:k + 2, k:k + 2] = gen.uniform(-1.0, 1.0, (2, 2)) * lam[k]
+        a, b = (q * lam) @ q.T, q @ blocks @ q.T
+        s = ThetaScheme(theta=0.5, u=0.5, m=50, tau=1.0)
+        radii = stability._modes(stability._Facts(a, b), s)[1]
+        dense = stability.oracle_stability(a, b, s).spectral_radius
+        assert abs(float(np.max(radii)) - dense) <= 1e-10 * dense
+
+
 class TestGammaY:
     def test_alpha_zero_maps_to_one_exactly(self):
         for theta in (0.6, 0.75, 1.0):
