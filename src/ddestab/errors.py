@@ -29,12 +29,8 @@ class Singular(DdeStabError):
     """A linear system is singular to working precision."""
 
 
-class ZeroPolynomial(DdeStabError):
-    """All polynomial coefficients vanish; roots are undefined."""
-
-
 class DegenerateLeading(DdeStabError):
-    """After trimming negligible leading coefficients only a constant remains."""
+    """A leading polynomial coefficient vanishes."""
 
 
 class NotSimultaneouslyDiagonalizable(DdeStabError):

@@ -2,10 +2,10 @@
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): Hermitian
 eigendecompositions (full, or the largest eigenpair alone), general
-eigenvalues and polynomial roots through the balanced companion matrix
-(of one matrix or polynomial, or of a stack in one call), and reusable LU
-solvers.  A stack of polynomials has each distinct row (up to
-conjugation) solved once, and its real rows in real arithmetic.
+eigenvalues (of one matrix, or of a stack in one call), the roots of a
+stack of polynomials through their balanced companion matrices, and
+reusable LU solvers.  ``poly_roots`` trims nothing and solves each
+distinct row (up to conjugation) once, its real rows in real arithmetic.
 
 All tolerances are relative to ``scaled_norm`` (max-abs entry times
 dimension) so the contracts are scale-free.  Every function is pure; all
@@ -26,7 +26,6 @@ from .errors import (
     NoConvergence,
     NotHermitian,
     Singular,
-    ZeroPolynomial,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -167,30 +166,6 @@ def stacked_eigenvalues(ms) -> np.ndarray:
 
 
 def poly_roots(coeffs) -> np.ndarray:
-    """Roots of ``c[0] + c[1] z + ... + c[n] z^n`` (constant first).
-
-    Leading coefficients below 1e-14 * max|c| are trimmed first, and
-    vanishing trailing ones give exact roots at zero (as :func:`numpy.roots`
-    does); the rest go through :func:`stacked_poly_roots` as one row.
-    """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if c.ndim != 1 or c.size == 0:
-        raise InvalidParams("coefficients must be a non-empty 1-D sequence")
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        raise ZeroPolynomial("all coefficients vanish")
-    keep = np.nonzero(np.abs(c) > 1e-14 * scale)[0]
-    degree = keep[-1]
-    if degree == 0:
-        raise DegenerateLeading("polynomial is constant after trimming")
-    zeros = int(np.flatnonzero(c)[0])
-    roots = np.zeros(degree, dtype=complex)
-    if zeros < degree:
-        roots[: degree - zeros] = stacked_poly_roots(c[None, zeros: degree + 1])[0]
-    return roots
-
-
-def stacked_poly_roots(coeffs) -> np.ndarray:
     """Roots of every row ``c[k, 0] + c[k, 1] z + ... + c[k, n] z^n``.
 
     Computed as eigenvalues of the companion matrices (built as

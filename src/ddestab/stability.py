@@ -29,25 +29,29 @@ root it carries is the largest one.
 when a stage first asks for it: the transformed matrix
 M_p = A^{p/2-1} B A^{-p/2} of each p, the field-of-values boundary of
 M_p, sigma(A^{-1} B), taken from M_0, and the eigenvalues of a Hermitian
-A, from the one eigendecomposition the mode stage also uses.  The stages:
+A, from the one eigendecomposition the mode stage also uses.  The stages
+each take the facts and return a ``StabilityReport``:
 
-* ``_modes`` -- A, B simultaneously diagonalizable (``simdiag_pairs``):
-  exact verdicts mode by mode, from one batched root call.
-* ``_unconditional`` -- no modes, u = 0, theta > 1/2: F(M_p) inside the
-  open unit disk for some p means stability for every step size.
-* ``_step`` -- no modes and no unconditional certificate, theta = 1,
-  u = 0: F(M_p) inside D_{-h lambda_max(A)} means stability for this
-  step.  It reuses the unconditional stage's transforms and sweeps.
-* ``_oracle`` -- rho(W), while dim W = (m + 1) N fits under
-  ``ORACLE_CAP``: over the modes when they exist, else from the dense W
-  of ``oracle_stability``, the tests' reference.
+* ``simdiag_analysis`` -- A, B simultaneously diagonalizable
+  (``simdiag_pairs``): exact verdicts mode by mode, from one batched root
+  call, and rho(W) as the largest mode radius, at any dim W.  Its report
+  is the whole verdict of such a pair.
+* ``unconditional_certificate`` -- no modes, u = 0, theta > 1/2: F(M_p)
+  inside the open unit disk for some p means stability for every step
+  size.
+* ``step_certificate`` -- no modes and no unconditional certificate,
+  theta = 1, u = 0: F(M_p) inside D_{-h lambda_max(A)} means stability
+  for this step.  It reuses the unconditional stage's transforms and
+  sweeps.
+* ``_oracle`` -- no modes: rho of the dense W of ``oracle_stability``, the
+  tests' reference, while dim W = (m + 1) N fits under ``ORACLE_CAP``.
+  The cap bounds only this dense W.
 
 sigma(A^{-1} B) = sigma(M_p) lies in F(M_p) for every p, so both field-of-
 values stages test it before any sweep: one eigenvalue outside the target
 region rules out every p.  The verdict is the first of CertifiedUnstable,
 UnconditionallyStable and StableForThisStep that some stage reached, else
-Uncertified.  ``unconditional_certificate``, ``step_certificate`` and
-``simdiag_analysis`` run one stage alone, on fresh facts.
+Uncertified.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from .errors import (
 
 ROOT_TOL = 1e-9
 DEFAULT_P_GRID = (0.0, 1.0, 2.0)
-ORACLE_CAP = 5000  # max (m+1)N for the automatic brute-force check
+ORACLE_CAP = 5000  # max (m+1)N of the dense W the oracle builds
 
 UNCONDITIONALLY_STABLE = "UnconditionallyStable"
 STABLE_FOR_THIS_STEP = "StableForThisStep"
@@ -175,7 +179,7 @@ def _dy_radii(ys, mus, scheme: ThetaScheme) -> np.ndarray:
     ok = (ys < 0.0) & np.isfinite(ys)
     if not np.all(ok):
         raise InvalidParams(f"y must be finite and negative, got {ys[~ok][0]}")
-    roots = linalg.stacked_poly_roots(_coefficient_rows(ys, mus, scheme))
+    roots = linalg.poly_roots(_coefficient_rows(ys, mus, scheme))
     return np.max(np.abs(roots), axis=1)
 
 
@@ -382,7 +386,8 @@ def _refusal(check: str, note: str, scheme=None, margin=None) -> StabilityReport
     return StabilityReport(UNCERTIFIED, (Evidence(check, margin=margin, note=note),), scheme)
 
 
-def _unconditional(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityReport:
+def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
+                              p_grid) -> StabilityReport:
     """Certify stability for every step size (u = 0, theta > 1/2 only; for
     theta <= 1/2 no mu can ever qualify).
 
@@ -413,7 +418,7 @@ def _unconditional(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRepor
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
 
 
-def _step(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityReport:
+def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityReport:
     """Certify stability for this particular step size (theta = 1, u = 0).
 
     Region nesting (y1 < y2 < 0 implies D_{y1} subset of D_{y2}) reduces
@@ -528,115 +533,105 @@ def _simdiag(facts: _Facts) -> tuple[np.ndarray, np.ndarray]:
     return mode_lam[order], gamma[order]
 
 
-def _modes(facts: _Facts, scheme: ThetaScheme) -> tuple[StabilityReport, np.ndarray]:
-    """The verdict of :func:`_mode_report` and every mode's largest root
-    modulus, from one stacked root call over the rows (y_i, mu_i).  Raises
-    what ``simdiag_pairs`` raises for a pair without modes."""
+def simdiag_analysis(facts: _Facts, scheme: ThetaScheme) -> StabilityReport:
+    """The whole verdict of a pair with modes (:func:`_mode_report`), from
+    one stacked root call over the rows (y_i, mu_i).  Raises what
+    ``simdiag_pairs`` raises for a pair without modes."""
     lam, gamma = _simdiag(facts)
     radii = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
-    return _mode_report(lam, gamma, radii, scheme), radii
+    return _mode_report(lam, gamma, radii, scheme)
 
 
 def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
     """Mode-by-mode verdict from the pairs (lambda_i, gamma_i) of
     simultaneously diagonalizable A, B and their largest root moduli.
 
-    With mu_i = gamma_i / lambda_i and y_i = -lambda_i h:
+    With mu_i = gamma_i / lambda_i and y_i = -lambda_i h, two closed-form
+    tests come first:
 
     * all |mu_i| < 1, u = 0, theta > 1/2   -> UnconditionallyStable;
     * some Re(mu_i) >= 1, u = 0, theta = 1 -> CertifiedUnstable
-      (unstable for every step size);
-    * all mu_i in D_{y_i}                  -> StableForThisStep;
-    * anything else                        -> Uncertified.
+      (unstable for every step size).
+
+    When neither decides, every mode's ``mu-in-dy`` margin follows.  The
+    last entry is always rho(W), the largest radius: det P(z) factors over
+    the modes, so it needs no W and no cap.  The verdict is that of
+    :func:`_merge` over the closed-form tests and rho(W).
     """
     mus = gamma / lam
-    evidence = []
+    evidence, verdict = [], UNCERTIFIED
 
     if scheme.u == 0.0 and scheme.theta > 0.5:
         worst = 1.0 - float(np.max(np.abs(mus)))
         evidence.append(Evidence("all-mu-in-unit-disk", margin=worst))
         if worst > ROOT_TOL:
-            return StabilityReport(UNCONDITIONALLY_STABLE, tuple(evidence), scheme)
+            verdict = UNCONDITIONALLY_STABLE
 
-    if scheme.u == 0.0 and scheme.theta == 1.0:
-        real_parts = mus.real
-        if np.max(real_parts) >= 1.0:
-            i = int(np.argmax(real_parts))
-            evidence.append(Evidence("re-mu-at-least-one", index=i,
-                                     margin=float(real_parts[i] - 1.0),
-                                     note=f"mu_{i} = {mus[i]:.6g}"))
-            return StabilityReport(CERTIFIED_UNSTABLE, tuple(evidence), scheme)
+    # |mu_i| < 1 rules out Re(mu_i) >= 1, so at most one of the tests decides
+    if scheme.u == 0.0 and scheme.theta == 1.0 and np.max(mus.real) >= 1.0:
+        i = int(np.argmax(mus.real))
+        evidence.append(Evidence("re-mu-at-least-one", index=i,
+                                 margin=float(mus.real[i] - 1.0),
+                                 note=f"mu_{i} = {mus[i]:.6g}"))
+        verdict = CERTIFIED_UNSTABLE
 
-    for i, (lam_i, mu_i, radius) in enumerate(zip(lam, mus, radii)):
-        evidence.append(Evidence("mu-in-dy", index=i, margin=1.0 - float(radius),
-                                 note=f"lambda = {lam_i:.6g}, mu = {mu_i:.6g}"))
-    if np.all(radii < 1.0 - ROOT_TOL):
-        return StabilityReport(STABLE_FOR_THIS_STEP, tuple(evidence), scheme)
-    return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
-
-
-def unconditional_certificate(a, b, scheme: ThetaScheme, p_grid=DEFAULT_P_GRID,
-                              n_angles: int = fov.DEFAULT_ANGLES) -> StabilityReport:
-    """The unconditional stage (``_unconditional``) alone, on fresh facts."""
-    return _unconditional(_Facts(a, b, n_angles), scheme, p_grid)
+    if verdict == UNCERTIFIED:
+        for i, (lam_i, mu_i, radius) in enumerate(zip(lam, mus, radii)):
+            evidence.append(Evidence("mu-in-dy", index=i, margin=1.0 - float(radius),
+                                     note=f"lambda = {lam_i:.6g}, mu = {mu_i:.6g}"))
+    rho = OracleVerdict.from_radius(float(np.max(radii)), (scheme.m + 1) * lam.size)
+    return _merge([StabilityReport(verdict, tuple(evidence)),
+                   _rho_report(rho, f"per-mode over {lam.size} modes")], scheme)
 
 
-def step_certificate(a, b, scheme: ThetaScheme, p_grid=DEFAULT_P_GRID,
-                     n_angles: int = fov.DEFAULT_ANGLES) -> StabilityReport:
-    """The step stage (``_step``) alone, on fresh facts."""
-    return _step(_Facts(a, b, n_angles), scheme, p_grid)
-
-
-def simdiag_analysis(a, b, scheme: ThetaScheme) -> StabilityReport:
-    """The mode stage (``_modes``) alone, on fresh facts."""
-    return _modes(_Facts(a, b), scheme)[0]
-
-
-def _oracle(facts: _Facts, scheme: ThetaScheme, radii, cap: int) -> StabilityReport:
-    """rho(W) while dim W fits under ``cap``: the largest of the modes'
-    root moduli ``radii`` when there are modes (det P(z) factors over
-    them, so W is never built), else rho of the dense W.  Its note names
-    the path ("per-mode over N modes" or "dense W")."""
-    dim = (scheme.m + 1) * facts.a.shape[0]
-    if dim > cap:
-        return _refusal("oracle-spectral-radius", f"skipped: dim {dim} exceeds {cap}")
-    if radii is None:
-        oracle, path = oracle_stability(facts.a, facts.b, scheme), "dense W"
-    else:
-        oracle = OracleVerdict.from_radius(float(np.max(radii)), dim)
-        path = f"per-mode over {radii.size} modes"
+def _rho_report(oracle: OracleVerdict, path: str) -> StabilityReport:
+    """The ``oracle-spectral-radius`` entry of a rho(W) and its verdict; the
+    note names the path ("per-mode over N modes" or "dense W")."""
     verdict = (CERTIFIED_UNSTABLE if oracle.certified_unstable
                else STABLE_FOR_THIS_STEP if oracle.stable else UNCERTIFIED)
     return StabilityReport(verdict, (Evidence(
         "oracle-spectral-radius", margin=1.0 - oracle.spectral_radius,
-        note=f"rho(W) = {oracle.spectral_radius:.12g}, dim {oracle.dim}, {path}"),), scheme)
+        note=f"rho(W) = {oracle.spectral_radius:.12g}, dim {oracle.dim}, {path}"),))
+
+
+def _oracle(facts: _Facts, scheme: ThetaScheme, cap: int) -> StabilityReport:
+    """rho of the dense W (``oracle_stability``) while dim W fits under
+    ``cap``; a pair with modes never comes here."""
+    dim = (scheme.m + 1) * facts.a.shape[0]
+    if dim > cap:
+        return _refusal("oracle-spectral-radius", f"skipped: dim {dim} exceeds {cap}")
+    return _rho_report(oracle_stability(facts.a, facts.b, scheme), "dense W")
+
+
+def _merge(reports, scheme: ThetaScheme) -> StabilityReport:
+    """The reports' evidence in order, under the first of CertifiedUnstable,
+    UnconditionallyStable and StableForThisStep that one of them reached,
+    else Uncertified."""
+    verdicts = {r.verdict for r in reports}
+    verdict = next((v for v in (CERTIFIED_UNSTABLE, UNCONDITIONALLY_STABLE,
+                                STABLE_FOR_THIS_STEP) if v in verdicts), UNCERTIFIED)
+    return StabilityReport(verdict, tuple(e for r in reports for e in r.evidence), scheme)
 
 
 def certify(a, b, scheme: ThetaScheme,
             p_grid=DEFAULT_P_GRID,
             n_angles: int = fov.DEFAULT_ANGLES,
             oracle_cap: int = ORACLE_CAP) -> StabilityReport:
-    """Merge the applicable stages over one set of facts: the mode stage
-    when A, B have modes, else the unconditional stage and, unless it
-    certified, the step stage.  The oracle runs before the sweeps, so W is
-    never held with their matrices; its evidence comes last.  Verdict
-    precedence: instability witness, unconditional, per-step certificate."""
+    """The report of ``simdiag_analysis`` when A, B have modes.  Otherwise
+    the merge (:func:`_merge`) of the unconditional stage, the step stage
+    unless the first certified, and the dense oracle under ``oracle_cap``.
+    The oracle runs before the sweeps, so W is never held with their
+    matrices; its evidence comes last."""
     facts = _Facts(a, b, n_angles)
     try:
-        report, radii = _modes(facts, scheme)
-        reports = [report]
+        return simdiag_analysis(facts, scheme)
     except (NotSimultaneouslyDiagonalizable, ComplexSpectrum) as exc:
-        radii, reports = None, [_refusal("simdiag", f"not applicable: {exc}")]
-    oracle = _oracle(facts, scheme, radii, oracle_cap)
-    if radii is None:
-        reports.append(_unconditional(facts, scheme, p_grid))
-        if reports[-1].verdict != UNCONDITIONALLY_STABLE:
-            try:
-                reports.append(_step(facts, scheme, p_grid))
-            except (NotHermitian, NotPositiveDefinite) as exc:
-                reports.append(_refusal("step-certificate", f"not applicable: {exc}"))
-    reports.append(oracle)
-    verdicts = {r.verdict for r in reports}
-    verdict = next((v for v in (CERTIFIED_UNSTABLE, UNCONDITIONALLY_STABLE,
-                                STABLE_FOR_THIS_STEP) if v in verdicts), UNCERTIFIED)
-    return StabilityReport(verdict, tuple(e for r in reports for e in r.evidence), scheme)
+        reports = [_refusal("simdiag", f"not applicable: {exc}")]
+    oracle = _oracle(facts, scheme, oracle_cap)
+    reports.append(unconditional_certificate(facts, scheme, p_grid))
+    if reports[-1].verdict != UNCONDITIONALLY_STABLE:
+        try:
+            reports.append(step_certificate(facts, scheme, p_grid))
+        except (NotHermitian, NotPositiveDefinite) as exc:
+            reports.append(_refusal("step-certificate", f"not applicable: {exc}"))
+    return _merge(reports + [oracle], scheme)

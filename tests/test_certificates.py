@@ -18,6 +18,7 @@ from conftest import random_complex, random_spd
 
 BENCH_A = np.array([[29.0, -7.0, 1.0], [3.0, 27.0, -7.0], [3.0, 9.0, 11.0]])
 BENCH_B = np.array([[-30.0, -27.0, 33.0], [-3.0, -96.0, 75.0], [-3.0, -111.0, 90.0]])
+P_GRID = stability.DEFAULT_P_GRID
 
 
 def scheme(theta=1.0, u=0.0, m=2, tau=1.0):
@@ -40,19 +41,22 @@ def scaled_pair(gen, n, target_radius):
 class TestUnconditionalCertificate:
     def test_zero_delay_matrix(self, rng):
         a = random_spd(rng, 3)
-        rep = stability.unconditional_certificate(a, np.zeros((3, 3)), scheme(0.8))
+        rep = stability.unconditional_certificate(
+            stability._Facts(a, np.zeros((3, 3))), scheme(0.8), P_GRID)
         assert rep.verdict == UNCONDITIONALLY_STABLE
 
     def test_small_radius_certifies(self, rng):
         a, b = scaled_pair(rng, 4, 0.6)
-        rep = stability.unconditional_certificate(a, b, scheme(theta=1.0, m=3))
+        rep = stability.unconditional_certificate(stability._Facts(a, b), scheme(theta=1.0, m=3),
+                                                  P_GRID)
         assert rep.verdict == UNCONDITIONALLY_STABLE
         ps = [e.index for e in rep.evidence if e.check == "fov-unit-disk"]
         assert ps[-1] in (0.0, 1.0, 2.0)
 
     def test_margin_is_the_outer_bound(self, rng):
         a, b = scaled_pair(rng, 4, 0.6)
-        rep = stability.unconditional_certificate(a, b, scheme(theta=1.0, m=3), (0.0,), 64)
+        rep = stability.unconditional_certificate(stability._Facts(a, b, 64),
+                                                  scheme(theta=1.0, m=3), (0.0,))
         outer = fov.fov_boundary(fov.transformed_matrix(a, b, 0.0), 64).outer_radius()
         assert rep.evidence[-1].margin == 1.0 - outer
         # the outer bound never undercuts the sampled inner estimate
@@ -60,13 +64,15 @@ class TestUnconditionalCertificate:
 
     def test_theta_half_or_below_uncertified_with_reason(self, rng):
         a, b = scaled_pair(rng, 3, 0.2)
-        rep = stability.unconditional_certificate(a, b, scheme(theta=0.5))
+        rep = stability.unconditional_certificate(stability._Facts(a, b), scheme(theta=0.5),
+                                                  P_GRID)
         assert rep.verdict == UNCERTIFIED
         assert "theta" in rep.evidence[0].note
 
     def test_u_nonzero_uncertified_with_reason(self, rng):
         a, b = scaled_pair(rng, 3, 0.2)
-        rep = stability.unconditional_certificate(a, b, scheme(theta=1.0, u=0.5, m=4))
+        rep = stability.unconditional_certificate(stability._Facts(a, b),
+                                                  scheme(theta=1.0, u=0.5, m=4), P_GRID)
         assert rep.verdict == UNCERTIFIED
         assert "u = 0" in rep.evidence[0].note
 
@@ -74,7 +80,8 @@ class TestUnconditionalCertificate:
         # an eigenvalue of A^{-1}B outside the closed unit disk kills every p
         a = np.eye(3)
         b = np.diag([1.5, 0.1, 0.1]).astype(float)
-        rep = stability.unconditional_certificate(a, b, scheme(theta=1.0))
+        rep = stability.unconditional_certificate(stability._Facts(a, b), scheme(theta=1.0),
+                                                  P_GRID)
         assert rep.verdict == UNCERTIFIED
         assert rep.evidence[0].check == "spectrum-obstruction"
 
@@ -84,7 +91,8 @@ class TestUnconditionalCertificate:
         for l_val, want in ((-0.1, UNCONDITIONALLY_STABLE), (0.1, UNCERTIFIED)):
             problem = mol.build_example1(30, 1.0, 1.0, l_val, math.pi / 2.0)
             a, b = problem.stability_matrices()
-            rep = stability.unconditional_certificate(a, b, scheme(m=5, tau=problem.tau))
+            rep = stability.unconditional_certificate(stability._Facts(a, b),
+                                                      scheme(m=5, tau=problem.tau), P_GRID)
             assert rep.verdict == want
 
 
@@ -92,18 +100,20 @@ class TestStepCertificate:
     def test_zero_delay_matrix_any_step(self, rng):
         a = random_spd(rng, 3)
         for m in (1, 4, 20):
-            rep = stability.step_certificate(a, np.zeros((3, 3)), scheme(m=m, tau=3.0))
+            rep = stability.step_certificate(stability._Facts(a, np.zeros((3, 3))),
+                                             scheme(m=m, tau=3.0), P_GRID)
             assert rep.verdict == STABLE_FOR_THIS_STEP
 
     def test_requires_theta_one(self, rng):
         a, b = scaled_pair(rng, 3, 0.5)
-        rep = stability.step_certificate(a, b, scheme(theta=0.9))
+        rep = stability.step_certificate(stability._Facts(a, b), scheme(theta=0.9), P_GRID)
         assert rep.verdict == UNCERTIFIED
         assert "theta = 1" in rep.evidence[0].note
 
     def test_rejects_indefinite_a(self):
         with pytest.raises(errors.NotPositiveDefinite):
-            stability.step_certificate(np.diag([1.0, -1.0]), np.zeros((2, 2)), scheme())
+            stability.step_certificate(stability._Facts(np.diag([1.0, -1.0]), np.zeros((2, 2))),
+                                       scheme(), P_GRID)
 
     def test_spectral_obstruction_skips_every_sweep(self, monkeypatch):
         # mu = 1.5 is an eigenvalue of A^{-1} B outside D_y, so no p can pass
@@ -111,8 +121,8 @@ class TestStepCertificate:
             raise AssertionError("fov_boundary must not be called")
 
         monkeypatch.setattr(fov, "fov_boundary", no_sweep)
-        rep = stability.step_certificate(np.eye(3), np.diag([1.5, 0.1, 0.1]),
-                                         scheme(theta=1.0))
+        rep = stability.step_certificate(stability._Facts(np.eye(3), np.diag([1.5, 0.1, 0.1])),
+                                         scheme(theta=1.0), P_GRID)
         assert rep.verdict == UNCERTIFIED
         assert len(rep.evidence) == 1
         assert rep.evidence[0].check == "spectrum-obstruction"
@@ -124,8 +134,9 @@ class TestStepCertificate:
         a = np.eye(2)
         b = -1.02 * np.eye(2)
         s = ThetaScheme(theta=1.0, u=0.0, m=60, tau=1.0)
-        assert stability.unconditional_certificate(a, b, s).verdict == UNCERTIFIED
-        rep = stability.step_certificate(a, b, s)
+        facts = stability._Facts(a, b)
+        assert stability.unconditional_certificate(facts, s, P_GRID).verdict == UNCERTIFIED
+        rep = stability.step_certificate(facts, s, P_GRID)
         assert rep.verdict == STABLE_FOR_THIS_STEP
         assert stability.oracle_stability(a, b, s).stable
 
@@ -174,7 +185,7 @@ class TestStepCertificateRootCalls:
     def test_matches_per_point_in_dy_reference(self):
         outcomes = set()
         for a, b, s in step_cases():
-            rep = stability.step_certificate(a, b, s)
+            rep = stability.step_certificate(stability._Facts(a, b), s, P_GRID)
             assert rep.to_dict() == step_reference(a, b, s).to_dict()
             outcomes.add((rep.verdict, len(rep.evidence), rep.evidence[0].check))
         assert (UNCERTIFIED, 1, "spectrum-obstruction") in outcomes
@@ -184,17 +195,17 @@ class TestStepCertificateRootCalls:
 
     def test_one_root_call_per_swept_p(self, monkeypatch):
         calls = []
-        stacked = linalg.stacked_poly_roots
+        roots = linalg.poly_roots
 
         def counted(coeffs):
             calls.append(len(coeffs))
-            return stacked(coeffs)
+            return roots(coeffs)
 
-        monkeypatch.setattr(linalg, "stacked_poly_roots", counted)
+        monkeypatch.setattr(linalg, "poly_roots", counted)
         most_swept = 0
         for a, b, s in step_cases():
             calls.clear()
-            rep = stability.step_certificate(a, b, s)
+            rep = stability.step_certificate(stability._Facts(a, b), s, P_GRID)
             swept = sum(e.check == "fov-in-dy" for e in rep.evidence)
             assert len(calls) == 1 + swept
             assert calls[0] == a.shape[0]  # the rows are sigma(A^{-1} B)
@@ -210,19 +221,23 @@ class TestSimdiag:
         np.testing.assert_allclose(gamma.imag, 0.0, atol=1e-8)
 
     def test_benchmark_verdicts(self):
-        assert stability.simdiag_analysis(BENCH_A, BENCH_B, scheme(m=2)).verdict \
-            == STABLE_FOR_THIS_STEP
-        rep50 = stability.simdiag_analysis(BENCH_A, BENCH_B, scheme(m=50))
-        assert rep50.verdict == UNCERTIFIED
+        facts = stability._Facts(BENCH_A, BENCH_B)
+        assert stability.simdiag_analysis(facts, scheme(m=2)).verdict == STABLE_FOR_THIS_STEP
+        rep50 = stability.simdiag_analysis(facts, scheme(m=50))
+        assert rep50.verdict == CERTIFIED_UNSTABLE  # rho(W) is the largest mode radius
         failed = [e for e in rep50.evidence if e.check == "mu-in-dy" and e.margin < 0]
         assert failed  # mu_2 outside D_{y_2}
+        assert rep50.evidence[-1].check == "oracle-spectral-radius"
+        assert rep50.evidence[-1].margin == min(e.margin for e in failed)
 
     def test_contraction_unconditional(self):
-        rep = stability.simdiag_analysis(np.eye(2), 0.5 * np.eye(2), scheme(theta=0.8))
+        rep = stability.simdiag_analysis(stability._Facts(np.eye(2), 0.5 * np.eye(2)),
+                                         scheme(theta=0.8))
         assert rep.verdict == UNCONDITIONALLY_STABLE
 
     def test_expansion_certified_unstable(self):
-        rep = stability.simdiag_analysis(np.eye(2), 2.0 * np.eye(2), scheme(theta=1.0))
+        rep = stability.simdiag_analysis(stability._Facts(np.eye(2), 2.0 * np.eye(2)),
+                                         scheme(theta=1.0))
         assert rep.verdict == CERTIFIED_UNSTABLE
         witness = [e for e in rep.evidence if e.check == "re-mu-at-least-one"]
         assert witness and witness[0].margin >= 0.0
@@ -231,14 +246,14 @@ class TestSimdiag:
         a = np.diag([1.0, 2.0])
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(errors.NotSimultaneouslyDiagonalizable):
-            stability.simdiag_analysis(a, b, scheme())
+            stability.simdiag_analysis(stability._Facts(a, b), scheme())
 
     def test_complex_spectrum_rejected(self):
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(errors.ComplexSpectrum):
-            stability.simdiag_analysis(rotation, np.eye(2), scheme())
+            stability.simdiag_analysis(stability._Facts(rotation, np.eye(2)), scheme())
         with pytest.raises(errors.ComplexSpectrum):
-            stability.simdiag_analysis(-np.eye(2), np.eye(2), scheme())
+            stability.simdiag_analysis(stability._Facts(-np.eye(2), np.eye(2)), scheme())
 
     def test_coupled_eigenspaces_rejected(self, rng):
         # A has the double eigenvalue 1; B maps its eigenspace into that of 2
@@ -288,9 +303,10 @@ class TestSimdiag:
         # y = -1e15 at theta = 0: P(z) = z^3 + (1e15 - 1) z^2 - 5e14 has a
         # root near -1e15, which trimming the unit leading coefficient lost
         s = ThetaScheme(theta=0.0, u=0.0, m=2, tau=1.0)
-        rep = stability.simdiag_analysis([[2e15]], [[1e15]], s)
-        assert rep.verdict == UNCERTIFIED
-        assert rep.evidence[-1].margin < -1e14
+        rep = stability.simdiag_analysis(stability._Facts([[2e15]], [[1e15]]), s)
+        assert rep.verdict == CERTIFIED_UNSTABLE
+        assert [e.check for e in rep.evidence] == ["mu-in-dy", "oracle-spectral-radius"]
+        assert rep.evidence[0].margin == rep.evidence[1].margin < -1e14
 
 
 @pytest.mark.parametrize("call", [
@@ -374,10 +390,20 @@ class TestConsolidatedCheck:
         rep = stability.certify(a, np.zeros((3, 3)), scheme(theta=0.75, m=4))
         assert rep.verdict == UNCONDITIONALLY_STABLE
 
-    def test_oracle_skipped_beyond_cap(self):
-        rep = stability.certify(BENCH_A, BENCH_B, scheme(m=50), oracle_cap=10)
+    def test_oracle_skipped_beyond_cap(self, rng):
+        # the cap bounds the dense W of a pair without modes
+        a, b = scaled_pair(rng, 3, 0.5)
+        rep = stability.certify(a, b, scheme(m=50), oracle_cap=10)
+        assert rep.evidence[0].check == "simdiag"
         notes = [e.note for e in rep.evidence if e.check == "oracle-spectral-radius"]
-        assert notes and "skipped" in notes[0]
+        assert notes == ["skipped: dim 153 exceeds 10"]
+
+    def test_per_mode_oracle_has_no_cap(self):
+        rep = stability.certify(BENCH_A, BENCH_B, scheme(m=50), oracle_cap=10)
+        assert rep.verdict == CERTIFIED_UNSTABLE
+        assert rep.evidence[-1].check == "oracle-spectral-radius"
+        assert rep.evidence[-1].note.endswith("dim 153, per-mode over 3 modes")
+        assert rep.evidence[-1].margin < 0.0
 
 
 def block_pair(gen, lams, blocks):
@@ -464,4 +490,6 @@ class TestModeReportThreshold:
         radii = np.array([0.5, radius])
         rep = stability._mode_report(lam, gamma, radii, scheme(theta=0.5, u=0.5, m=3))
         assert rep.verdict == verdict
-        assert [e.margin for e in rep.evidence] == [0.5, 1.0 - radius]
+        assert [e.check for e in rep.evidence] == ["mu-in-dy"] * 2 + ["oracle-spectral-radius"]
+        assert [e.margin for e in rep.evidence] == [0.5, 1.0 - radius, 1.0 - radius]
+        assert rep.evidence[-1].note.endswith("dim 8, per-mode over 2 modes")

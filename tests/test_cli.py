@@ -180,6 +180,22 @@ class TestCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "CertifiedUnstable"
 
+    def test_example1_above_the_oracle_cap_unstable(self, tmp_path, capsys):
+        # dim W = 31 * 198 = 6138 exceeds ORACLE_CAP; the modes give rho(W)
+        a, b = mol.build_example1(100, l=0.1).stability_matrices()
+        write_matrix(tmp_path / "a.json", a)
+        write_matrix(tmp_path / "b.json", b)
+        code = cli.main(["check", "--matrix-a", str(tmp_path / "a.json"), "--matrix-b",
+                         str(tmp_path / "b.json"), "--tau", repr(math.pi / 2.0), "--m", "30"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "CertifiedUnstable"
+        oracle = doc["evidence"][-1]
+        assert oracle["check"] == "oracle-spectral-radius"
+        assert oracle["note"].endswith("dim 6138, per-mode over 198 modes")
+        assert 6138 > stability.ORACLE_CAP
+        assert 1.0 - oracle["margin"] == pytest.approx(1.00502, abs=5e-6)
+
     def test_zero_b_unconditional(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
         write_matrix(a_path, np.diag([2.0, 3.0]))

@@ -108,25 +108,25 @@ class TestGeneralEigenvalues:
     def test_matches_characteristic_polynomial_roots(self, rng):
         m = random_complex(rng, 5)
         direct = linalg.general_eigenvalues(m)
-        via_poly = linalg.poly_roots(characteristic_polynomial(m))
+        via_poly = linalg.poly_roots([characteristic_polynomial(m)])[0]
         assert multiset_distance(direct, via_poly) <= 1e-8
 
 
 class TestPolyRoots:
     def test_quadratic(self):
-        roots = np.sort_complex(linalg.poly_roots([-1.0, 0.0, 1.0]))
+        roots = np.sort_complex(linalg.poly_roots([[-1.0, 0.0, 1.0]])[0])
         assert_allclose(roots, [-1.0, 1.0], atol=1e-12)
 
     def test_stability_polynomial_case(self):
         # P for mu=0, theta=1, u=0, m=2, y=-1: roots {0, 0, 1/2}
         coeffs = [0.0, 0.0, -1.0, 2.0]
-        roots = np.sort(np.abs(linalg.poly_roots(coeffs)))
+        roots = np.sort(np.abs(linalg.poly_roots([coeffs])[0]))
         assert_allclose(roots, [0.0, 0.0, 0.5], atol=1e-12)
 
     def test_recovers_random_roots_degree_8(self, rng):
         true_roots = rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
         coeffs = np.poly(true_roots)[::-1]  # constant-first
-        got = linalg.poly_roots(coeffs)
+        got = linalg.poly_roots([coeffs])[0]
         assert multiset_distance(got, true_roots) <= 1e-6
 
     def test_random_multisets_up_to_degree_10(self, rng):
@@ -135,20 +135,9 @@ class TestPolyRoots:
             radii = np.sqrt(rng.uniform(0.0, 4.0, deg))
             true_roots = radii * np.exp(2j * np.pi * rng.uniform(size=deg))
             coeffs = np.poly(true_roots)[::-1]
-            got = linalg.poly_roots(coeffs)
+            got = linalg.poly_roots([coeffs])[0]
             assert multiset_distance(got, true_roots) <= 1e-6
 
-    def test_zero_polynomial(self):
-        with pytest.raises(errors.ZeroPolynomial):
-            linalg.poly_roots([0.0, 0.0])
-
-    def test_degenerate_leading(self):
-        with pytest.raises(errors.DegenerateLeading):
-            linalg.poly_roots([5.0, 1e-20])
-
-    def test_trims_negligible_leading(self):
-        roots = linalg.poly_roots([-1.0, 0.0, 1.0, 1e-20])
-        assert len(roots) == 2
 
 
 class TestStackedEigenvalues:
@@ -167,19 +156,20 @@ class TestStackedEigenvalues:
 class TestStackedPolyRoots:
     def test_rows_match_poly_roots(self, rng):
         coeffs = rng.standard_normal((20, 7)) + 1j * rng.standard_normal((20, 7))
-        got = linalg.stacked_poly_roots(coeffs)
+        got = linalg.poly_roots(coeffs)
         assert got.shape == (20, 6)
         for row, roots in zip(coeffs, got):
-            assert multiset_distance(roots, linalg.poly_roots(row)) <= 1e-10
+            # numpy.roots takes the leading coefficient first
+            assert multiset_distance(roots, np.roots(row[::-1])) <= 1e-10
 
     def test_keeps_small_leading_coefficient(self):
-        roots = linalg.stacked_poly_roots([[-1.0, 0.0, 1.0, 1e-20]])
+        roots = linalg.poly_roots([[-1.0, 0.0, 1.0, 1e-20]])
         assert roots.shape == (1, 3)
         assert np.max(np.abs(roots)) == pytest.approx(1e20, rel=1e-9)
 
     def test_zero_leading_coefficient(self):
         with pytest.raises(errors.DegenerateLeading):
-            linalg.stacked_poly_roots([[1.0, 2.0], [1.0, 0.0]])
+            linalg.poly_roots([[1.0, 2.0], [1.0, 0.0]])
 
     @staticmethod
     def mixed_stack(rng):
@@ -198,14 +188,14 @@ class TestStackedPolyRoots:
     def test_mixed_stack_matches_per_row_complex_companion(self, rng):
         for _ in range(5):
             coeffs = self.mixed_stack(rng)
-            got = linalg.stacked_poly_roots(coeffs)
+            got = linalg.poly_roots(coeffs)
             for row, roots in zip(coeffs, got):
                 # numpy.roots takes the leading coefficient first
                 assert multiset_distance(roots, np.roots(row[::-1])) <= 1e-10
 
     def test_equal_and_conjugate_rows_get_exact_roots(self, rng):
         row = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        got = linalg.stacked_poly_roots([row, row.conj(), row])
+        got = linalg.poly_roots([row, row.conj(), row])
         assert np.array_equal(got[1], got[0].conj())
         assert np.array_equal(got[2], got[0])
 
@@ -218,7 +208,7 @@ class TestStackedPolyRoots:
             return original(m)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        linalg.stacked_poly_roots(self.mixed_stack(rng))
+        linalg.poly_roots(self.mixed_stack(rng))
         assert sorted(calls) == [(2, False), (4, True)]
 
     @pytest.mark.parametrize("rows", [
@@ -229,8 +219,7 @@ class TestStackedPolyRoots:
         original = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: original(m) + 0.1)
         with pytest.raises(errors.NoConvergence, match="root residual"):
-            linalg.stacked_poly_roots(rows)
-
+            linalg.poly_roots(rows)
 
 
 class TestLinearSolver:

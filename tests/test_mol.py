@@ -180,7 +180,8 @@ class TestExample2:
             linalg.general_eigenvalues(b_worst @ np.linalg.inv(a_pd))))
         assert radius <= abs(cond.transformed_interval[0]) + 1e-12
         rep = stability.unconditional_certificate(
-            a_pd, b_worst, stability.ThetaScheme(1.0, 0.0, 5, 1.0))
+            stability._Facts(a_pd, b_worst), stability.ThetaScheme(1.0, 0.0, 5, 1.0),
+            stability.DEFAULT_P_GRID)
         assert rep.verdict == stability.UNCONDITIONALLY_STABLE
 
 

@@ -17,6 +17,8 @@ The snapshot holds what the command line prints and writes for:
   ``rows`` is 2.5 or whose entries are ``[re]`` lists, mixed or hold a
   string, and ``check`` of example 3.1 with ``--n-angles 4`` and with an
   empty ``--p-grid``);
+* ``check`` of example1 (M = 100, l = +0.1) at m = 30, a pair with modes
+  whose dim W, 6138, is above the default ``--oracle-cap``;
 * ``check`` of two non-commuting pairs at theta = 1: an SPD A whose
   unconditional sweep fails at every p, so that the step certificate
   sweeps every p again, and a non-Hermitian A, for which p = 1 is skipped
@@ -155,6 +157,12 @@ def snapshot(ddestab, seed: int) -> None:
             "--tau", "1", "--m", "2"]
     run(main, "check-ex31-n-angles-4", ex31 + ["--n-angles", "4"])
     run(main, "check-ex31-p-grid-empty", ex31 + ["--p-grid", ""])
+
+    a, b = ddestab.mol.build_example1(100, l=0.1).stability_matrices()
+    workloads.write_matrix("ex1-a.json", a)
+    workloads.write_matrix("ex1-b.json", b)
+    run(main, "check-ex1-above-cap", ["check", "--matrix-a", "ex1-a.json", "--matrix-b",
+                                      "ex1-b.json", "--tau", repr(np.pi / 2.0), "--m", "30"])
 
     # rho(A^{-1} B) = 0.9, so no spectrum test rules the sweeps out
     gen = np.random.default_rng(0)
