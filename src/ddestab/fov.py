@@ -16,8 +16,7 @@ F(M), and with n equispaced directions the numerical radius is at most
 max lam / cos(pi / n) (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978).
 That outer bound, raised by the eigensolver's rounding allowance
 (:meth:`FovBoundary.outer_radius`), decides the unit-disk test of the
-unconditional certificate; the inflation margin :func:`fov_margin`
-remains only for containment queries against sampled points.
+unconditional certificate.
 """
 
 from __future__ import annotations
@@ -33,11 +32,6 @@ from .errors import InvalidParams, NotPositiveDefinite
 
 DEFAULT_ANGLES = 256
 MIN_ANGLES = 8
-
-
-def fov_margin(m) -> float:
-    """Inflation margin for containment queries: 1e-7 * (1 + ||M||)."""
-    return 1e-7 * (1.0 + linalg.scaled_norm(m))
 
 
 # ---------------------------------------------------------------------------

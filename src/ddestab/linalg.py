@@ -8,8 +8,9 @@ reusable LU solvers.  ``poly_roots`` trims nothing and solves each
 distinct row (up to conjugation) once, its real rows in real arithmetic.
 
 All tolerances are relative to ``scaled_norm`` (max-abs entry times
-dimension) so the contracts are scale-free.  Every function is pure; all
-returned arrays are freshly allocated and never aliased to the input.
+dimension), so the contracts are scale-free and need it finite: a matrix
+whose norm overflows is rejected.  Every function is pure; all returned
+arrays are freshly allocated and never aliased to the input.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ PD_TOL = 1e-12
 
 
 def as_square_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a 2-D square complex-capable ndarray."""
+    """Validate and return ``m`` as a 2-D square ndarray of finite ``scaled_norm``."""
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidParams(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParams("matrix contains NaN or Inf entries")
+    if not np.isfinite(scaled_norm(a)):
+        raise InvalidParams("matrix contains NaN or Inf entries"
+                            if not np.all(np.isfinite(a)) else "matrix scaled norm overflows")
     return a
 
 

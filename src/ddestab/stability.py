@@ -52,6 +52,12 @@ values stages test it before any sweep: one eigenvalue outside the target
 region rules out every p.  The verdict is the first of CertifiedUnstable,
 UnconditionallyStable and StableForThisStep that some stage reached, else
 Uncertified.
+
+Every stable/unstable decision is the rule ``_side``: radius r with bound e
+is inside if r < 1 - e, outside if r >= 1 + e, else undecided.  The bound
+is ROOT_TOL for root moduli, rho(W) and max|mu_i|; 0 for Re(mu_i), the
+spectrum obstructions and the outer numerical radius; ``_inflation_margin``
+for the sampled points of the step certificate.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ from .errors import (
 ROOT_TOL = 1e-9
 DEFAULT_P_GRID = (0.0, 1.0, 2.0)
 ORACLE_CAP = 5000  # max (m+1)N of the dense W the oracle builds
+_INSIDE, _OUTSIDE, _UNDECIDED = "inside", "outside", "undecided"  # sides of _side
 
 UNCONDITIONALLY_STABLE = "UnconditionallyStable"
 STABLE_FOR_THIS_STEP = "StableForThisStep"
@@ -146,13 +153,22 @@ def _coefficient_rows(ys, mus, scheme: ThetaScheme) -> np.ndarray:
     return coeffs
 
 
+def _side(radius: float, bound: float) -> str:
+    """The rule: inside if radius < 1 - bound, outside if radius >= 1 + bound."""
+    if radius < 1.0 - bound:
+        return _INSIDE
+    return _OUTSIDE if radius >= 1.0 + bound else _UNDECIDED
+
+
+def _inflation_margin(m) -> float:
+    """The bound of the sampled points of F(M): 1e-7 * (1 + scaled_norm(M))."""
+    return 1e-7 * (1.0 + linalg.scaled_norm(m))
+
+
 @dataclass(frozen=True)
 class DyMembership:
-    """Outcome of a D_y membership test.
-
-    ``margin`` is 1 - max|root|: positive inside, negative outside,
-    within ROOT_TOL of zero means marginal (no stability claim either way).
-    """
+    """Outcome of a D_y membership test: ``inside`` by the rule (``_side``) with
+    bound ROOT_TOL on ``max_root_modulus``, and ``margin`` = 1 - max|root|."""
 
     inside: bool
     margin: float
@@ -160,16 +176,6 @@ class DyMembership:
 
     def __bool__(self) -> bool:
         return self.inside
-
-    @property
-    def marginal(self) -> bool:
-        return abs(self.margin) <= ROOT_TOL
-
-    @classmethod
-    def from_radius(cls, radius: float) -> DyMembership:
-        """The membership decided by a largest root modulus."""
-        return cls(inside=radius < 1.0 - ROOT_TOL, margin=1.0 - radius,
-                   max_root_modulus=radius)
 
 
 def _dy_radii(ys, mus, scheme: ThetaScheme) -> np.ndarray:
@@ -184,12 +190,10 @@ def _dy_radii(ys, mus, scheme: ThetaScheme) -> np.ndarray:
 
 
 def in_dy(mu: complex, y: float, scheme: ThetaScheme) -> DyMembership:
-    """Does mu belong to the stability region D_y (y finite, negative)?
-
-    Decided by all roots of the stability polynomial, the one-row case of
-    the stacked root call; true iff every modulus is below 1 - ROOT_TOL.
-    """
-    return DyMembership.from_radius(float(_dy_radii(y, np.array([mu]), scheme)[0]))
+    """Does mu lie in D_y (y finite, negative)?  The rule with bound ROOT_TOL
+    on the largest root modulus of P(z), a one-row stacked root call."""
+    radius = float(_dy_radii(y, np.array([mu]), scheme)[0])
+    return DyMembership(_side(radius, ROOT_TOL) == _INSIDE, 1.0 - radius, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +267,9 @@ def build_w(a, b, scheme: ThetaScheme) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """Spectral-radius verdict for the one-step matrix W."""
+    """rho(W) of a one-step matrix W of dimension ``dim``, whose sides by
+    the rule (:func:`_side`) with bound ROOT_TOL are the two verdicts."""
 
-    stable: bool
     spectral_radius: float
     dim: int
 
@@ -273,20 +277,19 @@ class OracleVerdict:
         return self.stable
 
     @property
-    def certified_unstable(self) -> bool:
-        return self.spectral_radius >= 1.0 + ROOT_TOL
+    def stable(self) -> bool:
+        return _side(self.spectral_radius, ROOT_TOL) == _INSIDE
 
-    @classmethod
-    def from_radius(cls, radius: float, dim: int) -> OracleVerdict:
-        """The verdict decided by rho(W) of a W of dimension ``dim``."""
-        return cls(stable=radius < 1.0 - ROOT_TOL, spectral_radius=radius, dim=dim)
+    @property
+    def certified_unstable(self) -> bool:
+        return _side(self.spectral_radius, ROOT_TOL) == _OUTSIDE
 
 
 def oracle_stability(a, b, scheme: ThetaScheme) -> OracleVerdict:
-    """Brute-force check: build the dense W and test rho(W) < 1 - ROOT_TOL."""
+    """Brute-force check: rho of the dense W, decided by the rule (``_side``)."""
     w_mat = build_w(a, b, scheme)
-    return OracleVerdict.from_radius(
-        float(np.max(np.abs(linalg.general_eigenvalues(w_mat)))), w_mat.shape[0])
+    return OracleVerdict(float(np.max(np.abs(linalg.general_eigenvalues(w_mat)))),
+                         w_mat.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +403,7 @@ def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
         return _refusal("scheme-hypotheses", "certificate requires u = 0" if scheme.u
                         else "unconditional region is empty for theta <= 1/2", scheme)
     rho = float(np.max(np.abs(facts.spectrum)))
-    if rho >= 1.0:
+    if _side(rho, 0.0) == _OUTSIDE:
         return _refusal("spectrum-obstruction", "an eigenvalue of A^{p/2-1} B A^{-p/2} "
                         "has modulus >= 1 for every p; certificate inapplicable",
                         scheme, 1.0 - rho)
@@ -413,7 +416,7 @@ def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
             continue
         evidence.append(Evidence("fov-unit-disk", index=p, margin=1.0 - outer,
                                  note="outer bound on the numerical radius"))
-        if outer < 1.0:
+        if _side(outer, 0.0) == _INSIDE:
             return StabilityReport(UNCONDITIONALLY_STABLE, tuple(evidence), scheme)
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
 
@@ -423,9 +426,9 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
 
     Region nesting (y1 < y2 < 0 implies D_{y1} subset of D_{y2}) reduces
     the intersection of D_y over y in -h F(A) to y = -h lambda_max(A).
-    Each sampled point of F(M_p) must lie in that D_y with margin at least
-    the inflation margin.  The margins come from one stacked root call
-    over sigma(A^{-1} B) and one per swept p.  Raises NotHermitian or
+    Each sampled point of F(M_p) must lie in that D_y by the rule with the
+    inflation margin as its bound.  The margins come from one stacked root
+    call over sigma(A^{-1} B) and one per swept p.  Raises NotHermitian or
     NotPositiveDefinite unless A is Hermitian positive definite.
     """
     if scheme.theta != 1.0 or scheme.u != 0.0:
@@ -436,11 +439,11 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
     if np.min(lam) <= floor:
         raise NotPositiveDefinite("step certificate needs positive definite A")
     y_worst = -scheme.h * float(lam[-1])
-    spectral = 1.0 - float(np.max(_dy_radii(y_worst, facts.spectrum, scheme)))
-    if spectral <= 0.0:
+    spectral = float(np.max(_dy_radii(y_worst, facts.spectrum, scheme)))
+    if _side(spectral, 0.0) == _OUTSIDE:
         return _refusal("spectrum-obstruction", "an eigenvalue of A^{-1} B lies outside "
                         f"D_y at y = {y_worst:.6g}, which rules out every p",
-                        scheme, spectral)
+                        scheme, 1.0 - spectral)
     evidence = []
     for p in p_grid:
         try:
@@ -448,10 +451,10 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
         except (NotHermitian, NotPositiveDefinite) as exc:
             evidence.append(Evidence("fov-in-dy", index=p, note=f"skipped: {exc}"))
             continue
-        worst = 1.0 - float(np.max(_dy_radii(y_worst, boundary.points, scheme)))
-        evidence.append(Evidence("fov-in-dy", index=p, margin=worst,
+        worst = float(np.max(_dy_radii(y_worst, boundary.points, scheme)))
+        evidence.append(Evidence("fov-in-dy", index=p, margin=1.0 - worst,
                                  note=f"y = {y_worst:.6g}"))
-        if worst >= fov.fov_margin(t_mat):
+        if _side(worst, _inflation_margin(t_mat)) == _INSIDE:
             return StabilityReport(STABLE_FOR_THIS_STEP, tuple(evidence), scheme)
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
 
@@ -562,13 +565,13 @@ def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
     evidence, verdict = [], UNCERTIFIED
 
     if scheme.u == 0.0 and scheme.theta > 0.5:
-        worst = 1.0 - float(np.max(np.abs(mus)))
-        evidence.append(Evidence("all-mu-in-unit-disk", margin=worst))
-        if worst > ROOT_TOL:
+        worst = float(np.max(np.abs(mus)))
+        evidence.append(Evidence("all-mu-in-unit-disk", margin=1.0 - worst))
+        if _side(worst, ROOT_TOL) == _INSIDE:
             verdict = UNCONDITIONALLY_STABLE
 
     # |mu_i| < 1 rules out Re(mu_i) >= 1, so at most one of the tests decides
-    if scheme.u == 0.0 and scheme.theta == 1.0 and np.max(mus.real) >= 1.0:
+    if scheme.u == 0.0 and scheme.theta == 1.0 and _side(np.max(mus.real), 0.0) == _OUTSIDE:
         i = int(np.argmax(mus.real))
         evidence.append(Evidence("re-mu-at-least-one", index=i,
                                  margin=float(mus.real[i] - 1.0),
@@ -579,7 +582,7 @@ def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
         for i, (lam_i, mu_i, radius) in enumerate(zip(lam, mus, radii)):
             evidence.append(Evidence("mu-in-dy", index=i, margin=1.0 - float(radius),
                                      note=f"lambda = {lam_i:.6g}, mu = {mu_i:.6g}"))
-    rho = OracleVerdict.from_radius(float(np.max(radii)), (scheme.m + 1) * lam.size)
+    rho = OracleVerdict(float(np.max(radii)), (scheme.m + 1) * lam.size)
     return _merge([StabilityReport(verdict, tuple(evidence)),
                    _rho_report(rho, f"per-mode over {lam.size} modes")], scheme)
 
@@ -587,8 +590,8 @@ def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
 def _rho_report(oracle: OracleVerdict, path: str) -> StabilityReport:
     """The ``oracle-spectral-radius`` entry of a rho(W) and its verdict; the
     note names the path ("per-mode over N modes" or "dense W")."""
-    verdict = (CERTIFIED_UNSTABLE if oracle.certified_unstable
-               else STABLE_FOR_THIS_STEP if oracle.stable else UNCERTIFIED)
+    verdict = {_INSIDE: STABLE_FOR_THIS_STEP, _OUTSIDE: CERTIFIED_UNSTABLE,
+               _UNDECIDED: UNCERTIFIED}[_side(oracle.spectral_radius, ROOT_TOL)]
     return StabilityReport(verdict, (Evidence(
         "oracle-spectral-radius", margin=1.0 - oracle.spectral_radius,
         note=f"rho(W) = {oracle.spectral_radius:.12g}, dim {oracle.dim}, {path}"),))

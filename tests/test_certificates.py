@@ -160,7 +160,7 @@ def step_reference(a, b, s, p_grid=stability.DEFAULT_P_GRID):
         worst = min(stability.in_dy(complex(z), y, s).margin for z in points)
         evidence.append(stability.Evidence("fov-in-dy", index=p, margin=worst,
                                            note=f"y = {y:.6g}"))
-        if worst >= fov.fov_margin(t_mat):
+        if worst >= stability._inflation_margin(t_mat):
             return stability.StabilityReport(STABLE_FOR_THIS_STEP, tuple(evidence), s)
     return stability.StabilityReport(UNCERTIFIED, tuple(evidence), s)
 
@@ -476,15 +476,18 @@ class TestModePath:
 
 
 class TestModeReportThreshold:
-    @pytest.mark.parametrize("direction, verdict", [
-        (-math.inf, STABLE_FOR_THIS_STEP),
-        (None, UNCERTIFIED),
-        (math.inf, UNCERTIFIED),
-    ], ids=["below", "at", "above"])
-    def test_stable_only_below_one_minus_root_tol(self, direction, verdict):
+    @pytest.mark.parametrize("sign, direction, verdict", [
+        (-1.0, -math.inf, STABLE_FOR_THIS_STEP),
+        (-1.0, None, UNCERTIFIED),
+        (-1.0, math.inf, UNCERTIFIED),
+        (1.0, -math.inf, UNCERTIFIED),
+        (1.0, None, CERTIFIED_UNSTABLE),
+    ], ids=["below", "at", "above", "below-unstable-edge", "at-unstable-edge"])
+    def test_stable_only_below_one_minus_root_tol(self, sign, direction, verdict):
         # theta = u = 1/2 skips the unit-disk and Re(mu) tests, so the
-        # largest root moduli alone decide
-        edge = 1.0 - stability.ROOT_TOL
+        # largest root moduli alone decide: stable below 1 - ROOT_TOL,
+        # unstable from 1 + ROOT_TOL on
+        edge = 1.0 + sign * stability.ROOT_TOL
         radius = edge if direction is None else np.nextafter(edge, direction)
         lam, gamma = np.array([2.0, 1.0]), np.array([0.5, -0.25])
         radii = np.array([0.5, radius])
@@ -493,3 +496,19 @@ class TestModeReportThreshold:
         assert [e.check for e in rep.evidence] == ["mu-in-dy"] * 2 + ["oracle-spectral-radius"]
         assert [e.margin for e in rep.evidence] == [0.5, 1.0 - radius, 1.0 - radius]
         assert rep.evidence[-1].note.endswith("dim 8, per-mode over 2 modes")
+
+
+class TestExactUnitEdge:
+    # A = B = I at theta = 1 gives mu = 1 exactly; the tests whose bound
+    # is 0 count a value of exactly 1 as outside the unit disk
+    def test_re_mu_of_one_is_unstable(self):
+        rep = stability.simdiag_analysis(stability._Facts(np.eye(2), np.eye(2)), scheme())
+        assert rep.verdict == CERTIFIED_UNSTABLE
+        (entry,) = [e for e in rep.evidence if e.check == "re-mu-at-least-one"]
+        assert entry.margin == 0.0
+
+    def test_spectrum_on_the_unit_circle_rules_out_every_p(self):
+        facts = stability._Facts(np.eye(2), np.eye(2))
+        rep = stability.unconditional_certificate(facts, scheme(), P_GRID)
+        assert rep.verdict == UNCERTIFIED
+        assert [(e.check, e.margin) for e in rep.evidence] == [("spectrum-obstruction", 0.0)]

@@ -12,13 +12,16 @@ must match the dense one.
 import numpy as np
 import pytest
 
-from ddestab import stability
+from ddestab import cli, errors, stability
 from ddestab.stability import (
+    CERTIFIED_UNSTABLE,
     ROOT_TOL,
     STABLE_FOR_THIS_STEP,
     UNCONDITIONALLY_STABLE,
     ThetaScheme,
 )
+
+from conftest import write_matrix
 
 N_CASES = 300
 
@@ -110,3 +113,30 @@ def test_near_commuting_pair_not_certified_stable():
     a, b, scheme = near_commuting_case()
     verdict = stability.certify(a, b, scheme).verdict
     assert verdict not in (UNCONDITIONALLY_STABLE, STABLE_FOR_THIS_STEP)
+
+
+def norm_overflow_pair():
+    """Finite entries whose scaled_norm overflows.  A^{-1} B couples the
+    two modes and has the eigenvalue 1.39993."""
+    return 1e308 * np.diag([1.0, 1.0001]), 1e308 * np.array([[0.5, 0.9], [0.9, 0.5]])
+
+
+def test_norm_overflow_is_rejected_not_certified_stable():
+    a, b = norm_overflow_pair()
+    scheme = ThetaScheme(theta=1.0, u=0.0, m=2, tau=1.0)
+    with pytest.raises(errors.InvalidParams, match="scaled norm overflows"):
+        stability.certify(a, b, scheme)
+    # the same pair scaled into range gets its verdict
+    assert stability.certify(1e-300 * a, 1e-300 * b, scheme).verdict == CERTIFIED_UNSTABLE
+
+
+def test_norm_overflow_check_exits_3(tmp_path, capsys):
+    a, b = norm_overflow_pair()
+    write_matrix(tmp_path / "a.json", a)
+    write_matrix(tmp_path / "b.json", b)
+    code = cli.main(["check", "--matrix-a", str(tmp_path / "a.json"), "--matrix-b",
+                     str(tmp_path / "b.json"), "--tau", "1", "--m", "2", "--theta", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "scaled norm overflows" in captured.err
+    assert captured.out == ""

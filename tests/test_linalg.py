@@ -33,7 +33,8 @@ class TestSquarePair:
         (np.eye(3), "A and B shapes differ"),
         (np.ones((2, 3)), "expected a square matrix"),
         (np.array([[1.0, np.nan], [0.0, 1.0]]), "NaN or Inf"),
-    ], ids=["shapes-differ", "not-square", "not-finite"])
+        (1e308 * np.array([[0.5, 0.9], [0.9, 0.5]]), "scaled norm overflows"),
+    ], ids=["shapes-differ", "not-square", "not-finite", "norm-overflows"])
     def test_rejects(self, b, message):
         with pytest.raises(errors.InvalidParams, match=message):
             linalg.square_pair(np.eye(2), b)

@@ -23,6 +23,8 @@ The snapshot holds what the command line prints and writes for:
   unconditional sweep fails at every p, so that the step certificate
   sweeps every p again, and a non-Hermitian A, for which p = 1 is skipped
   and the step certificate does not apply;
+* ``check-norm-overflow``: ``check`` of a pair with finite entries near
+  1e308 whose scaled norm overflows;
 * ``solve`` given options that the chosen problem does not read;
 * the ``--help`` of ``ddestab`` and of every subcommand.
 
@@ -176,6 +178,12 @@ def snapshot(ddestab, seed: int) -> None:
         workloads.write_matrix(f"{name}-b.json", b)
         run(main, f"check-{name}", ["check", "--matrix-a", f"{name}-a.json", "--matrix-b",
                                     f"{name}-b.json", "--tau", "1", "--m", "2"])
+
+    workloads.write_matrix("overflow-a.json", 1e308 * np.diag([1.0, 1.0001]))
+    workloads.write_matrix("overflow-b.json", 1e308 * np.array([[0.5, 0.9], [0.9, 0.5]]))
+    run(main, "check-norm-overflow", ["check", "--matrix-a", "overflow-a.json", "--matrix-b",
+                                      "overflow-b.json", "--tau", "1", "--m", "2",
+                                      "--theta", "1"])
 
     run(main, "solve-example1-unread-options",
         ["solve", "--problem", "example1", "--grid-m", "10", "--m", "4", "--t-end", "1",
