@@ -239,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--theta", type=float, default=1.0)
     p_check.add_argument("--u", type=float, default=0.0)
     p_check.add_argument("--p-grid", default="0,1,2")
-    p_check.add_argument("--n-angles", type=int, default=fov.DEFAULT_ANGLES)
+    p_check.add_argument("--n-angles", type=int, default=fov.DEFAULT_ANGLES,
+                         help="finest grid of field-of-values directions: the "
+                              "unconditional stage refines its sweeps up to it, the "
+                              "step stage, like the fov command, uses every direction")
     p_check.add_argument("--oracle-cap", type=int, default=stability.ORACLE_CAP,
                          help="largest dim W = (m+1)N whose dense rho(W) is computed; "
                               "a pair with modes gets rho(W) per mode at any dim")

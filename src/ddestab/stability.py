@@ -38,11 +38,21 @@ each take the facts and return a ``StabilityReport``:
   is the whole verdict of such a pair.
 * ``unconditional_certificate`` -- no modes, u = 0, theta > 1/2: F(M_p)
   inside the open unit disk for some p means stability for every step
-  size.
+  size.  The test is the per-arc supporting-line bound of ``fov``:
+  w(M_p) <= max_k max(s_k, s_{k+1}) / cos(g_k / 2) over the solved
+  directions, s_k the support value and g_k the gap to the next
+  direction.  It is sound for any directions whose gaps are below pi,
+  since the point of F(M_p) farthest from 0 lies within g_k / 2 of a
+  solved direction, so the sweep of each p solves only the directions
+  that decide it: ``MIN_ANGLES`` of the ``n_angles`` grid, then the
+  midpoints of the arcs whose bound is still at least 1, until the bound
+  is below 1, a sampled point lies outside the disk or no such arc can
+  be split.
 * ``step_certificate`` -- no modes and no unconditional certificate,
   theta = 1, u = 0: F(M_p) inside D_{-h lambda_max(A)} means stability
   for this step.  It reuses the unconditional stage's transforms and
-  sweeps.
+  completes its sweeps to every direction of the grid, solving none
+  twice.
 * ``_oracle`` -- no modes: rho of the dense W of ``oracle_stability``, the
   tests' reference, while dim W = (m + 1) N fits under ``ORACLE_CAP``.
   The cap bounds only this dense W.
@@ -368,10 +378,17 @@ class _Facts:
         """The eigenvalues of ``eigen_a``, ascending."""
         return self._once("eigenvalues", None, lambda: self.eigen_a().values)
 
-    def boundary(self, p: float) -> fov.FovBoundary:
-        """The sampled field-of-values boundary of ``transform(p)``."""
-        return self._once("boundary", p,
-                          lambda: fov.fov_boundary(self.transform(p), self.n_angles))
+    def boundary(self, p: float, every: bool = False) -> fov.FovBoundary:
+        """The sampled field-of-values boundary of ``transform(p)``, from one
+        ``fov.fov_boundary`` call: refined only until it decides the unit-
+        disk test, or at every direction of the grid when ``every``.  Asked
+        for every direction after a refined sweep, it completes that sweep
+        and solves no direction twice."""
+        boundary = self._once("boundary", p, lambda: fov.fov_boundary(
+            self.transform(p), self.n_angles, None if every else 1.0))
+        if every:
+            boundary = self._known["boundary", p] = boundary.completed()
+        return boundary
 
     def _once(self, fact: str, p, compute):
         if (fact, p) not in self._known:
@@ -389,6 +406,27 @@ def _refusal(check: str, note: str, scheme=None, margin=None) -> StabilityReport
     return StabilityReport(UNCERTIFIED, (Evidence(check, margin=margin, note=note),), scheme)
 
 
+def _obstruction(facts: _Facts, radii, scheme: ThetaScheme, note: str):
+    """The refusal of a field-of-values stage when the largest of ``radii``
+    over sigma(A^{-1} B), which lies in F(M_p) for every p, is outside by
+    the rule with bound 0; else None, also when sigma cannot be computed
+    because the scaled norm of M_0 overflows (each p whose M_p overflows
+    too is then skipped with a note)."""
+    try:
+        spectrum = facts.spectrum
+    except InvalidParams:
+        return None
+    worst = float(np.max(radii(spectrum)))
+    if _side(worst, 0.0) == _OUTSIDE:
+        return _refusal("spectrum-obstruction", note, scheme, 1.0 - worst)
+    return None
+
+
+# what makes a field-of-values stage skip a p: A is not Hermitian positive
+# definite (fractional p), or M_p or its scaled norm overflows
+_SKIPPED = (NotHermitian, NotPositiveDefinite, InvalidParams)
+
+
 def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
                               p_grid) -> StabilityReport:
     """Certify stability for every step size (u = 0, theta > 1/2 only; for
@@ -397,25 +435,30 @@ def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
     A p is accepted only when the supporting-line outer bound on the
     numerical radius of M_p (:meth:`fov.FovBoundary.outer_radius`,
     rounding allowance included) is below 1, so an acceptance is
-    one-sided sound; the ``fov-unit-disk`` margin is 1 - that bound.
+    one-sided sound; the ``fov-unit-disk`` margin is 1 - that bound.  The
+    sweep of each p is refined only until it decides this test
+    (``fov.fov_boundary`` with radius 1), and the note says how many of
+    the grid's directions it needed.
     """
     if scheme.u != 0.0 or scheme.theta <= 0.5:
         return _refusal("scheme-hypotheses", "certificate requires u = 0" if scheme.u
                         else "unconditional region is empty for theta <= 1/2", scheme)
-    rho = float(np.max(np.abs(facts.spectrum)))
-    if _side(rho, 0.0) == _OUTSIDE:
-        return _refusal("spectrum-obstruction", "an eigenvalue of A^{p/2-1} B A^{-p/2} "
-                        "has modulus >= 1 for every p; certificate inapplicable",
-                        scheme, 1.0 - rho)
+    refusal = _obstruction(facts, np.abs, scheme, "an eigenvalue of A^{p/2-1} B A^{-p/2} "
+                           "has modulus >= 1 for every p; certificate inapplicable")
+    if refusal is not None:
+        return refusal
     evidence = []
     for p in p_grid:
         try:
-            outer = facts.boundary(p).outer_radius()
-        except (NotHermitian, NotPositiveDefinite) as exc:
+            boundary = facts.boundary(p)
+        except _SKIPPED as exc:
             evidence.append(Evidence("fov-unit-disk", index=p, note=f"skipped: {exc}"))
             continue
-        evidence.append(Evidence("fov-unit-disk", index=p, margin=1.0 - outer,
-                                 note="outer bound on the numerical radius"))
+        outer = boundary.outer_radius()
+        evidence.append(Evidence(
+            "fov-unit-disk", index=p, margin=1.0 - outer,
+            note=f"outer bound on the numerical radius from {boundary.indices.size} "
+                 f"of {boundary.n_angles} directions"))
         if _side(outer, 0.0) == _INSIDE:
             return StabilityReport(UNCONDITIONALLY_STABLE, tuple(evidence), scheme)
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
@@ -439,16 +482,16 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
     if np.min(lam) <= floor:
         raise NotPositiveDefinite("step certificate needs positive definite A")
     y_worst = -scheme.h * float(lam[-1])
-    spectral = float(np.max(_dy_radii(y_worst, facts.spectrum, scheme)))
-    if _side(spectral, 0.0) == _OUTSIDE:
-        return _refusal("spectrum-obstruction", "an eigenvalue of A^{-1} B lies outside "
-                        f"D_y at y = {y_worst:.6g}, which rules out every p",
-                        scheme, 1.0 - spectral)
+    refusal = _obstruction(facts, lambda s: _dy_radii(y_worst, s, scheme), scheme,
+                           "an eigenvalue of A^{-1} B lies outside "
+                           f"D_y at y = {y_worst:.6g}, which rules out every p")
+    if refusal is not None:
+        return refusal
     evidence = []
     for p in p_grid:
         try:
-            t_mat, boundary = facts.transform(p), facts.boundary(p)
-        except (NotHermitian, NotPositiveDefinite) as exc:
+            t_mat, boundary = facts.transform(p), facts.boundary(p, every=True)
+        except _SKIPPED as exc:
             evidence.append(Evidence("fov-in-dy", index=p, note=f"skipped: {exc}"))
             continue
         worst = float(np.max(_dy_radii(y_worst, boundary.points, scheme)))

@@ -57,8 +57,10 @@ class TestUnconditionalCertificate:
         a, b = scaled_pair(rng, 4, 0.6)
         rep = stability.unconditional_certificate(stability._Facts(a, b, 64),
                                                   scheme(theta=1.0, m=3), (0.0,))
-        outer = fov.fov_boundary(fov.transformed_matrix(a, b, 0.0), 64).outer_radius()
+        # the sweep refined only until it decides the unit-disk test
+        outer = fov.fov_boundary(fov.transformed_matrix(a, b, 0.0), 64, 1.0).outer_radius()
         assert rep.evidence[-1].margin == 1.0 - outer
+        assert rep.evidence[-1].note.endswith("from 8 of 64 directions")
         # the outer bound never undercuts the sampled inner estimate
         assert outer >= 0.6 - 1e-12
 
@@ -349,6 +351,46 @@ def test_certify_computes_each_shared_fact_once(monkeypatch):
     assert swept == ["fov-unit-disk"] * 3 + ["fov-in-dy"] * 3
     # one transform and one sweep per p; eigenvalues of A^{-1} B and of the dense W
     assert calls == {"transformed_matrix": 3, "fov_boundary": 3, "general_eigenvalues": 2}
+
+
+def count_solves(monkeypatch):
+    """The Hermitian matrices ``linalg.largest_eigenpair`` is asked to solve,
+    as bytes, in call order."""
+    solved, original = [], linalg.largest_eigenpair
+    monkeypatch.setattr(linalg, "largest_eigenpair",
+                        lambda h: solved.append(h.tobytes()) or original(h))
+    return solved
+
+
+def test_certified_p0_solves_only_the_first_directions(monkeypatch):
+    # like the benchmark's random pair: SPD A, ||A^{-1} B||_2 = 0.6, so the
+    # first MIN_ANGLES directions of the real M_0 certify, half of them mirrored
+    gen = np.random.default_rng(1)
+    q = orthogonal(gen, 20)
+    a = (q * gen.uniform(1.0, 50.0, 20)) @ q.T
+    b = gen.standard_normal((20, 20))
+    b *= 0.6 / np.linalg.norm(np.linalg.solve(a, b), 2)
+    solved = count_solves(monkeypatch)
+    rep = stability.certify(a, b, scheme(theta=0.75, m=4))
+    assert rep.verdict == UNCONDITIONALLY_STABLE
+    (entry,) = [e for e in rep.evidence if e.check == "fov-unit-disk"]
+    assert entry.index == 0.0
+    assert entry.note.endswith(f"from {fov.MIN_ANGLES} of {fov.DEFAULT_ANGLES} directions")
+    assert len(solved) <= fov.MIN_ANGLES // 2 + 1
+
+
+def test_certify_solves_no_direction_twice(monkeypatch):
+    # the pair of test_certify_computes_each_shared_fact_once: every p is
+    # refined, then completed by the step stage to the full real sweep
+    gen = np.random.default_rng(0)
+    q = orthogonal(gen, 6)
+    a = (q * np.linspace(1.0, 3.0, 6)) @ q.T
+    b = gen.standard_normal((6, 6))
+    b *= 0.9 / np.max(np.abs(np.linalg.eigvals(np.linalg.solve(a, b))))
+    solved = count_solves(monkeypatch)
+    rep = stability.certify(a, b, scheme())
+    assert [e.index for e in rep.evidence if e.check == "fov-in-dy"] == list(P_GRID)
+    assert len(solved) == len(set(solved)) == len(P_GRID) * (fov.DEFAULT_ANGLES // 2 + 1)
 
 
 def test_certify_decomposes_hermitian_a_once(monkeypatch):

@@ -9,6 +9,8 @@ the mode path, and there the per-mode rho(W) that ``certify`` reports
 must match the dense one.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,23 @@ def test_norm_overflow_check_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "scaled norm overflows" in captured.err
     assert captured.out == ""
+
+
+def test_overflowing_transform_leaves_the_verdict_to_the_oracle(tmp_path, capsys):
+    # A and B are in range, but A^{-1} B and every M_p have finite entries
+    # whose scaled norm overflows: each p is skipped, and rho(W) decides
+    a = 1e-300 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = 4e8 * np.array([[0.5, 0.3], [0.2, 0.4]])
+    write_matrix(tmp_path / "a.json", a)
+    write_matrix(tmp_path / "b.json", b)
+    code = cli.main(["check", "--matrix-a", str(tmp_path / "a.json"), "--matrix-b",
+                     str(tmp_path / "b.json"), "--tau", "1", "--m", "2", "--theta", "1"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == CERTIFIED_UNSTABLE
+    swept = [e for e in report["evidence"] if e["check"] in ("fov-unit-disk", "fov-in-dy")]
+    assert [e["index"] for e in swept] == [0.0, 1.0, 2.0] * 2
+    assert {e["note"] for e in swept} == {"skipped: matrix scaled norm overflows"}
+    oracle = report["evidence"][-1]
+    assert oracle["check"] == "oracle-spectral-radius"
+    assert 1.0 - oracle["margin"] == pytest.approx(11832.66, rel=1e-6)

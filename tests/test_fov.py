@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -134,6 +136,89 @@ class TestOuterRadius:
             outer = fov.fov_boundary(m, 64).outer_radius()
             assert outer >= fov.numerical_radius(m, 64)
             assert outer >= fine_radius(m)
+
+
+def seeded_matrices(seed=20261019):
+    """Real and complex, normal and non-normal M at N = 2 .. 40, each scaled
+    to numerical radius about 1, where refining against the unit disk
+    takes the most directions."""
+    gen = np.random.default_rng(seed)
+    for n in (2, 7, 40):
+        q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+        u, _ = np.linalg.qr(random_complex(gen, n))
+        # real normal: 2x2 rotation-scaling blocks, so the spectrum is complex
+        blocks = np.zeros((n, n))
+        for k in range(0, n - 1, 2):
+            r, t = gen.uniform(0.2, 1.0), gen.uniform(0.0, np.pi)
+            blocks[k:k + 2, k:k + 2] = r * np.array([[np.cos(t), -np.sin(t)],
+                                                     [np.sin(t), np.cos(t)]])
+        if n % 2:
+            blocks[-1, -1] = gen.uniform(-1.0, 1.0)
+        spectrum = gen.uniform(0.2, 1.0, n) * np.exp(2j * np.pi * gen.uniform(size=n))
+        for m in (gen.standard_normal((n, n)), random_complex(gen, n),
+                  q @ blocks @ q.T, (u * spectrum) @ u.conj().T):
+            yield m / fine_radius(m, 512)
+
+
+@pytest.fixture(scope="module")
+def fine_references():
+    """Each seeded M with the largest |z| of its 4096-direction sweep and
+    its spectral radius."""
+    return [(m, fov.fov_boundary(m, 4096).max_modulus(),
+             float(np.max(np.abs(linalg.general_eigenvalues(m)))))
+            for m in seeded_matrices()]
+
+
+class TestAdaptiveOuterRadius:
+    @pytest.mark.parametrize("n_angles", [8, 9, 13, 64, 256])
+    def test_encloses_the_fine_sweep_and_the_spectrum(self, n_angles, fine_references):
+        for m, fine, rho in fine_references:
+            for radius in (0.9, 1.0, 1.02, 2.0):
+                outer = fov.fov_boundary(m, n_angles, radius).outer_radius()
+                assert outer >= fine and outer >= rho, (n_angles, radius)
+
+    @pytest.mark.parametrize("n_angles", [8, 9, 13, 64, 256])
+    def test_full_grid_is_johnsons_bound_bit_for_bit(self, n_angles):
+        for m in seeded_matrices():
+            b = fov.fov_boundary(m, n_angles)
+            assert b.indices.tolist() == list(range(n_angles))
+            want = float(np.max(b.support)) / math.cos(math.pi / n_angles)
+            assert b.outer_radius() == want
+
+    @pytest.mark.parametrize("n_angles", [9, 64, 100])
+    def test_stops_where_the_disk_test_is_decided(self, n_angles):
+        # below the radius, or a point outside it, or every arc whose bound
+        # is not below it is one grid step wide
+        for m in seeded_matrices():
+            for radius in (0.9, 1.02, 2.0):
+                b = fov.fov_boundary(m, n_angles, radius)
+                gaps = np.diff(b.indices, append=b.indices[0] + n_angles)
+                arcs = (np.maximum(b.support, np.roll(b.support, -1))
+                        / np.cos(np.pi * gaps / n_angles))
+                assert (b.outer_radius() < radius or b.max_modulus() >= radius
+                        or np.all(gaps[arcs >= radius] == 1)), (n_angles, radius)
+
+    @pytest.mark.parametrize("n_angles", [9, 64, 100])
+    def test_completed_is_the_full_sweep(self, n_angles):
+        for m in seeded_matrices():
+            full = fov.fov_boundary(m, n_angles)
+            done = fov.fov_boundary(m, n_angles, 1.0).completed()
+            for name in ("points", "angles", "support", "indices"):
+                assert getattr(done, name).tobytes() == getattr(full, name).tobytes()
+
+    def test_solves_each_direction_at_most_once(self, monkeypatch):
+        # a real M solves only the directions 0 .. pi; completing a refined
+        # sweep solves the rest of them and none again
+        m = np.random.default_rng(2).standard_normal((10, 10))
+        m /= fine_radius(m, 512)
+        solved = []
+        original = linalg.largest_eigenpair
+        monkeypatch.setattr(linalg, "largest_eigenpair",
+                            lambda h: solved.append(h.tobytes()) or original(h))
+        refined = fov.fov_boundary(m, 64, 1.0)
+        assert len(solved) < 33
+        refined.completed()
+        assert len(solved) == len(set(solved)) == 33
 
 
 class TestTransformed:

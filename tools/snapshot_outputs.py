@@ -23,8 +23,14 @@ The snapshot holds what the command line prints and writes for:
   unconditional sweep fails at every p, so that the step certificate
   sweeps every p again, and a non-Hermitian A, for which p = 1 is skipped
   and the step certificate does not apply;
+* ``check`` of two pairs that the unconditional certificate decides at
+  p = 0 on a refined sweep: a real pair on a grid of ``--n-angles 100``
+  (not a power of two), and a complex B, whose directions are all solved
+  and none mirrored, with w(A^{-1} B) = 0.95, so that arcs are bisected;
 * ``check-norm-overflow``: ``check`` of a pair with finite entries near
-  1e308 whose scaled norm overflows;
+  1e308 whose scaled norm overflows, and ``check-transform-overflow``: a
+  pair in range whose A^{-1} B has an overflowing scaled norm, so each p
+  is skipped and the dense rho(W) decides;
 * ``solve`` given options that the chosen problem does not read;
 * the ``--help`` of ``ddestab`` and of every subcommand.
 
@@ -179,11 +185,35 @@ def snapshot(ddestab, seed: int) -> None:
         run(main, f"check-{name}", ["check", "--matrix-a", f"{name}-a.json", "--matrix-b",
                                     f"{name}-b.json", "--tau", "1", "--m", "2"])
 
+    # SPD A, and B scaled so that M_0 = A^{-1} B has numerical radius w,
+    # taken as the largest lambda_max of its Hermitian part over 512 directions
+    a = (q * np.linspace(1.0, 3.0, 6)) @ q.T
+    pairs = {"refined-n-angles-100": (gen.standard_normal((6, 6)), 0.5, ["--n-angles", "100"]),
+             "refined-complex-b": (gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6)),
+                                   0.95, [])}
+    for name, (b, w, extra) in pairs.items():
+        m0 = np.linalg.solve(a, b)
+        b = b * (w / max(np.linalg.eigvalsh(0.5 * (z * m0 + np.conj(z * m0).T))[-1]
+                         for z in np.exp(2j * np.pi * np.arange(512) / 512)))
+        workloads.write_matrix(f"{name}-a.json", a)
+        workloads.write_matrix(f"{name}-b.json", b)
+        run(main, f"check-{name}", ["check", "--matrix-a", f"{name}-a.json", "--matrix-b",
+                                    f"{name}-b.json", "--tau", "1", "--m", "4",
+                                    "--theta", "0.75", *extra])
+
     workloads.write_matrix("overflow-a.json", 1e308 * np.diag([1.0, 1.0001]))
     workloads.write_matrix("overflow-b.json", 1e308 * np.array([[0.5, 0.9], [0.9, 0.5]]))
     run(main, "check-norm-overflow", ["check", "--matrix-a", "overflow-a.json", "--matrix-b",
                                       "overflow-b.json", "--tau", "1", "--m", "2",
                                       "--theta", "1"])
+
+    workloads.write_matrix("transform-overflow-a.json", 1e-300 * np.array([[2.0, 1.0],
+                                                                         [1.0, 3.0]]))
+    workloads.write_matrix("transform-overflow-b.json", 4e8 * np.array([[0.5, 0.3],
+                                                                       [0.2, 0.4]]))
+    run(main, "check-transform-overflow", ["check", "--matrix-a", "transform-overflow-a.json",
+                                           "--matrix-b", "transform-overflow-b.json",
+                                           "--tau", "1", "--m", "2", "--theta", "1"])
 
     run(main, "solve-example1-unread-options",
         ["solve", "--problem", "example1", "--grid-m", "10", "--m", "4", "--t-end", "1",
