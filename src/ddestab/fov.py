@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from ._csv import write_csv
-from .errors import InvalidParams, NotPositiveDefinite
+from .errors import InvalidParams
 
 DEFAULT_ANGLES = 256
 MIN_ANGLES = 8
@@ -214,24 +214,21 @@ def numerical_radius(m, n_angles: int = DEFAULT_ANGLES) -> float:
     return max(boundary.max_modulus(), rho)
 
 
-def transformed_matrix(a, b, p: float) -> np.ndarray:
+def transformed_matrix(a, b, p: float, eigen=None) -> np.ndarray:
     """The similarity-weighted matrix A^{p/2-1} B A^{-p/2}.
 
     p = 0 and p = 2 give A^{-1} B and B A^{-1} and only need a nonsingular
     A; every other p builds the fractional powers from the eigenbasis of a
-    Hermitian positive definite A.
+    Hermitian positive definite A (``linalg.require_positive_definite``):
+    ``eigen``, A's ``EigenDecomposition``, when given, else a new one.
     """
     am, bm = linalg.square_pair(a, b)
     if p == 0.0:
         return linalg.solver_for(am).solve(bm)
     if p == 2.0:
         return linalg.solver_for(am.T).solve(bm.T).T
-    dec = linalg.hermitian_eigen(am)
-    floor = linalg.PD_TOL * linalg.scaled_norm(am)
-    if np.min(dec.values) <= floor:
-        raise NotPositiveDefinite("fractional powers need a positive definite matrix")
+    dec = linalg.require_positive_definite(am, eigen)
     v = dec.vectors
     left = (v * dec.values[None, :] ** (0.5 * p - 1.0)) @ v.conj().T
     right = (v * dec.values[None, :] ** (-0.5 * p)) @ v.conj().T
     return left @ bm @ right
-

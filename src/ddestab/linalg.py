@@ -26,6 +26,7 @@ from .errors import (
     InvalidParams,
     NoConvergence,
     NotHermitian,
+    NotPositiveDefinite,
     Singular,
 )
 
@@ -109,6 +110,17 @@ def hermitian_eigen(m) -> EigenDecomposition:
                 f"eigen residual {resid:.3e} exceeds 1e-9 * ||M|| = {1e-9 * nrm:.3e}"
             )
     return EigenDecomposition(values=values, vectors=vectors)
+
+
+def require_positive_definite(m, dec: EigenDecomposition | None = None) -> EigenDecomposition:
+    """``dec``, M's eigendecomposition, or ``hermitian_eigen(M)``; raises
+    NotPositiveDefinite at a smallest eigenvalue <= PD_TOL * scaled_norm(M)."""
+    dec = hermitian_eigen(m) if dec is None else dec
+    floor = PD_TOL * scaled_norm(m)
+    if np.min(dec.values) <= floor:
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {np.min(dec.values):.3e} at or below {floor:.3e}")
+    return dec
 
 
 def largest_eigenpair(m) -> tuple[float, np.ndarray]:

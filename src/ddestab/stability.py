@@ -26,11 +26,11 @@ root it carries is the largest one.
 
 ``certify`` is the one entry point.  It validates the pair once, in a
 ``_Facts``, which then computes each shared fact at most once and only
-when a stage first asks for it: the transformed matrix
+when a stage first asks for it: the one eigendecomposition of a Hermitian
+A and whether A is positive definite, the transformed matrix
 M_p = A^{p/2-1} B A^{-p/2} of each p, the field-of-values boundary of
-M_p, sigma(A^{-1} B), taken from M_0, and the eigenvalues of a Hermitian
-A, from the one eigendecomposition the mode stage also uses.  The stages
-each take the facts and return a ``StabilityReport``:
+M_p and sigma(A^{-1} B), taken from M_0.  The stages each take the facts
+and return a ``StabilityReport``:
 
 * ``simdiag_analysis`` -- A, B simultaneously diagonalizable
   (``simdiag_pairs``): exact verdicts mode by mode, from one batched root
@@ -38,16 +38,10 @@ each take the facts and return a ``StabilityReport``:
   is the whole verdict of such a pair.
 * ``unconditional_certificate`` -- no modes, u = 0, theta > 1/2: F(M_p)
   inside the open unit disk for some p means stability for every step
-  size.  The test is the per-arc supporting-line bound of ``fov``:
-  w(M_p) <= max_k max(s_k, s_{k+1}) / cos(g_k / 2) over the solved
-  directions, s_k the support value and g_k the gap to the next
-  direction.  It is sound for any directions whose gaps are below pi,
-  since the point of F(M_p) farthest from 0 lies within g_k / 2 of a
-  solved direction, so the sweep of each p solves only the directions
-  that decide it: ``MIN_ANGLES`` of the ``n_angles`` grid, then the
-  midpoints of the arcs whose bound is still at least 1, until the bound
-  is below 1, a sampled point lies outside the disk or no such arc can
-  be split.
+  size.  The test is the per-arc supporting-line bound on w(M_p) of
+  ``fov`` (``FovBoundary.outer_radius``), sound for any solved directions
+  whose gaps are below pi, so the sweep of each p solves only the
+  directions that decide it (``fov.fov_boundary`` with radius 1).
 * ``step_certificate`` -- no modes and no unconditional certificate,
   theta = 1, u = 0: F(M_p) inside D_{-h lambda_max(A)} means stability
   for this step.  It reuses the unconditional stage's transforms and
@@ -57,11 +51,13 @@ each take the facts and return a ``StabilityReport``:
   tests' reference, while dim W = (m + 1) N fits under ``ORACLE_CAP``.
   The cap bounds only this dense W.
 
-sigma(A^{-1} B) = sigma(M_p) lies in F(M_p) for every p, so both field-of-
-values stages test it before any sweep: one eigenvalue outside the target
-region rules out every p.  The verdict is the first of CertifiedUnstable,
-UnconditionallyStable and StableForThisStep that some stage reached, else
-Uncertified.
+Both field-of-values stages need a Hermitian positive definite A, the
+paper's hypothesis (``unconditional_certificate`` shows why), and any
+other A gets one refusal entry from each.  sigma(A^{-1} B) = sigma(M_p)
+lies in F(M_p) for every p, so both then test it before any sweep: one
+eigenvalue outside the target region rules out every p.  The verdict is
+the first of CertifiedUnstable, UnconditionallyStable and
+StableForThisStep that some stage reached, else Uncertified.
 
 Every stable/unstable decision is the rule ``_side``: radius r with bound e
 is inside if r < 1 - e, outside if r >= 1 + e, else undecided.  The bound
@@ -75,7 +71,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -346,8 +341,8 @@ class StabilityReport:
 
 class _Facts:
     """The facts the stages share about one pair (A, B), each computed at
-    most once, on first use.  A transform that raised is not retried:
-    asking again raises the same error."""
+    most once, on first use.  A fact that raised is not retried: asking
+    again raises the same error."""
 
     def __init__(self, a, b, n_angles: int = fov.DEFAULT_ANGLES):
         if n_angles < fov.MIN_ANGLES:  # the rule of fov_boundary, checked on every path
@@ -356,27 +351,24 @@ class _Facts:
         self.n_angles = n_angles
         self._known = {}  # (fact, p) -> value, or the error computing it raised
 
-    @cached_property
+    def eigen_a(self) -> linalg.EigenDecomposition:
+        """``linalg.hermitian_eigen`` of A, the one decomposition of A."""
+        return self._once("eigen", None, lambda: linalg.hermitian_eigen(self.a))
+
+    def positive_definite_a(self) -> linalg.EigenDecomposition:
+        """``eigen_a`` once A passed ``linalg.require_positive_definite``."""
+        return self._once("positive definite", None,
+                          lambda: linalg.require_positive_definite(self.a, self.eigen_a()))
+
     def spectrum(self) -> np.ndarray:
         """sigma(A^{-1} B), from the p = 0 transform."""
-        return linalg.general_eigenvalues(self.transform(0.0))
+        return self._once("spectrum", None,
+                          lambda: linalg.general_eigenvalues(self.transform(0.0)))
 
     def transform(self, p: float) -> np.ndarray:
-        """A^{p/2-1} B A^{-p/2} (``fov.transformed_matrix``)."""
-        return self._once("transform", p,
-                          lambda: fov.transformed_matrix(self.a, self.b, p))
-
-    def eigen_a(self) -> linalg.EigenDecomposition:
-        """``linalg.hermitian_eigen`` of A, of which the facts keep only the
-        eigenvalues: no later stage reads the vectors, and the dense W is
-        never built beside them."""
-        dec = linalg.hermitian_eigen(self.a)
-        self._known.setdefault(("eigenvalues", None), dec.values)
-        return dec
-
-    def eigenvalues_a(self) -> np.ndarray:
-        """The eigenvalues of ``eigen_a``, ascending."""
-        return self._once("eigenvalues", None, lambda: self.eigen_a().values)
+        """M_p (``fov.transformed_matrix``) of A once ``positive_definite_a`` passed."""
+        return self._once("transform", p, lambda: fov.transformed_matrix(
+            self.a, self.b, p, self.positive_definite_a()))
 
     def boundary(self, p: float, every: bool = False) -> fov.FovBoundary:
         """The sampled field-of-values boundary of ``transform(p)``, from one
@@ -406,52 +398,57 @@ def _refusal(check: str, note: str, scheme=None, margin=None) -> StabilityReport
     return StabilityReport(UNCERTIFIED, (Evidence(check, margin=margin, note=note),), scheme)
 
 
-def _obstruction(facts: _Facts, radii, scheme: ThetaScheme, note: str):
-    """The refusal of a field-of-values stage when the largest of ``radii``
-    over sigma(A^{-1} B), which lies in F(M_p) for every p, is outside by
-    the rule with bound 0; else None, also when sigma cannot be computed
-    because the scaled norm of M_0 overflows (each p whose M_p overflows
-    too is then skipped with a note)."""
+def _obstruction(facts: _Facts, stage: str, scheme: ThetaScheme, test):
+    """The refusal of a field-of-values stage before any sweep, else None:
+    one ``stage`` entry unless A is Hermitian positive definite, then the
+    refusal when the radius of ``test(sigma, y) -> (radius, note)`` over
+    sigma(A^{-1} B), which lies in F(M_p) for every p, is outside by the
+    rule with bound 0; y = -h lambda_max(A).  The spectrum test is skipped
+    when the scaled norm of M_0 overflows (each p whose M_p overflows too
+    is then skipped with a note)."""
     try:
-        spectrum = facts.spectrum
+        y = -scheme.h * float(facts.positive_definite_a().values[-1])
+    except (NotHermitian, NotPositiveDefinite) as exc:
+        return _refusal(stage, f"needs a Hermitian positive definite A: {exc}", scheme)
+    try:
+        spectrum = facts.spectrum()
     except InvalidParams:
         return None
-    worst = float(np.max(radii(spectrum)))
+    worst, note = test(spectrum, y)
     if _side(worst, 0.0) == _OUTSIDE:
         return _refusal("spectrum-obstruction", note, scheme, 1.0 - worst)
     return None
 
 
-# what makes a field-of-values stage skip a p: A is not Hermitian positive
-# definite (fractional p), or M_p or its scaled norm overflows
-_SKIPPED = (NotHermitian, NotPositiveDefinite, InvalidParams)
-
-
 def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
                               p_grid) -> StabilityReport:
     """Certify stability for every step size (u = 0, theta > 1/2 only; for
-    theta <= 1/2 no mu can ever qualify).
+    theta <= 1/2 no mu can ever qualify) of a Hermitian positive definite
+    A; any other A gets one ``unconditional-certificate`` refusal.  A
+    positive definite Hermitian part is not enough: A = [[1.6, -3.3],
+    [3.9, 0.8]] and B = [[0.8, -0.4], [0.6, 2.1]] have w(A^{-1} B) < 0.48,
+    yet -A + B has the eigenvalues 0.25 +- 2.91i, and at theta = 1, m = 2,
+    tau = 0.01, rho(W) = 1.00102.
 
     A p is accepted only when the supporting-line outer bound on the
     numerical radius of M_p (:meth:`fov.FovBoundary.outer_radius`,
     rounding allowance included) is below 1, so an acceptance is
-    one-sided sound; the ``fov-unit-disk`` margin is 1 - that bound.  The
-    sweep of each p is refined only until it decides this test
-    (``fov.fov_boundary`` with radius 1), and the note says how many of
-    the grid's directions it needed.
+    one-sided sound; the ``fov-unit-disk`` margin is 1 - that bound, and
+    the note says how many of the grid's directions the sweep needed.
     """
     if scheme.u != 0.0 or scheme.theta <= 0.5:
         return _refusal("scheme-hypotheses", "certificate requires u = 0" if scheme.u
                         else "unconditional region is empty for theta <= 1/2", scheme)
-    refusal = _obstruction(facts, np.abs, scheme, "an eigenvalue of A^{p/2-1} B A^{-p/2} "
-                           "has modulus >= 1 for every p; certificate inapplicable")
+    refusal = _obstruction(facts, "unconditional-certificate", scheme, lambda s, y: (
+        float(np.max(np.abs(s))), "an eigenvalue of A^{p/2-1} B A^{-p/2} has modulus >= 1 "
+                                  "for every p; certificate inapplicable"))
     if refusal is not None:
         return refusal
     evidence = []
     for p in p_grid:
         try:
             boundary = facts.boundary(p)
-        except _SKIPPED as exc:
+        except InvalidParams as exc:  # M_p or its scaled norm overflows
             evidence.append(Evidence("fov-unit-disk", index=p, note=f"skipped: {exc}"))
             continue
         outer = boundary.outer_radius()
@@ -465,33 +462,30 @@ def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
 
 
 def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityReport:
-    """Certify stability for this particular step size (theta = 1, u = 0).
+    """Certify stability for this particular step size (theta = 1, u = 0)
+    of a Hermitian positive definite A; any other A gets one
+    ``step-certificate`` refusal.
 
     Region nesting (y1 < y2 < 0 implies D_{y1} subset of D_{y2}) reduces
     the intersection of D_y over y in -h F(A) to y = -h lambda_max(A).
     Each sampled point of F(M_p) must lie in that D_y by the rule with the
     inflation margin as its bound.  The margins come from one stacked root
-    call over sigma(A^{-1} B) and one per swept p.  Raises NotHermitian or
-    NotPositiveDefinite unless A is Hermitian positive definite.
+    call over sigma(A^{-1} B) and one per swept p.
     """
     if scheme.theta != 1.0 or scheme.u != 0.0:
         return _refusal("scheme-hypotheses", "step certificate requires theta = 1 and u = 0",
                         scheme)
-    lam = facts.eigenvalues_a()
-    floor = linalg.PD_TOL * linalg.scaled_norm(facts.a)
-    if np.min(lam) <= floor:
-        raise NotPositiveDefinite("step certificate needs positive definite A")
-    y_worst = -scheme.h * float(lam[-1])
-    refusal = _obstruction(facts, lambda s: _dy_radii(y_worst, s, scheme), scheme,
-                           "an eigenvalue of A^{-1} B lies outside "
-                           f"D_y at y = {y_worst:.6g}, which rules out every p")
+    refusal = _obstruction(facts, "step-certificate", scheme, lambda s, y: (
+        float(np.max(_dy_radii(y, s, scheme))),
+        f"an eigenvalue of A^{{-1}} B lies outside D_y at y = {y:.6g}, which rules out every p"))
     if refusal is not None:
         return refusal
+    y_worst = -scheme.h * float(facts.positive_definite_a().values[-1])
     evidence = []
     for p in p_grid:
         try:
             t_mat, boundary = facts.transform(p), facts.boundary(p, every=True)
-        except _SKIPPED as exc:
+        except InvalidParams as exc:  # M_p or its scaled norm overflows
             evidence.append(Evidence("fov-in-dy", index=p, note=f"skipped: {exc}"))
             continue
         worst = float(np.max(_dy_radii(y_worst, boundary.points, scheme)))
@@ -533,8 +527,7 @@ def simdiag_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _simdiag(facts: _Facts) -> tuple[np.ndarray, np.ndarray]:
     """``simdiag_pairs`` of the facts' pair; the Hermitian branch takes
-    A's eigendecomposition from the facts, so later stages reuse its
-    eigenvalues."""
+    A's eigendecomposition from the facts, so later stages reuse it."""
     am, bm = facts.a, facts.b
     equal = 16 * am.shape[0] * np.finfo(float).eps
     if linalg.hermitian_violation(am) <= equal:
@@ -676,8 +669,5 @@ def certify(a, b, scheme: ThetaScheme,
     oracle = _oracle(facts, scheme, oracle_cap)
     reports.append(unconditional_certificate(facts, scheme, p_grid))
     if reports[-1].verdict != UNCONDITIONALLY_STABLE:
-        try:
-            reports.append(step_certificate(facts, scheme, p_grid))
-        except (NotHermitian, NotPositiveDefinite) as exc:
-            reports.append(_refusal("step-certificate", f"not applicable: {exc}"))
+        reports.append(step_certificate(facts, scheme, p_grid))
     return _merge(reports + [oracle], scheme)

@@ -113,9 +113,12 @@ class TestStepCertificate:
         assert "theta = 1" in rep.evidence[0].note
 
     def test_rejects_indefinite_a(self):
-        with pytest.raises(errors.NotPositiveDefinite):
-            stability.step_certificate(stability._Facts(np.diag([1.0, -1.0]), np.zeros((2, 2))),
-                                       scheme(), P_GRID)
+        rep = stability.step_certificate(stability._Facts(np.diag([1.0, -1.0]),
+                                                          np.zeros((2, 2))), scheme(), P_GRID)
+        assert rep.verdict == UNCERTIFIED
+        assert [e.check for e in rep.evidence] == ["step-certificate"]
+        assert rep.evidence[0].note.startswith("needs a Hermitian positive definite A: "
+                                               "smallest eigenvalue")
 
     def test_spectral_obstruction_skips_every_sweep(self, monkeypatch):
         # mu = 1.5 is an eigenvalue of A^{-1} B outside D_y, so no p can pass
@@ -340,7 +343,7 @@ def test_certify_computes_each_shared_fact_once(monkeypatch):
     b *= 0.9 / np.max(np.abs(np.linalg.eigvals(np.linalg.solve(a, b))))
     calls = {}
     for module, name in ((fov, "transformed_matrix"), (fov, "fov_boundary"),
-                         (linalg, "general_eigenvalues")):
+                         (linalg, "general_eigenvalues"), (linalg, "hermitian_eigen")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
@@ -349,8 +352,10 @@ def test_certify_computes_each_shared_fact_once(monkeypatch):
     rep = stability.certify(a, b, scheme())
     swept = [e.check for e in rep.evidence if e.check in ("fov-unit-disk", "fov-in-dy")]
     assert swept == ["fov-unit-disk"] * 3 + ["fov-in-dy"] * 3
-    # one transform and one sweep per p; eigenvalues of A^{-1} B and of the dense W
-    assert calls == {"transformed_matrix": 3, "fov_boundary": 3, "general_eigenvalues": 2}
+    # one transform and one sweep per p; eigenvalues of A^{-1} B and of the
+    # dense W; one eigendecomposition of A for the mode stage, the gate and p = 1
+    assert calls == {"transformed_matrix": 3, "fov_boundary": 3, "general_eigenvalues": 2,
+                     "hermitian_eigen": 1}
 
 
 def count_solves(monkeypatch):

@@ -19,6 +19,7 @@ from ddestab.stability import (
     CERTIFIED_UNSTABLE,
     ROOT_TOL,
     STABLE_FOR_THIS_STEP,
+    UNCERTIFIED,
     UNCONDITIONALLY_STABLE,
     ThetaScheme,
 )
@@ -90,6 +91,73 @@ def test_stable_verdicts_agree_with_oracle():
     assert {UNCONDITIONALLY_STABLE, STABLE_FOR_THIS_STEP} <= verdicts
     # the commuting half, repeated eigenvalue and all, is on the mode path
     assert mode_cases == N_CASES // 2
+
+
+def non_normal_cases(skew: bool, n_cases=200, seed=5):
+    """u = 0, theta > 1/2 pairs with A = S + K, S SPD and K skew (K = 0
+    unless ``skew``), and B = A M, M scaled so that the outer bound on
+    w(A^{-1} B) from 64 directions is 0.3 .. 0.95."""
+    gen = np.random.default_rng(seed)
+    angles = np.exp(2j * np.pi * np.arange(64) / 64)
+    for _ in range(n_cases):
+        n = int(gen.integers(2, 4))
+        q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+        k = gen.standard_normal((n, n)) * gen.uniform(0.0, 8.0) if skew else np.zeros((n, n))
+        a = (q * gen.uniform(0.5, 3.0, size=n)) @ q.T + 0.5 * (k - k.T)
+        m = gen.standard_normal((n, n))
+        w = max(np.linalg.eigvalsh(0.5 * (z * m + np.conj(z * m).T))[-1] for z in angles)
+        b = a @ m * (gen.uniform(0.3, 0.95) * np.cos(np.pi / 64) / w)
+        scheme = ThetaScheme(theta=float(gen.choice([0.75, 1.0])), u=0.0,
+                             m=int(gen.integers(1, 6)), tau=1.0)
+        yield a, b, scheme
+
+
+def test_field_of_values_needs_a_positive_definite_a():
+    # F(A^{-1} B) lies in the unit disk for every case, but with a skew part
+    # in A some pairs are unstable at a finer step: -A + B, the limit of
+    # small delays, has an eigenvalue in the right half-plane
+    violations, finer_unstable = [], 0
+    for skew in (True, False):
+        for k, (a, b, scheme) in enumerate(non_normal_cases(skew)):
+            verdict = stability.certify(a, b, scheme, n_angles=64, oracle_cap=0).verdict
+            if not skew and verdict != UNCONDITIONALLY_STABLE:
+                violations.append(f"SPD case {k}: {verdict}")
+                continue
+            steps = [scheme] + [ThetaScheme(scheme.theta, 0.0, m, tau)
+                                for m, tau in ((2, 0.01), (1, 1e-3))]
+            rhos = [stability.oracle_stability(a, b, s).spectral_radius for s in steps]
+            finer_unstable += max(rhos) >= 1.0 + ROOT_TOL
+            held = {UNCONDITIONALLY_STABLE: max(rhos), STABLE_FOR_THIS_STEP: rhos[0]}
+            if verdict in held and not held[verdict] < 1.0 + ROOT_TOL:
+                violations.append(f"case {k}: {verdict} but rho(W) = {held[verdict]!r}")
+    assert not violations, "\n".join(violations)
+    # the check is not vacuous: the SPD half is certified throughout, and
+    # some skew pairs are unstable at a finer step
+    assert finer_unstable > 0
+
+
+def test_non_normal_a_is_not_certified_unconditionally():
+    # A's Hermitian part is positive definite and F(A^{-1} B) lies in the
+    # unit disk, but -A + B has the eigenvalues 0.25 +- 2.91i
+    a = np.array([[1.6, -3.3], [3.9, 0.8]])
+    b = np.array([[0.8, -0.4], [0.6, 2.1]])
+    for tau, rho in ((1.0, 0.749271), (0.01, 1.00102)):
+        scheme = ThetaScheme(theta=1.0, u=0.0, m=2, tau=tau)
+        report = stability.certify(a, b, scheme)
+        assert report.verdict == (STABLE_FOR_THIS_STEP if rho < 1.0 else CERTIFIED_UNSTABLE)
+        assert 1.0 - report.evidence[-1].margin == pytest.approx(rho, abs=1e-5)
+        assert [e.check for e in report.evidence[1:3]] == ["unconditional-certificate",
+                                                           "step-certificate"]
+        assert stability.certify(a, b, scheme, oracle_cap=0).verdict == UNCERTIFIED
+
+
+def test_singular_a_is_decided_by_the_oracle():
+    a = np.diag([1.0, 0.0])
+    b = np.array([[0.1, 0.2], [0.3, 0.1]])
+    report = stability.certify(a, b, ThetaScheme(theta=1.0, u=0.0, m=2, tau=1.0))
+    assert report.verdict == CERTIFIED_UNSTABLE
+    assert 1.0 - report.evidence[-1].margin == pytest.approx(1.07017, abs=1e-5)
+    assert all("smallest eigenvalue 0.000e+00" in e.note for e in report.evidence[1:3])
 
 
 def near_commuting_case():

@@ -236,14 +236,20 @@ class TestCheckCommand:
         assert "tau must be finite" in captured.err
         assert captured.out == ""
 
-    def test_numerical_failure_exit_3(self, tmp_path, capsys):
+    def test_zero_a_is_decided_by_the_oracle(self, tmp_path, capsys):
+        # A = 0 is not positive definite: both field-of-values stages refuse,
+        # and the dense rho(W) = (1 + sqrt(3)) / 2 decides
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        write_matrix(a_path, np.zeros((2, 2)))  # singular A
+        write_matrix(a_path, np.zeros((2, 2)))
         write_matrix(b_path, np.eye(2))
         code = cli.main(["check", "--matrix-a", str(a_path), "--matrix-b",
                          str(b_path), "--tau", "1", "--m", "2"])
-        assert code == 3
-        assert "check" in capsys.readouterr().err
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "CertifiedUnstable"
+        assert [e["check"] for e in report["evidence"][1:3]] == [
+            "unconditional-certificate", "step-certificate"]
+        assert 1.0 - report["evidence"][-1]["margin"] == pytest.approx(1.36603, abs=1e-5)
 
 
 class TestRegionCommand:

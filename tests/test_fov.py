@@ -261,6 +261,20 @@ class TestTransformed:
         with pytest.raises(errors.NotHermitian):
             fov.transformed_matrix(a, np.eye(3), 1.0)
 
+    def test_indefinite_fractional_p_rejected(self):
+        with pytest.raises(errors.NotPositiveDefinite):
+            fov.transformed_matrix(np.diag([1.0, -1.0]), np.eye(2), 1.0)
+
+    def test_given_decomposition_is_not_recomputed(self, rng, monkeypatch):
+        from conftest import random_spd
+
+        a = random_spd(rng, 4)
+        b = random_complex(rng, 4)
+        dec = linalg.hermitian_eigen(a)
+        want = fov.transformed_matrix(a, b, 1.0)
+        monkeypatch.setattr(linalg, "hermitian_eigen", None)
+        assert np.array_equal(fov.transformed_matrix(a, b, 1.0, dec), want)
+
 
 def assert_spectrum_within_support(m, n_angles):
     """Every eigenvalue satisfies each supporting-line bound of the sweep."""

@@ -74,6 +74,25 @@ class TestHermitianEigen:
                 assert linalg.scaled_norm(rebuilt - m) <= 1e-9 * linalg.scaled_norm(m)
 
 
+class TestRequirePositiveDefinite:
+    def test_returns_the_given_decomposition(self):
+        a = np.diag([1.0, 2.0])
+        dec = linalg.hermitian_eigen(a)
+        assert linalg.require_positive_definite(a, dec) is dec
+        assert_allclose(linalg.require_positive_definite(a).values, [1.0, 2.0])
+
+    @pytest.mark.parametrize("d", [[1.0, -1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1e-13]],
+                             ids=["indefinite", "singular", "zero", "below-floor"])
+    def test_rejects_at_or_below_the_floor(self, d):
+        # the floor is PD_TOL * scaled_norm(A) = 2e-12 for these A
+        with pytest.raises(errors.NotPositiveDefinite, match="smallest eigenvalue"):
+            linalg.require_positive_definite(np.diag(d))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(errors.NotHermitian):
+            linalg.require_positive_definite(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
 class TestLargestEigenpair:
     def test_matches_last_pair_of_full_eigh(self, rng):
         for n in (1, 2, 7, 20):

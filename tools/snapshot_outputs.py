@@ -21,8 +21,12 @@ The snapshot holds what the command line prints and writes for:
   whose dim W, 6138, is above the default ``--oracle-cap``;
 * ``check`` of two non-commuting pairs at theta = 1: an SPD A whose
   unconditional sweep fails at every p, so that the step certificate
-  sweeps every p again, and a non-Hermitian A, for which p = 1 is skipped
-  and the step certificate does not apply;
+  sweeps every p again, and a non-Hermitian A, which both field-of-values
+  certificates refuse;
+* ``check-non-normal-a``: a non-Hermitian A whose Hermitian part is
+  positive definite, with F(A^{-1} B) inside the unit disk, stable at
+  tau = 1 but not at tau = 0.01; and ``check-singular-a``: A = diag(1, 0),
+  for which the dense rho(W) decides;
 * ``check`` of two pairs that the unconditional certificate decides at
   p = 0 on a refined sweep: a real pair on a grid of ``--n-angles 100``
   (not a power of two), and a complex B, whose directions are all solved
@@ -184,6 +188,14 @@ def snapshot(ddestab, seed: int) -> None:
         workloads.write_matrix(f"{name}-b.json", b)
         run(main, f"check-{name}", ["check", "--matrix-a", f"{name}-a.json", "--matrix-b",
                                     f"{name}-b.json", "--tau", "1", "--m", "2"])
+
+    for name, (a, b) in {"non-normal-a": ([[1.6, -3.3], [3.9, 0.8]], [[0.8, -0.4], [0.6, 2.1]]),
+                         "singular-a": ([[1.0, 0.0], [0.0, 0.0]], [[0.1, 0.2], [0.3, 0.1]])
+                         }.items():
+        workloads.write_matrix(f"{name}.json", a)
+        workloads.write_matrix(f"{name}-b.json", b)
+        run(main, f"check-{name}", ["check", "--matrix-a", f"{name}.json", "--matrix-b",
+                                    f"{name}-b.json", "--tau", "1", "--m", "2", "--theta", "1"])
 
     # SPD A, and B scaled so that M_0 = A^{-1} B has numerical radius w,
     # taken as the largest lambda_max of its Hermitian part over 512 directions
