@@ -250,20 +250,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_region = sub.add_parser("region", help="CSV samples of Gamma_y (u = 0)")
-    p_region.add_argument("--y", type=float, required=True)
-    p_region.add_argument("--m", type=int, required=True)
-    p_region.add_argument("--theta", type=float, default=1.0)
-    p_region.add_argument("--n", type=int, default=512)
-    p_region.add_argument("-o", "--output", default=None)
+    p_region.add_argument("--y", type=float, required=True,
+                          help="y = -h*lambda < 0, for a step h and an eigenvalue lambda of A")
+    p_region.add_argument("--m", type=int, required=True,
+                          help="delay steps: h = tau / m")
+    p_region.add_argument("--theta", type=float, default=1.0,
+                          help="weight of the implicit stage of the theta method")
+    p_region.add_argument("--n", type=int, default=512, help="number of samples of Gamma_y")
+    p_region.add_argument("-o", "--output", default=None,
+                          help="CSV file to write (default: standard output)")
     p_region.set_defaults(func=_cmd_region)
 
     p_fov = sub.add_parser("fov", help="CSV samples of a field-of-values boundary")
-    p_fov.add_argument("--matrix", required=True)
+    p_fov.add_argument("--matrix", required=True,
+                       help="matrix file of M, or of A with --matrix-b")
     p_fov.add_argument("--matrix-b", default=None,
                        help="with B: boundary of F(A^{p/2-1} B A^{-p/2})")
-    p_fov.add_argument("--p", type=float, default=None)
-    p_fov.add_argument("--n", type=int, default=fov.DEFAULT_ANGLES)
-    p_fov.add_argument("-o", "--output", default=None)
+    p_fov.add_argument("--p", type=float, default=None,
+                       help="the p of the transform (default 0); needs --matrix-b")
+    p_fov.add_argument("--n", type=int, default=fov.DEFAULT_ANGLES,
+                       help="number of equispaced directions sampled")
+    p_fov.add_argument("-o", "--output", default=None,
+                       help="CSV file to write (default: standard output)")
     p_fov.set_defaults(func=_cmd_fov)
 
     p_solve = sub.add_parser("solve", help="integrate a delay problem")

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from ._csv import write_csv
-from .errors import InvalidParams
+from .errors import InvalidParams, NotHermitian, NotPositiveDefinite
 
 DEFAULT_ANGLES = 256
 MIN_ANGLES = 8
@@ -220,14 +220,19 @@ def transformed_matrix(a, b, p: float, eigen=None) -> np.ndarray:
     p = 0 and p = 2 give A^{-1} B and B A^{-1} and only need a nonsingular
     A; every other p builds the fractional powers from the eigenbasis of a
     Hermitian positive definite A (``linalg.require_positive_definite``):
-    ``eigen``, A's ``EigenDecomposition``, when given, else a new one.
+    ``eigen``, A's ``EigenDecomposition``, when given, else a new one.  An
+    A without that hypothesis raises ``NotHermitian`` or
+    ``NotPositiveDefinite``, whose message names p and the hypothesis.
     """
     am, bm = linalg.square_pair(a, b)
     if p == 0.0:
         return linalg.solver_for(am).solve(bm)
     if p == 2.0:
         return linalg.solver_for(am.T).solve(bm.T).T
-    dec = linalg.require_positive_definite(am, eigen)
+    try:
+        dec = linalg.require_positive_definite(am, eigen)
+    except (NotHermitian, NotPositiveDefinite) as exc:
+        raise type(exc)(f"p = {p:g} needs a Hermitian positive definite A: {exc}") from exc
     v = dec.vectors
     left = (v * dec.values[None, :] ** (0.5 * p - 1.0)) @ v.conj().T
     right = (v * dec.values[None, :] ** (-0.5 * p)) @ v.conj().T

@@ -12,7 +12,7 @@ import pytest
 from ddestab import cli, fov, mol, reproduce, stability
 from ddestab.reproduce import EXAMPLE31_A, EXAMPLE31_B
 
-from conftest import write_matrix
+from conftest import random_complex, random_spd, write_matrix
 
 
 @pytest.fixture
@@ -331,6 +331,21 @@ class TestFovCommand:
         captured = capsys.readouterr()
         assert "--matrix-b" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("a, reason", [
+        ([[2.0, 1.0], [0.0, 3.0]], "relative symmetry violation"),
+        ([[1.0, 0.0], [0.0, -1.0]], "smallest eigenvalue"),
+    ])
+    def test_fractional_p_names_the_hypothesis_exit_3(self, tmp_path, capsys, a, reason):
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        write_matrix(a_path, np.array(a))
+        write_matrix(b_path, np.array([[0.3, -0.2], [0.4, 0.1]]))
+        assert cli.main(["fov", "--matrix", str(a_path), "--matrix-b", str(b_path),
+                         "--p", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "numerical failure in fov: p = 1 needs a Hermitian positive definite A: " + reason)
+
     def test_p_defaults_to_zero_with_matrix_b(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
         write_matrix(a_path, np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -601,19 +616,62 @@ def example1_dense_pair(m_grid, lambda1, lambda2, l):
     return -a_mol, b_mol
 
 
-def test_import_leaves_scipy_fft_unloaded():
-    # scipy.fft is imported where a 2-D DST-I is built; importing it with
-    # the package, or building example1 and its matrices (the set-up of
-    # check and oracle runs), would add about 0.1 s to every CLI start.
-    # No program path needs scipy.sparse at all.
+def test_import_and_example1_build_load_no_scipy():
+    # scipy.linalg is imported where a matrix is factored or a field of
+    # values is swept, and scipy.fft where a 2-D DST-I is built; importing
+    # either with the package, or building example1 and its matrices (the
+    # set-up of check and oracle runs), would add 0.1-0.2 s to every CLI start.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import ddestab, ddestab.cli, sys; "
-            "ddestab.mol.build_example1(30, l=0.1).stability_matrices(); "
-            "assert 'scipy.fft' not in sys.modules; "
-            "assert 'scipy.sparse' not in sys.modules")
+            "ddestab.mol.build_example1(100, l=0.1).stability_matrices(); "
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+            "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
     for args in ((100, 1.0, 1.0, -0.1), (100, 1.0, 1.0, 0.1), (7, 2.0, 0.5, -0.1)):
         got = mol.build_example1(*args).stability_matrices()
         for matrix, want in zip(got, example1_dense_pair(*args)):
             assert matrix.dtype == want.dtype and matrix.tobytes() == want.tobytes()
+
+
+def _footprint_call(tmp_path, name):
+    """The argv of one CLI call whose scipy imports are checked."""
+    if name == "solve-example1":
+        return ["solve", "--problem", "example1", "--grid-m", "20", "--m", "5", "--t-end", "1"]
+    if name == "solve-example2":
+        return ["solve", "--problem", "example2", "--grid-m", "16", "--m", "4", "--t-end", "1"]
+    if name == "region":
+        return ["region", "--y", "-2", "--m", "5"]
+    if name == "check-example1":
+        a, b = mol.build_example1(20, l=-0.1).stability_matrices()
+    else:  # a non-commuting pair: transforms, field-of-values sweeps and the dense W
+        gen = np.random.default_rng(7)
+        a, b = random_spd(gen, 6), 0.1 * random_complex(gen, 6)
+    write_matrix(tmp_path / "a.json", a)
+    write_matrix(tmp_path / "b.json", b)
+    return ["check", "--matrix-a", str(tmp_path / "a.json"), "--matrix-b",
+            str(tmp_path / "b.json"), "--tau", repr(math.pi / 2.0), "--m", "5"]
+
+
+@pytest.mark.parametrize("name, loaded, unloaded", [
+    ("solve-example1", (), ("scipy",)),
+    ("check-example1", (), ("scipy",)),
+    ("region", (), ("scipy",)),
+    ("solve-example2", ("scipy.fft",), ("scipy.linalg",)),
+    ("check-non-commuting", ("scipy.linalg",), ()),
+])
+def test_cli_call_loads_scipy_only_where_it_is_used(tmp_path, capsys, name, loaded, unloaded):
+    argv = _footprint_call(tmp_path, name)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    code = ("import sys; from ddestab import cli; code = cli.main(sys.argv[1:]); "
+            "sys.stderr.write(' '.join(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))); sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = set(done.stderr.split())
+    assert modules >= set(loaded) and not modules & set(unloaded)
+    if name == "check-non-commuting":
+        assert cli.main(argv) == 0
+        assert json.loads(done.stdout) == json.loads(capsys.readouterr().out)

@@ -258,12 +258,12 @@ class TestTransformed:
 
     def test_non_hermitian_fractional_p_rejected(self, rng):
         a = random_complex(rng, 3) + 4.0 * np.eye(3)
-        with pytest.raises(errors.NotHermitian):
+        with pytest.raises(errors.NotHermitian, match="^p = 1 needs a Hermitian positive"):
             fov.transformed_matrix(a, np.eye(3), 1.0)
 
     def test_indefinite_fractional_p_rejected(self):
-        with pytest.raises(errors.NotPositiveDefinite):
-            fov.transformed_matrix(np.diag([1.0, -1.0]), np.eye(2), 1.0)
+        with pytest.raises(errors.NotPositiveDefinite, match="^p = 0.5 needs a Hermitian"):
+            fov.transformed_matrix(np.diag([1.0, -1.0]), np.eye(2), 0.5)
 
     def test_given_decomposition_is_not_recomputed(self, rng, monkeypatch):
         from conftest import random_spd

@@ -36,7 +36,13 @@ The snapshot holds what the command line prints and writes for:
   pair in range whose A^{-1} B has an overflowing scaled norm, so each p
   is skipped and the dense rho(W) decides;
 * ``solve`` given options that the chosen problem does not read;
-* the ``--help`` of ``ddestab`` and of every subcommand.
+* the ``--help`` of ``ddestab`` and of every subcommand;
+* ``imports.out``: the ``scipy.<subpackage>`` names (sorted) that each of
+  five calls loads when it runs alone in a fresh interpreter (with
+  ``PYTHONPATH=PATH/src`` and ``PYTHONDONTWRITEBYTECODE=1``): ``solve`` of
+  example1 and of example2, ``check`` of example1 (M = 20, l = -0.1),
+  ``region`` and ``check`` of a non-commuting pair.  A change that makes a
+  path import more or less of scipy shows there.
 
 Each call leaves ``NAME.out`` (exit code, standard output, standard error)
 next to the files it wrote.  Two snapshots taken with the same ``--seed``
@@ -65,6 +71,7 @@ sys.dont_write_bytecode = True  # leave bench/ and the tree untouched
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
+import subprocess  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -96,6 +103,32 @@ def run(main, name: str, argv: list) -> None:
     text = (f"$ ddestab {' '.join(argv)}\nexit {code}\n"
             f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
     Path(f"{name}.out").write_text(text, encoding="utf-8")
+
+
+# Run one CLI call, print the scipy subpackages it loaded and exit with its code.
+IMPORT_PROBE = """\
+import contextlib, io, sys
+from ddestab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(*sorted(name for name, module in sys.modules.items()
+              if name.startswith("scipy.") and not name.startswith("scipy._")
+              and name.count(".") == 1 and hasattr(module, "__path__")))
+sys.exit(code)
+"""
+
+
+def import_footprints(src: Path, calls: dict) -> None:
+    """Run each call in a fresh interpreter that imports ddestab from
+    ``src`` and write ``imports.out``: its name, exit code and the scipy
+    subpackages it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    lines = []
+    for name, argv in calls.items():
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        lines.append(f"{name}: exit {done.returncode}: {done.stdout.strip() or '-'}\n")
+    Path("imports.out").write_text("".join(lines), encoding="utf-8")
 
 
 def snapshot(ddestab, seed: int) -> None:
@@ -237,6 +270,18 @@ def snapshot(ddestab, seed: int) -> None:
     run(main, "help", ["--help"])
     for command in SUBCOMMANDS:
         run(main, f"help-{command}", [command, "--help"])
+
+    a, b = ddestab.mol.build_example1(20, l=-0.1).stability_matrices()
+    workloads.write_matrix("ex1-m20-a.json", a)
+    workloads.write_matrix("ex1-m20-b.json", b)
+    import_footprints(Path(ddestab.__file__).resolve().parents[1], {
+        "solve-example1": ["solve", "--problem", "example1", "--grid-m", "20", "--m", "5"],
+        "solve-example2": ["solve", "--problem", "example2", "--grid-m", "16", "--m", "5"],
+        "check-example1": ["check", "--matrix-a", "ex1-m20-a.json", "--matrix-b",
+                           "ex1-m20-b.json", "--tau", repr(np.pi / 2.0), "--m", "5"],
+        "region": ["region", "--y", "-2", "--m", "5"],
+        "check-non-commuting": ["check", "--matrix-a", "double-swept-a.json", "--matrix-b",
+                                "double-swept-b.json", "--tau", "1", "--m", "2"]})
 
 
 def main(argv=None) -> int:
