@@ -193,7 +193,7 @@ def _cmd_solve(args) -> int:
         "dim": dde.dim,
         "scheme": scheme.to_dict(),
         "t_end": traj.final_time,
-        "steps": round(traj.final_time / scheme.h),
+        "steps": traj.stats.steps,
         "initial_norm": _norm(dde.history(0.0)),
         "final_norm": _norm(traj.final_state),
         "diverged": bool(traj.diverged),

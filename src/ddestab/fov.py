@@ -65,11 +65,14 @@ class FovBoundary:
     """
 
     points: np.ndarray
-    angles: np.ndarray
     n_angles: int
     support: np.ndarray
     indices: np.ndarray
     matrix: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def angles(self) -> np.ndarray:
+        return 2.0 * np.pi * self.indices / self.n_angles
 
     def max_modulus(self) -> float:
         """Largest |z| over the sampled points: an inner estimate."""
@@ -172,9 +175,8 @@ class _Sweep:
     def boundary(self) -> FovBoundary:
         """The known directions, in angle order."""
         idx = np.flatnonzero(self.known)
-        return FovBoundary(points=self.points[idx], angles=self.angles[idx],
-                           n_angles=self.n_angles, support=self.support[idx],
-                           indices=idx, matrix=self.matrix)
+        return FovBoundary(points=self.points[idx], n_angles=self.n_angles,
+                           support=self.support[idx], indices=idx, matrix=self.matrix)
 
 
 def fov_boundary(m, n_angles: int = DEFAULT_ANGLES, radius: float | None = None) -> FovBoundary:

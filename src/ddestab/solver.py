@@ -16,7 +16,8 @@ already known (the method of steps).  So the driver marches in blocks of
 k steps: it evaluates a block's delayed terms f_n together (g once per
 step; the explicit stage carries the previous step's term), advances
 w_{n+1} = K w_n + f_n state by state and returns to physical space once
-per block, for the overflow guard, the peak and retention.
+per block, for the overflow guard, the peak and retention.  One ring
+buffer holds the states: m + 2 in window mode, every state when kept.
 
 The linear part M is a dense numpy array or an operator with a sine
 basis (``to_modes``, ``from_modes``, its eigenvalues ``omega``, and
@@ -33,6 +34,7 @@ The two paths are named in :class:`SolveStats`:
 The history is sampled at the grid times max(-k h, -tau), k = 0..m.  When
 u > 0 (or by rounding at u = 0) the time -m h lies below -tau; there the
 history is extended as a constant, so the sample taken is history(-tau).
+The check that they are finite reads these m + 1 samples only.
 """
 
 from __future__ import annotations
@@ -209,9 +211,12 @@ def _n_steps(t_end: float, h: float) -> int:
 
 def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                keep_trajectory: bool) -> Trajectory:
-    """The one stepping driver, for z' = M z + g(z(t - tau)), on a ring
-    buffer of m+2 states indexed modulo by the absolute step index n.  A
-    block reads every delayed state it needs before it writes a state."""
+    """The one stepping driver, for z' = M z + g(z(t - tau)), on one ring
+    buffer indexed modulo its size by the absolute step index n: m + 2
+    states in window mode, n_steps + m + 1 when kept, so that states
+    0 .. n_steps never wrap.  The history check reads the m + 1 history
+    rows only.  A block reads every delayed state it needs before it
+    writes a state."""
     _check_delay(scheme, prob.tau)
     m, h, u, theta = scheme.m, scheme.h, scheme.u, scheme.theta
     dim = prob.dim
@@ -249,21 +254,20 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     setup_s = time.perf_counter() - t_setup
 
     n_steps = _n_steps(t_end, h)
-    size = m + 2
-    buf = np.zeros((size, dim), dtype=dtype)
+    size = n_steps + m + 1 if keep_trajectory else m + 2
+    try:
+        buf = np.empty((size, dim), dtype=dtype)
+    except (MemoryError, ValueError) as exc:  # too large for numpy or for memory
+        raise InvalidParams(
+            f"cannot allocate {size:.3g} states of dimension {dim}") from exc
     # -m h lies below -tau when u > 0 (or by rounding): use history(-tau)
     t_first = max(-m * h, -prob.tau)
     for k in range(-m, 1):
-        buf[k % size] = np.asarray(prob.history(k * h if k > -m else t_first),
-                                   dtype=dtype)
-    if not np.all(np.isfinite(buf)):
-        raise InvalidParams(
-            f"history is not finite at every grid time in [{t_first:.6g}, 0]")
-
-    states = None
-    if keep_trajectory:
-        states = np.empty((n_steps + 1, dim), dtype=dtype)
-        states[0] = buf[0]
+        row = buf[k % size]
+        row[:] = np.asarray(prob.history(k * h if k > -m else t_first), dtype=dtype)
+        if not np.all(np.isfinite(row)):
+            raise InvalidParams(
+                f"history is not finite at every grid time in [{t_first:.6g}, 0]")
     peak = np.max(np.abs(buf[0]))
 
     def ring(first, k):
@@ -312,8 +316,6 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                 k, diverged = int(tripped[0]) + 1, True
             peak = np.maximum(peak, np.max(row_max[:k]))  # a NaN replaces the peak too
             buf[np.arange(n0 + 1, n0 + 1 + k) % size] = z[:k]
-            if keep_trajectory:
-                states[n0 + 1:n0 + 1 + k] = z[:k]
             n0 += k
             if diverged:
                 break
@@ -322,18 +324,11 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                        setup_s=setup_s,
                        stepping_s=time.perf_counter() - t_stepping)
 
-    if keep_trajectory:
-        times = h * np.arange(n0 + 1)
-        return Trajectory(times=times, states=states[:n0 + 1], scheme=scheme,
-                          diverged=diverged, peak_max_norm=float(peak),
-                          stats=stats)
-    # window mode: return the trailing buffer in time order
-    n_keep = min(size, n0 + m + 1)
-    idx = np.arange(n0 - n_keep + 1, n0 + 1)
-    return Trajectory(times=h * idx.astype(float),
-                      states=buf[idx % size].copy(), scheme=scheme,
-                      diverged=diverged, peak_max_norm=float(peak),
-                      stats=stats)
+    # a window (n0 >= 1) is the whole ring in time order
+    idx = np.arange(0 if keep_trajectory else n0 + 1 - size, n0 + 1)
+    states = buf[:n0 + 1] if keep_trajectory else buf[idx % size]
+    return Trajectory(times=h * idx, states=states, scheme=scheme, diverged=diverged,
+                      peak_max_norm=float(peak), stats=stats)
 
 
 def solve_linear(prob: LinearDDE, scheme: ThetaScheme, t_end: float,

@@ -370,17 +370,13 @@ class _Facts:
         return self._once("transform", p, lambda: fov.transformed_matrix(
             self.a, self.b, p, self.positive_definite_a()))
 
-    def boundary(self, p: float, every: bool = False) -> fov.FovBoundary:
+    def boundary(self, p: float) -> fov.FovBoundary:
         """The sampled field-of-values boundary of ``transform(p)``, from one
-        ``fov.fov_boundary`` call: refined only until it decides the unit-
-        disk test, or at every direction of the grid when ``every``.  Asked
-        for every direction after a refined sweep, it completes that sweep
-        and solves no direction twice."""
-        boundary = self._once("boundary", p, lambda: fov.fov_boundary(
-            self.transform(p), self.n_angles, None if every else 1.0))
-        if every:
-            boundary = self._known["boundary", p] = boundary.completed()
-        return boundary
+        ``fov.fov_boundary`` call refined only until it decides the unit-
+        disk test; its ``completed()`` adds the other directions of the
+        grid without solving any twice."""
+        return self._once("boundary", p, lambda: fov.fov_boundary(
+            self.transform(p), self.n_angles, 1.0))
 
     def _once(self, fact: str, p, compute):
         if (fact, p) not in self._known:
@@ -484,7 +480,7 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
     evidence = []
     for p in p_grid:
         try:
-            t_mat, boundary = facts.transform(p), facts.boundary(p, every=True)
+            t_mat, boundary = facts.transform(p), facts.boundary(p).completed()
         except InvalidParams as exc:  # M_p or its scaled norm overflows
             evidence.append(Evidence("fov-in-dy", index=p, note=f"skipped: {exc}"))
             continue

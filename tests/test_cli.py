@@ -402,6 +402,18 @@ class TestSolveCommand:
         assert "t_end" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_end", ["1e17", "1e300"])
+    def test_kept_run_too_large_to_allocate_exit_3(self, tmp_path, capsys, t_end):
+        # a CSV keeps every state: numpy refuses the buffer before it allocates
+        out, csv = tmp_path / "summary.json", tmp_path / "z.csv"
+        code = cli.main(["solve", "--problem", "example1", "--grid-m", "10", "--m", "5",
+                         "--t-end", t_end, "--out-csv", str(csv), "-o", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in solve: cannot allocate")
+        assert "states of dimension 18" in err
+        assert not out.exists() and not csv.exists()
+
     def test_infinite_tau_exit_3(self, tmp_path, capsys):
         out = tmp_path / "summary.json"
         code = cli.main(["solve", "--problem", "example1", "--grid-m", "10",

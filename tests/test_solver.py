@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,16 +62,38 @@ class TestLinearStepping:
             err = np.max(np.abs(traj.states[n_step] - stacked[:n]))
             assert err <= 1e-10 * max(1.0, np.max(np.abs(stacked[:n])))
 
-    def test_window_mode_matches_full_run(self, rng):
-        a = random_spd(rng, 2).real
-        b = rng.standard_normal((2, 2)) * 0.3
-        prob = LinearDDE(a, b, 1.0, lambda t: np.array([1.0, -1.0]))
-        s = ThetaScheme(1.0, 0.0, 4, 1.0)
+    @pytest.mark.parametrize("path, theta, u, halts", [
+        *[(path, theta, u, False) for path in ("dense-inverse", "modes")
+          for theta in (0.5, 1.0) for u in (0.0, 0.5)],
+        ("dense-inverse", 1.0, 0.0, True)])
+    def test_window_mode_matches_full_run(self, rng, path, theta, u, halts):
+        # a window is the kept run's last m + 2 rows; a run halted within its
+        # first m + 1 steps leaves history samples in the window's first rows
+        if path == "modes":
+            prob = mol.build_example1(8).dde
+        elif halts:  # the first step grows the state from 1e99 past the guard
+            prob = LinearDDE(np.eye(2), 1e3 * np.eye(2), 1.0,
+                             lambda t: np.array([1e99, -1e99]) * (2.0 + t))
+        else:
+            prob = LinearDDE(random_spd(rng, 2).real, rng.standard_normal((2, 2)) * 0.3,
+                             1.0, lambda t: np.array([1.0, -1.0]) * (2.0 + t))
+        s = ThetaScheme(theta, u, 4, prob.tau)
         full = solver.solve_linear(prob, s, 10.0, keep_trajectory=True)
         window = solver.solve_linear(prob, s, 10.0, keep_trajectory=False)
         assert window.final_time == full.final_time
         assert_allclose(window.final_state, full.final_state)
         assert len(window.times) == s.m + 2
+        n_past = int(np.count_nonzero(window.times < 0.0))
+        assert n_past == (s.m + 1 - full.stats.steps if halts else 0)
+        assert np.array_equal(window.times[n_past:], full.times[n_past - s.m - 2:])
+        assert np.array_equal(window.states[n_past:], full.states[n_past - s.m - 2:])
+        assert all(np.array_equal(row, prob.history(max(t, -prob.tau)))
+                   for t, row in zip(window.times[:n_past], window.states[:n_past]))
+        assert window.diverged == full.diverged == halts
+        assert window.peak_max_norm == full.peak_max_norm
+        assert full.stats.path == path
+        assert (dataclasses.replace(window.stats, setup_s=0.0, stepping_s=0.0)
+                == dataclasses.replace(full.stats, setup_s=0.0, stepping_s=0.0))
 
     def test_asymptotics_follow_oracle(self, rng):
         # rho(W) < 0.95: bounded at 50 tau; rho(W) > 1.05: grown by 10x
@@ -108,6 +131,15 @@ class TestLinearStepping:
         assert traj.diverged
         assert len(traj.times) < 501
         assert np.all(np.isfinite(traj.states))
+
+    @pytest.mark.parametrize("t_end", [1e17, 1e300])
+    def test_kept_run_too_large_to_allocate_rejected(self, t_end):
+        # 3e17 and 3e300 states of dimension 18: numpy refuses either buffer
+        # (2^63 bytes or more) before it allocates
+        prob = mol.build_example1(10).dde
+        s = ThetaScheme(1.0, 0.0, 5, prob.tau)
+        with pytest.raises(errors.InvalidParams, match="states of dimension 18"):
+            solver.solve_linear(prob, s, t_end)
 
     def test_delay_mismatch_rejected(self):
         prob = scalar_problem(1.0, 0.0, tau=2.0)

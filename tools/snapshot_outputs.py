@@ -13,6 +13,8 @@ The snapshot holds what the command line prints and writes for:
   every stepping path shows its states; and a few inputs at the edges
   (``fov --p`` without ``--matrix-b``, a diverging ``solve`` with and
   without a norm-only CSV and with ``--norm-only`` but no CSV,
+  ``solve-kept-too-long``: an example1 ``solve --out-csv`` at
+  ``--t-end 1e17``, whose kept trajectory is too large to allocate,
   ``check --p-grid nan``, matrix files whose
   ``rows`` is 2.5 or whose entries are ``[re]`` lists, mixed or hold a
   string, and ``check`` of example 3.1 with ``--n-angles 4`` and with an
@@ -45,7 +47,8 @@ The snapshot holds what the command line prints and writes for:
   path import more or less of scipy shows there.
 
 Each call leaves ``NAME.out`` (exit code, standard output, standard error)
-next to the files it wrote.  Two snapshots taken with the same ``--seed``
+next to the files it wrote; an exception that escapes ``main`` is written
+in place of the exit code.  Two snapshots taken with the same ``--seed``
 show every changed byte with ``diff -r DIR1 DIR2``, so a change meant to
 keep outputs byte-identical can be checked against its parent tree: unpack
 the parent into a directory (``git archive``) and snapshot both.
@@ -100,6 +103,8 @@ def run(main, name: str, argv: list) -> None:
             code = main(argv)
         except SystemExit as exc:  # argparse: --help and usage errors
             code = exc.code
+        except Exception as exc:  # a traceback on the command line
+            code = f"uncaught {type(exc).__name__}: {exc}"
     text = (f"$ ddestab {' '.join(argv)}\nexit {code}\n"
             f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
     Path(f"{name}.out").write_text(text, encoding="utf-8")
@@ -170,6 +175,9 @@ def snapshot(ddestab, seed: int) -> None:
     run(main, "solve-diverged-norm-csv",
         linear + ["--out-csv", "diverged-norm.csv", "--norm-only"])
     run(main, "solve-norm-only-without-csv", linear + ["--norm-only"])
+    run(main, "solve-kept-too-long", ["solve", "--problem", "example1", "--grid-m", "10",
+                                      "--m", "5", "--t-end", "1e17",
+                                      "--out-csv", "too-long.csv"])
     run(main, "solve-ex1-cn-csv", ["solve", "--problem", "example1", "--grid-m", "20",
                                    "--m", "5", "--theta", "0.5", "--t-end", "5",
                                    "--out-csv", "ex1-cn.csv"])
