@@ -9,8 +9,8 @@ Subcommands::
     ddestab solve      integrate a built-in or user-supplied problem
     ddestab reproduce  rerun a golden target and compare stored values
 
-Exit codes: 0 success, 1 reproduction mismatch, 2 usage or parse error,
-3 numerical failure.
+Exit codes: 0 success, 1 reproduction mismatch, 2 usage, parse or file
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -180,13 +181,10 @@ def _cmd_solve(args) -> int:
         raise MatrixFileError("--norm-only needs --out-csv")
     dde, problem, t_end = _build_problem(args)
     scheme = stability.ThetaScheme(theta=args.theta, u=args.u, m=args.m, tau=dde.tau)
-    # a CSV holds every state, so --out-csv implies full retention
-    keep = args.keep_trajectory or bool(args.out_csv)
-
-    if isinstance(dde, solver.LinearDDE):
-        traj = solver.solve_linear(dde, scheme, t_end, keep_trajectory=keep)
-    else:
-        traj = solver.solve_semilinear(dde, scheme, t_end, keep_trajectory=keep)
+    run = solver.solve_linear if isinstance(dde, solver.LinearDDE) else solver.solve_semilinear
+    sink = solver.csv_sink(args.out_csv, args.norm_only) if args.out_csv else nullcontext()
+    with sink as on_block:
+        traj = run(dde, scheme, t_end, on_block=on_block)
 
     summary = {
         "problem": args.problem,
@@ -206,7 +204,6 @@ def _cmd_solve(args) -> int:
             for c in range(problem.n_components)
         }
     if args.out_csv:
-        traj.to_csv(args.out_csv, norm_only=args.norm_only)
         summary["trajectory_csv"] = args.out_csv
     _write_text(args.summary, json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return 0
@@ -294,10 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--history-const", default=argparse.SUPPRESS,
                          help="comma-separated constant history vector")
     p_solve.add_argument("--keep-trajectory", action="store_true",
-                         help="hold every state in memory (changes no output)")
+                         help="ignored: a run holds its last m + 2 states only")
     p_solve.add_argument("--norm-only", action="store_true")
     p_solve.add_argument("--out-csv", default=None,
-                         help="write every state (implies --keep-trajectory)")
+                         help="write every state to this CSV file as it is stepped")
     p_solve.add_argument("-o", "--summary", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -314,7 +311,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFileError as exc:
+    except (MatrixFileError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DdeStabError as exc:

@@ -99,8 +99,7 @@ def run_table1(full: bool = False) -> TargetResult:
     rows = []
     for m in ms:
         scheme = stability.ThetaScheme(theta=1.0, u=0.0, m=m, tau=problem.tau)
-        traj = solver.solve_linear(problem.dde, scheme, TABLE1_T_END,
-                                   keep_trajectory=False)
+        traj = solver.solve_linear(problem.dde, scheme, TABLE1_T_END)
         for comp in (0, 1):
             got = problem.discrete_error(traj, TABLE1_T_END, comp)
             want = TABLE1_REFERENCE[m][comp]

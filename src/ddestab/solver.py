@@ -16,8 +16,12 @@ already known (the method of steps).  So the driver marches in blocks of
 k steps: it evaluates a block's delayed terms f_n together (g once per
 step; the explicit stage carries the previous step's term), advances
 w_{n+1} = K w_n + f_n state by state and returns to physical space once
-per block, for the overflow guard, the peak and retention.  One ring
-buffer holds the states: m + 2 in window mode, every state when kept.
+per block, for the overflow guard, the peak and the ring buffer, which
+holds the last m + 2 states.  Every state reaches its consumer as it is
+written: the ``on_block`` callback of :func:`solve_linear` and
+:func:`solve_semilinear` receives each block (:func:`csv_sink` writes them
+to a CSV file), so no output needs the whole trajectory in memory.  A run
+takes at most ``MAX_STEPS`` steps.
 
 The linear part M is a dense numpy array or an operator with a sine
 basis (``to_modes``, ``from_modes``, its eigenvalues ``omega``, and
@@ -41,16 +45,19 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from ._csv import write_csv
+from ._csv import csv_writer
 from .errors import InvalidParams, TimeOffGrid
 from .stability import ThetaScheme
 
 OVERFLOW_GUARD = 1e100
+# far beyond any run that ends in reasonable time: a t_end past it is an error
+MAX_STEPS = 10 ** 9
 # scratch per array in a block: ~165 steps of example1, 1 of example2 at M = 200
 BLOCK_BYTES = 256 * 1024
 
@@ -123,7 +130,7 @@ class SolveStats:
     delayed terms they used, up to a halt by the overflow guard.
     ``setup_s`` is the time to build the implicit stage (the inverse and K;
     on the modes path kappa, and to_modes(B^T) for a linear problem);
-    ``stepping_s`` the time of the steps."""
+    ``stepping_s`` the time of the steps, ``on_block`` calls included."""
 
     path: str
     steps: int
@@ -145,14 +152,17 @@ def state_norm(state) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on the uniform grid.  With full retention times[0] = 0;
-    in window mode only the trailing m+2 grid points are kept.  ``diverged``
-    marks a run halted by the overflow guard (a state above 1e100 in max
-    norm, or NaN); states beyond the halt do not exist.  ``peak_max_norm``
-    is the largest max norm over every state the run computed, z(0)
-    included and NaN once a state held one; with full retention it equals
-    ``np.max(np.abs(states))``.  It is None on a hand-built trajectory,
-    and so is ``stats`` (see :class:`SolveStats`)."""
+    """The last m + 2 states of a run on the uniform grid, in time order:
+    the stepping driver's ring buffer.  A run halted within its first
+    m + 1 steps leaves history samples, at negative times, in the first
+    rows.  A run's ``on_block`` callback is handed every state it computed.
+    ``diverged`` marks a run halted by the overflow guard (a state above
+    1e100 in max norm, or NaN); states beyond the halt do not exist.
+    ``peak_max_norm`` is the largest max norm over every state the run
+    computed, z(0) included and NaN once a state held one; it equals the
+    largest max norm over the states handed to ``on_block``.  It is None
+    on a hand-built trajectory, and so is ``stats`` (see
+    :class:`SolveStats`)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -171,7 +181,7 @@ class Trajectory:
 
     def index_of_time(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        if not (math.isfinite(t) and abs(self.times[idx] - t) <= 1e-9 * max(1.0, abs(t))):
             raise TimeOffGrid(f"t = {t} is not on the trajectory grid")
         return idx
 
@@ -179,22 +189,45 @@ class Trajectory:
         return self.states[self.index_of_time(t)]
 
     def to_csv(self, path, norm_only: bool = False) -> None:
-        """Write t plus one column per component (re/im pairs when
-        complex), or t plus the 2-norm (:func:`state_norm`) in norm-only
-        mode."""
-        if norm_only:
-            norms = (state_norm(row) for row in self.states)
-            write_csv(path, "t,norm2", (self.times, norms))
-            return
-        n = self.states.shape[1]
-        if np.iscomplexobj(self.states):
-            header = ",".join(f"y{j}_re,y{j}_im" for j in range(n))
-            parts = (self.states.real, self.states.imag)
-            columns = [part[:, j] for j in range(n) for part in parts]
-        else:
-            header = ",".join(f"y{j}" for j in range(n))
-            columns = list(self.states.T)
-        write_csv(path, "t," + header, [self.times] + columns)
+        """Write the held states in the format of :func:`csv_sink`."""
+        with csv_sink(path, norm_only) as sink:
+            sink(self.times, self.states)
+
+
+def _csv_header(states, norm_only: bool) -> str:
+    if norm_only:
+        return "t,norm2"
+    n = states.shape[1]
+    if np.iscomplexobj(states):
+        return "t," + ",".join(f"y{j}_re,y{j}_im" for j in range(n))
+    return "t," + ",".join(f"y{j}" for j in range(n))
+
+
+def _csv_rows(times, states, norm_only: bool):
+    if norm_only:
+        return zip(times.tolist(), map(state_norm, states))
+    if np.iscomplexobj(states):  # y0_re, y0_im, y1_re, ... is the memory order
+        states = np.ascontiguousarray(states, dtype=complex).view(np.float64)
+    return np.column_stack((times, states)).tolist()
+
+
+@contextmanager
+def csv_sink(path, norm_only: bool = False):
+    """An ``on_block`` callback that writes the states it is handed to the
+    CSV file ``path``: t plus one column per component (re/im pairs when
+    complex), or t plus the 2-norm (:func:`state_norm`) in norm-only mode.
+    The file is opened at the first block, so a run rejected before it
+    steps writes none."""
+    with ExitStack() as stack:
+        write = None
+
+        def on_block(times, states) -> None:
+            nonlocal write
+            if write is None:
+                write = stack.enter_context(csv_writer(path, _csv_header(states, norm_only)))
+            write(_csv_rows(times, states, norm_only))
+
+        yield on_block
 
 
 def _check_delay(scheme: ThetaScheme, tau: float) -> None:
@@ -206,19 +239,28 @@ def _check_delay(scheme: ThetaScheme, tau: float) -> None:
 def _n_steps(t_end: float, h: float) -> int:
     if not h <= t_end < math.inf:
         raise InvalidParams(f"t_end = {t_end} must be finite and at least h = {h}")
-    return int(math.ceil(t_end / h - 1e-9))
+    steps = t_end / h - 1e-9
+    if not steps <= MAX_STEPS:
+        raise InvalidParams(
+            f"t_end = {t_end} takes {steps:.3g} steps of h = {h:.6g}, "
+            f"more than the {MAX_STEPS:.0e} a run may take")
+    return int(math.ceil(steps))
 
 
 def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
-               keep_trajectory: bool) -> Trajectory:
+               on_block) -> Trajectory:
     """The one stepping driver, for z' = M z + g(z(t - tau)), on one ring
-    buffer indexed modulo its size by the absolute step index n: m + 2
-    states in window mode, n_steps + m + 1 when kept, so that states
-    0 .. n_steps never wrap.  The history check reads the m + 1 history
-    rows only.  A block reads every delayed state it needs before it
-    writes a state."""
+    buffer of m + 2 states indexed modulo m + 2 by the absolute step index
+    n.  The history check reads the m + 1 history rows only.  A block
+    reads every delayed state it needs before it writes a state.
+
+    ``on_block(times, states)``, unless None, is called once with t = 0
+    and z(0) after the history check, then once per block with the rows
+    just written into the ring, a row that tripped the overflow guard
+    included.  Its arrays are valid only during the call."""
     _check_delay(scheme, prob.tau)
     m, h, u, theta = scheme.m, scheme.h, scheme.u, scheme.theta
+    n_steps = _n_steps(t_end, h)
     dim = prob.dim
     probe = np.asarray(prob.history(0.0))
     if probe.shape != (dim,):
@@ -253,8 +295,7 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
             return lift(g_rows[0][None] if len(g_rows) == 1 else np.stack(g_rows))
     setup_s = time.perf_counter() - t_setup
 
-    n_steps = _n_steps(t_end, h)
-    size = n_steps + m + 1 if keep_trajectory else m + 2
+    size = m + 2
     try:
         buf = np.empty((size, dim), dtype=dtype)
     except (MemoryError, ValueError) as exc:  # too large for numpy or for memory
@@ -269,6 +310,8 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
             raise InvalidParams(
                 f"history is not finite at every grid time in [{t_first:.6g}, 0]")
     peak = np.max(np.abs(buf[0]))
+    if on_block is not None:
+        on_block(np.zeros(1), buf[:1])
 
     def ring(first, k):
         """States first .. first + k - 1 of the buffer: a view unless they wrap."""
@@ -315,7 +358,10 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
             if tripped.size:
                 k, diverged = int(tripped[0]) + 1, True
             peak = np.maximum(peak, np.max(row_max[:k]))  # a NaN replaces the peak too
-            buf[np.arange(n0 + 1, n0 + 1 + k) % size] = z[:k]
+            idx = np.arange(n0 + 1, n0 + 1 + k)
+            buf[idx % size] = z[:k]
+            if on_block is not None:
+                on_block(h * idx, z[:k])
             n0 += k
             if diverged:
                 break
@@ -324,33 +370,36 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                        setup_s=setup_s,
                        stepping_s=time.perf_counter() - t_stepping)
 
-    # a window (n0 >= 1) is the whole ring in time order
-    idx = np.arange(0 if keep_trajectory else n0 + 1 - size, n0 + 1)
-    states = buf[:n0 + 1] if keep_trajectory else buf[idx % size]
-    return Trajectory(times=h * idx, states=states, scheme=scheme, diverged=diverged,
-                      peak_max_norm=float(peak), stats=stats)
+    # n0 >= 1, so the ring's m + 2 rows end at step n0
+    idx = np.arange(n0 + 1 - size, n0 + 1)
+    return Trajectory(times=h * idx, states=buf[idx % size], scheme=scheme,
+                      diverged=diverged, peak_max_norm=float(peak), stats=stats)
 
 
 def solve_linear(prob: LinearDDE, scheme: ThetaScheme, t_end: float,
-                 keep_trajectory: bool = True) -> Trajectory:
+                 on_block=None) -> Trajectory:
     """Integrate y' = -A y + B y(t - tau) up to (at least) t_end.
 
     A dense A takes the ``"dense-inverse"`` path, an operator the
     ``"modes"`` path; the run halts early with ``diverged=True`` if any
     state exceeds the overflow guard of 1e100 in max norm or holds a NaN.
+    ``on_block(times, states)`` receives every state from t = 0 on as it
+    is stepped, a block at a time (see :func:`csv_sink`); the arrays it is
+    handed are valid only during the call.
     """
     bm = np.asarray(prob.b)
     return _integrate(prob, scheme, -prob.a, lambda d: bm @ d,
-                      np.result_type(prob.a.dtype, bm), t_end, keep_trajectory)
+                      np.result_type(prob.a.dtype, bm), t_end, on_block)
 
 
 def solve_semilinear(prob: SemilinearDDE, scheme: ThetaScheme, t_end: float,
-                     keep_trajectory: bool = True) -> Trajectory:
+                     on_block=None) -> Trajectory:
     """Integrate z' = M z + g(z(t - tau)) up to (at least) t_end.
 
     g is evaluated once per step at the interpolated delayed state, so
     the implicit stage stays linear; a dense M takes the
     ``"dense-inverse"`` path, an operator the ``"modes"`` path.
+    ``on_block`` is as in :func:`solve_linear`.
     """
     mm = prob.m_linear
-    return _integrate(prob, scheme, mm, prob.g, mm.dtype, t_end, keep_trajectory)
+    return _integrate(prob, scheme, mm, prob.g, mm.dtype, t_end, on_block)

@@ -118,7 +118,7 @@ class ThetaScheme:
             raise InvalidParams(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 <= self.u < 1.0:
             raise InvalidParams(f"u must lie in [0, 1), got {self.u}")
-        if int(self.m) != self.m or self.m < 1:
+        if not (1 <= self.m < math.inf and int(self.m) == self.m):  # not NaN either
             raise InvalidParams(f"m must be a positive integer, got {self.m}")
         if self.u > 0.0 and self.m < 3:
             raise InvalidParams("m >= 3 is required when u > 0")

@@ -1,6 +1,7 @@
 """Shared generators, planar-geometry helpers and test-side references
 for the test suite."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -173,7 +174,26 @@ def observed_order(prob, exact, theta, m_list, t_end):
     hs, errs = [], []
     for m in m_list:
         scheme = ThetaScheme(theta=theta, u=0.0, m=m, tau=prob.tau)
-        traj = solve_linear(prob, scheme, t_end, keep_trajectory=False)
+        traj = solve_linear(prob, scheme, t_end)
         errs.append(np.linalg.norm(traj.final_state - exact(traj.final_time)))
         hs.append(scheme.h)
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
+
+def run_collected(run, prob, scheme, t_end, on_block=None):
+    """``run(prob, scheme, t_end)``, for ``run`` ``solve_linear`` or
+    ``solve_semilinear``, with a copy taken of every block it streams.
+    Returns the run's trajectory (its last m + 2 states) and the same
+    trajectory holding every state from t = 0 to the end of the run.
+    ``on_block``, if given, is handed each block as well."""
+    times, states = [], []
+
+    def collect(t, z):
+        times.append(t.copy())
+        states.append(z.copy())
+        if on_block is not None:
+            on_block(t, z)
+
+    window = run(prob, scheme, t_end, on_block=collect)
+    return window, dataclasses.replace(window, times=np.concatenate(times),
+                                       states=np.concatenate(states))

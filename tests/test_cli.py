@@ -402,15 +402,31 @@ class TestSolveCommand:
         assert "t_end" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_csv", [False, True], ids=["summary-only", "out-csv"])
     @pytest.mark.parametrize("t_end", ["1e17", "1e300"])
-    def test_kept_run_too_large_to_allocate_exit_3(self, tmp_path, capsys, t_end):
-        # a CSV keeps every state: numpy refuses the buffer before it allocates
+    def test_run_past_the_step_bound_exit_3(self, tmp_path, capsys, t_end, out_csv):
+        # 3e17 and 3e300 steps: rejected before anything is stepped or written
         out, csv = tmp_path / "summary.json", tmp_path / "z.csv"
         code = cli.main(["solve", "--problem", "example1", "--grid-m", "10", "--m", "5",
-                         "--t-end", t_end, "--out-csv", str(csv), "-o", str(out)])
+                         "--t-end", t_end, "-o", str(out)]
+                        + (["--out-csv", str(csv)] if out_csv else []))
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure in solve: cannot allocate")
+        assert err.startswith(f"numerical failure in solve: t_end = {float(t_end)} takes")
+        assert "more than the 1e+09 a run may take" in err
+        assert not out.exists() and not csv.exists()
+
+    def test_ring_too_large_to_allocate_exit_3(self, tmp_path, capsys):
+        # m + 2 = 1e17 states of dimension 18 take 2^63 bytes or more, which
+        # numpy refuses before it allocates; the run itself is one step
+        out, csv = tmp_path / "summary.json", tmp_path / "z.csv"
+        m = 10 ** 17
+        code = cli.main(["solve", "--problem", "example1", "--grid-m", "10", "--m", str(m),
+                         "--t-end", repr(math.pi / 2.0 / m), "--out-csv", str(csv),
+                         "-o", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in solve: cannot allocate 1e+17 states")
         assert "states of dimension 18" in err
         assert not out.exists() and not csv.exists()
 
@@ -494,7 +510,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("norm_only", [False, True])
     def test_out_csv_keeps_every_state_in_window_mode(self, tmp_path, norm_only):
-        # without --keep-trajectory a run still writes all steps + 1 states
+        # the run holds m + 2 states and streams all steps + 1 to the CSV
         csv, out = tmp_path / "traj.csv", tmp_path / "s.json"
         argv = ["solve", "--problem", "example1", "--grid-m", "20", "--m", "5",
                 "--out-csv", str(csv), "-o", str(out)]
@@ -579,6 +595,25 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
         last = csv.read_text().splitlines()[-1].split(",")
         assert doc["diverged"] is True and float(last[1]) == doc["final_norm"] == 5e305
+
+
+@pytest.mark.parametrize("command", ["region", "solve", "reproduce"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    missing = tmp_path / "missing" / "x.csv"
+    out = tmp_path / "s.json"
+    argv = {"region": ["region", "--y", "-2", "--m", "5", "-o", str(missing)],
+            "solve": ["solve", "--problem", "example1", "--grid-m", "10", "--m", "4",
+                      "--out-csv", str(missing), "-o", str(out)],
+            "reproduce": ["reproduce", "--target", "figures", "--outdir", str(out)],
+            }[command]
+    if command == "reproduce":  # the output directory is a file
+        out.write_text("")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno")
+    assert str(out if command == "reproduce" else missing) in captured.err
+    assert command == "reproduce" or not out.exists()
+    assert not missing.parent.exists()
 
 
 class TestReproduceCommand:

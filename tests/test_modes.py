@@ -13,6 +13,8 @@ from ddestab import errors, mol, solver
 from ddestab.solver import LinearDDE, SemilinearDDE
 from ddestab.stability import ThetaScheme
 
+from conftest import run_collected
+
 
 def dense_twin(dde):
     """The same linear problem with A as a dense array: the dense-inverse path."""
@@ -71,12 +73,11 @@ def test_matches_dense_inverse(theta, u, m, l):
     dde = mol.build_example1(6, 1.0, 0.6, l, 0.05).dde
     s = ThetaScheme(theta, u, m, dde.tau)
     t_end = 7.3 * dde.tau  # not a whole number of blocks
-    for keep in (True, False):
-        got = solver.solve_linear(dde, s, t_end, keep_trajectory=keep)
-        ref = solver.solve_linear(dense_twin(dde), s, t_end, keep_trajectory=keep)
-        assert not ref.diverged
-        assert_same_run(got, ref, 1e-11)
-    assert len(got.times) == min(m + 2, len(ref.times))  # the window
+    window, got = run_collected(solver.solve_linear, dde, s, t_end)
+    _, ref = run_collected(solver.solve_linear, dense_twin(dde), s, t_end)
+    assert not ref.diverged
+    assert_same_run(got, ref, 1e-11)
+    assert len(window.times) == m + 2
 
 
 @pytest.mark.parametrize("u", [0.0, 0.3])
@@ -88,18 +89,17 @@ def test_blocks_shorter_than_the_delay(monkeypatch, u):
     for l, t_end in ((-0.1, 7.3 * 0.05), (40.0, 20.0)):
         dde = mol.build_example1(6, 1.0, 0.6, l, 0.05 if l < 0 else math.pi / 2).dde
         s = ThetaScheme(0.5, u, 25, dde.tau)
-        for keep in (True, False):
-            got = solver.solve_linear(dde, s, t_end, keep_trajectory=keep)
-            ref = solver.solve_linear(dense_twin(dde), s, t_end, keep_trajectory=keep)
-            assert ref.diverged == (l > 0) and (l < 0 or ref.stats.steps % 5)
-            assert_same_run(got, ref, 1e-11 if l < 0 else 1e-9)
+        _, got = run_collected(solver.solve_linear, dde, s, t_end)
+        _, ref = run_collected(solver.solve_linear, dense_twin(dde), s, t_end)
+        assert ref.diverged == (l > 0) and (l < 0 or ref.stats.steps % 5)
+        assert_same_run(got, ref, 1e-11 if l < 0 else 1e-9)
 
 
 def test_single_mode_recurrence():
     # example1's published case: M = 100, m = 100, theta = 1, to t = 10 pi
     problem = mol.build_example1(100, 1.0, 1.0, -0.1, math.pi / 2.0)
     s = ThetaScheme(1.0, 0.0, 100, problem.tau)
-    traj = solver.solve_linear(problem.dde, s, 10.0 * math.pi)
+    _, traj = run_collected(solver.solve_linear, problem.dde, s, 10.0 * math.pi)
     norms, errors = single_mode_reference(100)
     got = np.array([solver.state_norm(state) for state in traj.states])
     assert traj.stats.path == "modes" and got.shape == norms.shape
@@ -115,13 +115,12 @@ def test_halt_inside_a_block(theta):
     # at step 91 or 92 of a run in blocks of 25
     dde = mol.build_example1(10, 1.0, 1.0, 40.0, math.pi / 2.0).dde
     s = ThetaScheme(theta, 0.0, 25, dde.tau)
-    for keep in (True, False):
-        got = solver.solve_linear(dde, s, 20.0, keep_trajectory=keep)
-        ref = solver.solve_linear(dense_twin(dde), s, 20.0, keep_trajectory=keep)
-        assert ref.diverged and ref.stats.steps % 25 not in (0, 24)
-        assert got.diverged and np.array_equal(got.times, ref.times)
-        assert got.stats.steps == ref.stats.steps
-        assert abs(got.peak_max_norm - ref.peak_max_norm) <= 1e-9 * ref.peak_max_norm
+    _, got = run_collected(solver.solve_linear, dde, s, 20.0)
+    _, ref = run_collected(solver.solve_linear, dense_twin(dde), s, 20.0)
+    assert ref.diverged and ref.stats.steps % 25 not in (0, 24)
+    assert got.diverged and np.array_equal(got.times, ref.times)
+    assert got.stats.steps == ref.stats.steps
+    assert abs(got.peak_max_norm - ref.peak_max_norm) <= 1e-9 * ref.peak_max_norm
 
 
 def test_nan_halt_inside_a_block():
@@ -135,14 +134,13 @@ def test_nan_halt_inside_a_block():
         return np.full(12, 1e10 if t >= -s.tau + 10.5 * s.h else 0.0)
 
     dde = LinearDDE(op, 1e300 * np.eye(12), 1.0, history)
-    for keep in (True, False):
-        got = solver.solve_linear(dde, s, 3.0, keep_trajectory=keep)
-        ref = solver.solve_linear(dense_twin(dde), s, 3.0, keep_trajectory=keep)
-        assert ref.diverged and got.diverged
-        assert got.stats.steps == ref.stats.steps == 11
-        assert np.isnan(got.peak_max_norm) and np.isnan(ref.peak_max_norm)
-        assert np.array_equal(got.times, ref.times)
-        assert np.isnan(got.final_state).any() and np.isnan(ref.final_state).any()
+    _, got = run_collected(solver.solve_linear, dde, s, 3.0)
+    _, ref = run_collected(solver.solve_linear, dense_twin(dde), s, 3.0)
+    assert ref.diverged and got.diverged
+    assert got.stats.steps == ref.stats.steps == 11
+    assert np.isnan(got.peak_max_norm) and np.isnan(ref.peak_max_norm)
+    assert np.array_equal(got.times, ref.times)
+    assert np.isnan(got.final_state).any() and np.isnan(ref.final_state).any()
 
 
 def test_operator_and_b_must_match():
@@ -167,7 +165,7 @@ def test_one_step_blocks(monkeypatch, theta, u):
         op.from_modes = lambda w: blocks.append(1) or dde.m_linear.from_modes(w)
         prob = SemilinearDDE(op, lambda z: g_calls.append(1) or dde.g(z), dde.tau,
                              dde.history)
-        traj = solver.solve_semilinear(prob, s, 3.0)
+        _, traj = run_collected(solver.solve_semilinear, prob, s, 3.0)
         assert traj.stats.path == "modes" and not traj.diverged
         assert len(g_calls) == traj.stats.steps + int(theta < 1.0) == traj.stats.g_calls
         return traj, len(blocks)

@@ -210,7 +210,7 @@ class TestKroneckerLaplacian:
         shifted = scipy.sparse.identity(op.shape[0], dtype=complex) + c * csr
         expected = scipy.sparse.linalg.splu(shifted.tocsc()).solve(r + (h + c) * (csr @ r))
         assert traj.stats.path == "modes" and traj.stats.steps == 1
-        assert np.linalg.norm(traj.states[1] - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(traj.final_state - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("m_grid", [2, 5, 32])
     def test_matvec_is_the_stencil(self, m_grid):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from ddestab import errors, linalg, mol, solver, stability
 from ddestab.solver import LinearDDE, SemilinearDDE
 from ddestab.stability import ThetaScheme
 
-from conftest import observed_order, random_complex, random_spd
+from conftest import observed_order, random_complex, random_spd, run_collected
 
 
 def scalar_problem(a, b, tau=1.0, hist=lambda t: np.array([1.0])):
@@ -21,7 +20,7 @@ class TestLinearStepping:
     def test_pure_decay_halves_each_step(self):
         # B = 0, A = 1, theta = 1, h = 1: y_{n+1} = y_n / 2
         prob = scalar_problem(1.0, 0.0)
-        traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 1, 1.0), 6.0)
+        _, traj = run_collected(solver.solve_linear, prob, ThetaScheme(1.0, 0.0, 1, 1.0), 6.0)
         assert_allclose(traj.states[:, 0], 0.5 ** np.arange(7), rtol=1e-14)
         assert_allclose(traj.times, np.arange(7.0))
 
@@ -33,7 +32,7 @@ class TestLinearStepping:
 
         def run(alpha):
             prob = LinearDDE(a, b, 1.0, lambda t: alpha * base * (1.0 + t))
-            return solver.solve_linear(prob, s, 5.0).states
+            return run_collected(solver.solve_linear, prob, s, 5.0)[1].states
 
         one = run(1.0)
         three = run(3.0)
@@ -53,7 +52,7 @@ class TestLinearStepping:
             return hist_vec * math.cos(t)
 
         prob = LinearDDE(a, b, tau, history)
-        traj = solver.solve_linear(prob, s, 50 * s.h)
+        _, traj = run_collected(solver.solve_linear, prob, s, 50 * s.h)
         w = stability.build_w(a, b, s)
         # the solver's sampling rule: grid times -k h, clamped to -tau
         stacked = np.concatenate([history(max(-k * s.h, -tau)) for k in range(m + 1)])
@@ -67,8 +66,9 @@ class TestLinearStepping:
           for theta in (0.5, 1.0) for u in (0.0, 0.5)],
         ("dense-inverse", 1.0, 0.0, True)])
     def test_window_mode_matches_full_run(self, rng, path, theta, u, halts):
-        # a window is the kept run's last m + 2 rows; a run halted within its
-        # first m + 1 steps leaves history samples in the window's first rows
+        # the blocks hand over steps 0 .. n once each, and the window is their
+        # last m + 2 rows; a run halted within its first m + 1 steps leaves
+        # history samples in the window's first rows
         if path == "modes":
             prob = mol.build_example1(8).dde
         elif halts:  # the first step grows the state from 1e99 past the guard
@@ -78,22 +78,18 @@ class TestLinearStepping:
             prob = LinearDDE(random_spd(rng, 2).real, rng.standard_normal((2, 2)) * 0.3,
                              1.0, lambda t: np.array([1.0, -1.0]) * (2.0 + t))
         s = ThetaScheme(theta, u, 4, prob.tau)
-        full = solver.solve_linear(prob, s, 10.0, keep_trajectory=True)
-        window = solver.solve_linear(prob, s, 10.0, keep_trajectory=False)
-        assert window.final_time == full.final_time
-        assert_allclose(window.final_state, full.final_state)
+        window, full = run_collected(solver.solve_linear, prob, s, 10.0)
+        assert np.array_equal(full.times, s.h * np.arange(window.stats.steps + 1))
         assert len(window.times) == s.m + 2
         n_past = int(np.count_nonzero(window.times < 0.0))
-        assert n_past == (s.m + 1 - full.stats.steps if halts else 0)
+        assert n_past == (s.m + 1 - window.stats.steps if halts else 0)
         assert np.array_equal(window.times[n_past:], full.times[n_past - s.m - 2:])
         assert np.array_equal(window.states[n_past:], full.states[n_past - s.m - 2:])
         assert all(np.array_equal(row, prob.history(max(t, -prob.tau)))
                    for t, row in zip(window.times[:n_past], window.states[:n_past]))
-        assert window.diverged == full.diverged == halts
-        assert window.peak_max_norm == full.peak_max_norm
-        assert full.stats.path == path
-        assert (dataclasses.replace(window.stats, setup_s=0.0, stepping_s=0.0)
-                == dataclasses.replace(full.stats, setup_s=0.0, stepping_s=0.0))
+        assert window.diverged == halts
+        assert window.peak_max_norm == np.max(np.abs(full.states))
+        assert window.stats.path == path
 
     def test_asymptotics_follow_oracle(self, rng):
         # rho(W) < 0.95: bounded at 50 tau; rho(W) > 1.05: grown by 10x
@@ -111,7 +107,7 @@ class TestLinearStepping:
             def grown(seed):
                 hist = rng.standard_normal(2)
                 prob = LinearDDE(a, b, 1.0, lambda t: hist)
-                traj = solver.solve_linear(prob, s, 50.0, keep_trajectory=False)
+                traj = solver.solve_linear(prob, s, 50.0)
                 return (np.linalg.norm(traj.final_state), np.linalg.norm(hist))
 
             final, h0 = grown(trial)
@@ -127,19 +123,32 @@ class TestLinearStepping:
 
     def test_overflow_guard_flags_divergence(self):
         prob = scalar_problem(1.0, 1e3)
-        traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 1, 1.0), 500.0)
+        _, traj = run_collected(solver.solve_linear, prob, ThetaScheme(1.0, 0.0, 1, 1.0), 500.0)
         assert traj.diverged
         assert len(traj.times) < 501
         assert np.all(np.isfinite(traj.states))
 
     @pytest.mark.parametrize("t_end", [1e17, 1e300])
-    def test_kept_run_too_large_to_allocate_rejected(self, t_end):
-        # 3e17 and 3e300 states of dimension 18: numpy refuses either buffer
-        # (2^63 bytes or more) before it allocates
-        prob = mol.build_example1(10).dde
+    def test_run_past_the_step_bound_rejected(self, t_end):
+        # 3e17 and 3e300 steps: rejected before the history is read
+        prob = LinearDDE(np.eye(2), np.eye(2), math.pi / 2.0,
+                         lambda t: pytest.fail("history read"))
         s = ThetaScheme(1.0, 0.0, 5, prob.tau)
-        with pytest.raises(errors.InvalidParams, match="states of dimension 18"):
+        with pytest.raises(errors.InvalidParams, match="more than the 1e[+]09"):
             solver.solve_linear(prob, s, t_end)
+
+    def test_step_bound(self):
+        assert solver._n_steps(0.5 * solver.MAX_STEPS, 0.5) == solver.MAX_STEPS
+        with pytest.raises(errors.InvalidParams, match="more than"):
+            solver._n_steps(0.5 * (solver.MAX_STEPS + 1), 0.5)
+
+    def test_ring_too_large_to_allocate_rejected(self):
+        # m + 2 states of dimension 18 at m = 1e17 take 2^63 bytes or more,
+        # which numpy refuses before it allocates
+        prob = mol.build_example1(10).dde
+        s = ThetaScheme(1.0, 0.0, 10 ** 17, prob.tau)
+        with pytest.raises(errors.InvalidParams, match="1e[+]17 states of dimension 18"):
+            solver.solve_linear(prob, s, s.h)
 
     def test_delay_mismatch_rejected(self):
         prob = scalar_problem(1.0, 0.0, tau=2.0)
@@ -162,10 +171,13 @@ class TestLinearStepping:
 
     def test_time_lookup(self):
         prob = scalar_problem(1.0, 0.0)
-        traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 4.0)
-        assert traj.index_of_time(2.0) == 4
-        with pytest.raises(errors.TimeOffGrid):
-            traj.state_at(2.25)
+        window, full = run_collected(solver.solve_linear, prob,
+                                     ThetaScheme(1.0, 0.0, 2, 1.0), 4.0)
+        assert full.index_of_time(2.0) == 4 and window.index_of_time(4.0) == 3
+        for traj, t in ((full, 2.25), (window, 2.0), (full, math.nan), (full, math.inf),
+                        (window, -math.inf)):
+            with pytest.raises(errors.TimeOffGrid):
+                traj.state_at(t)
 
 
 class TestSemilinear:
@@ -181,7 +193,8 @@ class TestSemilinear:
         prob = SemilinearDDE(m_linear=-np.eye(3),
                              g=lambda z: 2.5 * z * (1.0 - z),
                              tau=0.5, history=lambda t: np.zeros(3))
-        traj = solver.solve_semilinear(prob, ThetaScheme(1.0, 0.0, 5, 0.5), 5.0)
+        _, traj = run_collected(solver.solve_semilinear, prob, ThetaScheme(1.0, 0.0, 5, 0.5),
+                                5.0)
         assert np.max(np.abs(traj.states)) == 0.0
 
     @pytest.mark.parametrize("theta", [1.0, 0.5, 0.25])
@@ -191,9 +204,9 @@ class TestSemilinear:
         b = rng.standard_normal((n, n)) * 0.4
         hist = rng.standard_normal(n)
         s = ThetaScheme(theta, 0.0, 4, 1.0)
-        lin = solver.solve_linear(LinearDDE(a, b, 1.0, lambda t: hist), s, 8.0)
-        semi = solver.solve_semilinear(
-            SemilinearDDE(-a, lambda z: b @ z, 1.0, lambda t: hist), s, 8.0)
+        _, lin = run_collected(solver.solve_linear, LinearDDE(a, b, 1.0, lambda t: hist), s, 8.0)
+        _, semi = run_collected(solver.solve_semilinear,
+                                SemilinearDDE(-a, lambda z: b @ z, 1.0, lambda t: hist), s, 8.0)
         assert np.array_equal(lin.states, semi.states)
 
     @pytest.mark.parametrize("theta", [1.0, 0.5, 0.0])
@@ -208,10 +221,10 @@ class TestSemilinear:
         prob = SemilinearDDE(-np.eye(2), g, 1.0, lambda t: np.array([1.0, -1.0]))
         s = ThetaScheme(theta, u, 4, 1.0)
         traj = solver.solve_semilinear(prob, s, 3.0)
-        n_steps = len(traj.times) - 1
+        n_steps = traj.stats.steps
         assert not traj.diverged and n_steps == solver._n_steps(3.0, s.h)
         assert len(calls) == (n_steps if theta == 1.0 else n_steps + 1)
-        assert traj.stats.g_calls == len(calls) and traj.stats.steps == n_steps
+        assert traj.stats.g_calls == len(calls)
 
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     @pytest.mark.parametrize("u", [0.0, 0.5])
@@ -221,9 +234,10 @@ class TestSemilinear:
         a = random_spd(rng, 3).real
         hist = rng.standard_normal(3)
         s = ThetaScheme(theta, u, 4, 1.0)
-        lin = solver.solve_linear(LinearDDE(a, np.eye(3), 1.0, lambda t: hist), s, 6.0)
-        semi = solver.solve_semilinear(
-            SemilinearDDE(-a, lambda z: z, 1.0, lambda t: hist), s, 6.0)
+        _, lin = run_collected(solver.solve_linear,
+                               LinearDDE(a, np.eye(3), 1.0, lambda t: hist), s, 6.0)
+        _, semi = run_collected(solver.solve_semilinear,
+                                SemilinearDDE(-a, lambda z: z, 1.0, lambda t: hist), s, 6.0)
         assert np.array_equal(lin.states, semi.states)
 
     @pytest.mark.parametrize("kind", ["csr", "list", "linear-operator"])
@@ -245,7 +259,8 @@ class TestSemilinear:
         m_lin = mol.SineLaplacian(2, 1.0 / 3.0, (0.5,), dims=2) if operator else -np.eye(4)
         prob = SemilinearDDE(m_linear=m_lin, g=lambda z: np.full(4, np.nan),
                              tau=1.0, history=lambda t: np.ones(4))
-        traj = solver.solve_semilinear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 3.0)
+        _, traj = run_collected(solver.solve_semilinear, prob, ThetaScheme(1.0, 0.0, 2, 1.0),
+                                3.0)
         assert traj.diverged
         assert len(traj.times) == 2  # halted after the first step
         assert np.isnan(traj.peak_max_norm) and np.isnan(np.max(np.abs(traj.states)))
@@ -258,8 +273,8 @@ class TestSemilinear:
         dde = mol.build_example2(16, 0.5, 3.0, 1.0).dde
         on_csr = SemilinearDDE(dde.m_linear.toarray(), dde.g, dde.tau, dde.history)
         s = ThetaScheme(theta, u, 600 if theta == 0.0 else 10, 1.0)  # explicit: h |M| < 2
-        got = solver.solve_semilinear(dde, s, 2.0)
-        ref = solver.solve_semilinear(on_csr, s, 2.0)
+        _, got = run_collected(solver.solve_semilinear, dde, s, 2.0)
+        _, ref = run_collected(solver.solve_semilinear, on_csr, s, 2.0)
         assert got.stats.path == "modes" and ref.stats.path == "dense-inverse"
         assert not ref.diverged and np.array_equal(got.times, ref.times)
         assert np.max(np.abs(got.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
@@ -273,17 +288,14 @@ class TestPeakMaxNorm:
         hist = rng.standard_normal(3) + (1j * rng.standard_normal(3) if complex_history else 0)
         prob = LinearDDE(a, b, 1.0, lambda t: hist)
         s = ThetaScheme(0.5, 0.5, 4, 1.0)
-        full = solver.solve_linear(prob, s, 6.0)
+        window, full = run_collected(solver.solve_linear, prob, s, 6.0)
         assert np.iscomplexobj(full.states) == complex_history
-        assert full.peak_max_norm == np.max(np.abs(full.states))
-        window = solver.solve_linear(prob, s, 6.0, keep_trajectory=False)
-        assert window.peak_max_norm == full.peak_max_norm
+        assert window.peak_max_norm == np.max(np.abs(full.states))
 
     def test_counts_the_initial_state(self):
         # pure decay: the peak is z(0), which the window no longer holds
         prob = scalar_problem(1.0, 0.0, hist=lambda t: np.array([-3.0]))
-        traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 1, 1.0), 6.0,
-                                   keep_trajectory=False)
+        traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 1, 1.0), 6.0)
         assert traj.peak_max_norm == 3.0 > np.max(np.abs(traj.states))
 
 
@@ -330,10 +342,11 @@ class TestDenseInverse:
         s = ThetaScheme(theta, u, 5, 1.0)
         if semilinear:
             g = lambda z: b @ z - 0.2 * z * z
-            traj = solver.solve_semilinear(SemilinearDDE(-a, g, 1.0, history), s, 8.0)
+            _, traj = run_collected(solver.solve_semilinear,
+                                    SemilinearDDE(-a, g, 1.0, history), s, 8.0)
         else:
             g = lambda z: b @ z
-            traj = solver.solve_linear(LinearDDE(a, b, 1.0, history), s, 8.0)
+            _, traj = run_collected(solver.solve_linear, LinearDDE(a, b, 1.0, history), s, 8.0)
         ref = lu_solve_reference(-a, g, history, s, len(traj.times) - 1)
         assert not traj.diverged and np.iscomplexobj(traj.states) == complex_history
         assert traj.stats.path == "dense-inverse"
@@ -382,7 +395,7 @@ class TestSolveStats:
         m_lin = {"dense": dde.m_linear.toarray(), "operator": dde.m_linear}[kind]
         prob = SemilinearDDE(m_lin, dde.g, dde.tau, dde.history)
         s = ThetaScheme(0.5, 0.0, 4, 1.0)
-        traj = solver.solve_semilinear(prob, s, 2.0)
+        _, traj = run_collected(solver.solve_semilinear, prob, s, 2.0)
         stats = traj.stats
         assert stats.path == path
         assert stats.steps == len(traj.times) - 1 == solver._n_steps(2.0, s.h)
@@ -392,10 +405,9 @@ class TestSolveStats:
     def test_steps_stop_at_the_halt(self):
         prob = scalar_problem(1.0, 1e3)
         s = ThetaScheme(1.0, 0.0, 1, 1.0)
-        full = solver.solve_linear(prob, s, 500.0)
-        window = solver.solve_linear(prob, s, 500.0, keep_trajectory=False)
-        assert full.diverged and full.stats.steps == len(full.times) - 1 < 500
-        assert window.stats.steps == full.stats.steps == round(window.final_time)
+        window, full = run_collected(solver.solve_linear, prob, s, 500.0)
+        assert window.diverged and window.stats.steps == len(full.times) - 1 < 500
+        assert window.stats.steps == round(window.final_time)
 
     def test_hand_built_trajectory_has_none(self):
         traj = solver.Trajectory(times=np.zeros(1), states=np.zeros((1, 2)),
@@ -477,7 +489,7 @@ class TestObservedOrder:
         for theta in (0.0, 0.5, 1.0):
             for m in (2, 4, 8):
                 s = ThetaScheme(theta, 0.0, m, tau)
-                traj = solver.solve_linear(prob, s, 3 * tau)
+                _, traj = run_collected(solver.solve_linear, prob, s, 3 * tau)
                 err = np.max(np.abs(traj.states[:, 0]
                                     - (3.0 + 0.25 * traj.times)))
                 assert err <= 1e-12
@@ -487,7 +499,7 @@ class TestObservedOrder:
 def test_trajectory_csv_full_and_norm_only(tmp_path, rng):
     a = random_spd(rng, 2).real
     prob = LinearDDE(a, np.zeros((2, 2)), 1.0, lambda t: np.array([1.0, -2.0]))
-    traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 2.0)
+    _, traj = run_collected(solver.solve_linear, prob, ThetaScheme(1.0, 0.0, 2, 1.0), 2.0)
     full = tmp_path / "traj.csv"
     traj.to_csv(full)
     lines = full.read_text().strip().splitlines()
@@ -504,7 +516,7 @@ def test_trajectory_csv_full_and_norm_only(tmp_path, rng):
 def test_complex_trajectory_csv_reads_back_exactly(tmp_path, rng):
     prob = LinearDDE(random_spd(rng, 2), 0.3 * random_complex(rng, 2), 1.0,
                      lambda t: np.array([1.0, -2.0j]))
-    traj = solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 2.0)
+    _, traj = run_collected(solver.solve_linear, prob, ThetaScheme(1.0, 0.0, 2, 1.0), 2.0)
     assert np.iscomplexobj(traj.states)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
@@ -513,3 +525,68 @@ def test_complex_trajectory_csv_reads_back_exactly(tmp_path, rng):
     assert np.array_equal(data[:, 0], traj.times)
     assert np.array_equal(data[:, 1::2], traj.states.real)
     assert np.array_equal(data[:, 2::2], traj.states.imag)
+
+
+class TestStream:
+    """A streamed CSV is ``Trajectory.to_csv`` of the blocks that the same
+    run collects."""
+
+    @staticmethod
+    def problem(rng, case):
+        """(run, problem, scheme, t_end) of one case."""
+        if case == "modes":
+            dde = mol.build_example1(8).dde
+            return solver.solve_linear, dde, ThetaScheme(1.0, 0.0, 6, dde.tau), 3.0
+        if case == "short-blocks":  # five rows of dimension 10 per block, m = 25
+            dde = mol.build_example1(6, 1.0, 0.6, -0.1, 0.05).dde
+            return solver.solve_linear, dde, ThetaScheme(0.5, 0.3, 25, dde.tau), 7.3 * 0.05
+        if case == "diverged":  # trips at step 33, the first row of a block of 4
+            return (solver.solve_linear, scalar_problem(1.0, 1e12), ThetaScheme(1.0, 0.0, 4, 1.0),
+                    50.0)
+        a = random_spd(rng, 3)
+        hist = np.array([1.0, -2.0, 0.5]) + (1j if case == "complex" else 0.0)
+        if case == "complex":
+            return (solver.solve_linear, LinearDDE(a, 0.3 * random_complex(rng, 3), 1.0,
+                                                   lambda t: hist * (1.0 + t)),
+                    ThetaScheme(0.5, 0.5, 4, 1.0), 6.0)
+        return (solver.solve_semilinear,
+                SemilinearDDE(-a.real, lambda z: 0.3 * np.sin(z), 1.0, lambda t: hist + t),
+                ThetaScheme(0.5, 0.5, 4, 1.0), 6.0)
+
+    @pytest.mark.parametrize("case", ["real", "complex", "modes", "diverged", "short-blocks"])
+    @pytest.mark.parametrize("norm_only", [False, True], ids=["full", "norm-only"])
+    def test_streamed_csv_equals_to_csv_of_collected_blocks(self, tmp_path, monkeypatch, rng,
+                                                            case, norm_only):
+        if case == "short-blocks":
+            monkeypatch.setattr(solver, "BLOCK_BYTES", 5 * 10 * 8)
+        run, prob, s, t_end = self.problem(rng, case)
+        streamed, collected = tmp_path / "streamed.csv", tmp_path / "collected.csv"
+        lengths = []
+        with solver.csv_sink(streamed, norm_only) as sink:
+            window, full = run_collected(run, prob, s, t_end,
+                                         on_block=lambda t, z: lengths.append(len(t)) or sink(t, z))
+        full.to_csv(collected, norm_only)
+        assert streamed.read_bytes() == collected.read_bytes()
+        assert lengths[0] == 1 and sum(lengths) == window.stats.steps + 1
+        assert window.stats.path == ("modes" if case in ("modes", "short-blocks")
+                                     else "dense-inverse")
+        assert np.iscomplexobj(full.states) == (case == "complex")
+        assert window.diverged == (case == "diverged")
+        # read back, the file holds every state up to the last, the tripped one when diverged
+        data = np.loadtxt(streamed, delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], full.times) and full.times[-1] == window.final_time
+        if norm_only:
+            assert np.array_equal(data[:, 1], [solver.state_norm(z) for z in full.states])
+        else:
+            assert np.array_equal(data[:, 1:], full.states.view(np.float64))
+        if case == "diverged":
+            assert not np.max(np.abs(window.final_state)) <= solver.OVERFLOW_GUARD
+        if case == "short-blocks":
+            assert max(lengths[1:]) == 5 < s.m
+
+    def test_run_rejected_before_it_steps_writes_no_csv(self, tmp_path):
+        path = tmp_path / "z.csv"
+        prob = scalar_problem(1.0, 0.0, hist=lambda t: np.array([np.nan if t < 0 else 1.0]))
+        with solver.csv_sink(path) as sink, pytest.raises(errors.InvalidParams, match="history"):
+            solver.solve_linear(prob, ThetaScheme(1.0, 0.0, 2, 1.0), 2.0, on_block=sink)
+        assert not path.exists()

@@ -30,7 +30,7 @@ class TestScheme:
     @pytest.mark.parametrize("kwargs", [
         dict(theta=1.2), dict(theta=-0.1), dict(u=1.0), dict(u=-0.2),
         dict(m=0), dict(m=2, u=0.5), dict(tau=0.0), dict(tau=-1.0),
-        dict(tau=math.inf),
+        dict(tau=math.inf), dict(m=math.nan), dict(m=math.inf),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         base = dict(theta=1.0, u=0.0, m=4, tau=1.0)

@@ -14,7 +14,7 @@ The snapshot holds what the command line prints and writes for:
   (``fov --p`` without ``--matrix-b``, a diverging ``solve`` with and
   without a norm-only CSV and with ``--norm-only`` but no CSV,
   ``solve-kept-too-long``: an example1 ``solve --out-csv`` at
-  ``--t-end 1e17``, whose kept trajectory is too large to allocate,
+  ``--t-end 1e17``, whose 3.2e17 steps pass the solver's step bound,
   ``check --p-grid nan``, matrix files whose
   ``rows`` is 2.5 or whose entries are ``[re]`` lists, mixed or hold a
   string, and ``check`` of example 3.1 with ``--n-angles 4`` and with an
