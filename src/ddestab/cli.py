@@ -253,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="delay steps: h = tau / m")
     p_region.add_argument("--theta", type=float, default=1.0,
                           help="weight of the implicit stage of the theta method")
-    p_region.add_argument("--n", type=int, default=512, help="number of samples of Gamma_y")
+    p_region.add_argument("--n", type=int, default=512,
+                          help="sets the grid of Gamma_y: 2 (n // 2) + 1 samples, "
+                               "symmetric about alpha = 0")
     p_region.add_argument("-o", "--output", default=None,
                           help="CSV file to write (default: standard output)")
     p_region.set_defaults(func=_cmd_region)

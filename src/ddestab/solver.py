@@ -17,11 +17,12 @@ k steps: it evaluates a block's delayed terms f_n together (g once per
 step; the explicit stage carries the previous step's term), advances
 w_{n+1} = K w_n + f_n state by state and returns to physical space once
 per block, for the overflow guard, the peak and the ring buffer, which
-holds the last m + 2 states.  Every state reaches its consumer as it is
-written: the ``on_block`` callback of :func:`solve_linear` and
-:func:`solve_semilinear` receives each block (:func:`csv_sink` writes them
-to a CSV file), so no output needs the whole trajectory in memory.  A run
-takes at most ``MAX_STEPS`` steps.
+holds the last m + 2 states; a run that takes all its steps returns that
+buffer itself as its window, not a copy.  Every state reaches its
+consumer as it is written: the ``on_block`` callback of
+:func:`solve_linear` and :func:`solve_semilinear` receives each block
+(:func:`csv_sink` writes them to a CSV file), so no output needs the
+whole trajectory in memory.  A run takes at most ``MAX_STEPS`` steps.
 
 The linear part M is a dense numpy array or an operator with a sine
 basis (``to_modes``, ``from_modes``, its eigenvalues ``omega``, and
@@ -152,11 +153,13 @@ def state_norm(state) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The last m + 2 states of a run on the uniform grid, in time order:
-    the stepping driver's ring buffer.  A run halted within its first
-    m + 1 steps leaves history samples, at negative times, in the first
-    rows.  A run's ``on_block`` callback is handed every state it computed.
-    ``diverged`` marks a run halted by the overflow guard (a state above
+    """The last m + 2 states of a run on the uniform grid, in time order.
+    After a run's last step they are the stepping driver's ring buffer
+    itself, not a copy; only a run halted before it copies the buffer into
+    time order.  A run halted within its first m + 1 steps leaves history
+    samples, at negative times, in the first rows.  A run's ``on_block``
+    callback is handed every state it computed.  ``diverged`` marks a run
+    halted by the overflow guard (a state above
     1e100 in max norm, or NaN); states beyond the halt do not exist.
     ``peak_max_norm`` is the largest max norm over every state the run
     computed, z(0) included and NaN once a state held one; it equals the
@@ -250,9 +253,13 @@ def _n_steps(t_end: float, h: float) -> int:
 def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                on_block) -> Trajectory:
     """The one stepping driver, for z' = M z + g(z(t - tau)), on one ring
-    buffer of m + 2 states indexed modulo m + 2 by the absolute step index
-    n.  The history check reads the m + 1 history rows only.  A block
-    reads every delayed state it needs before it writes a state.
+    buffer of m + 2 states: state n lives in row (n + shift) mod (m + 2),
+    with the shift chosen so that the last step, n_steps, lands in the last
+    row.  A run that takes every step then returns the buffer as its
+    window, in time order with no copy; a run that the overflow guard halts
+    earlier returns a copy.  The history check reads the m + 1 history
+    rows only.  A block reads every delayed state it needs before it writes
+    a state.
 
     ``on_block(times, states)``, unless None, is called once with t = 0
     and z(0) after the history check, then once per block with the rows
@@ -282,7 +289,10 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
         path = "modes"
         lhs = linalg.require_pivots(1.0 - w_imp * m_linear.omega)
         kappa = (1.0 + w_exp * m_linear.omega) / lhs
-        w_exp, w_imp = w_exp / lhs, w_imp / lhs
+        w_imp = w_imp / lhs
+        if theta < 1.0:  # w_exp is read only then; at theta = 1 it is 0
+            w_exp = w_exp / lhs
+        del lhs
         to_modes = lift = m_linear.to_modes
         from_modes = m_linear.from_modes
         advance = lambda w: kappa * w
@@ -301,24 +311,27 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     except (MemoryError, ValueError) as exc:  # too large for numpy or for memory
         raise InvalidParams(
             f"cannot allocate {size:.3g} states of dimension {dim}") from exc
+    # state n lives in row (n + shift) % size, so step n_steps lands in the last row
+    shift = (m + 1 - n_steps) % size
     # -m h lies below -tau when u > 0 (or by rounding): use history(-tau)
     t_first = max(-m * h, -prob.tau)
     for k in range(-m, 1):
-        row = buf[k % size]
+        row = buf[(k + shift) % size]
         row[:] = np.asarray(prob.history(k * h if k > -m else t_first), dtype=dtype)
         if not np.all(np.isfinite(row)):
             raise InvalidParams(
                 f"history is not finite at every grid time in [{t_first:.6g}, 0]")
-    peak = np.max(np.abs(buf[0]))
+    z0 = buf[shift:shift + 1]
+    peak = np.max(np.abs(z0))
     if on_block is not None:
-        on_block(np.zeros(1), buf[:1])
+        on_block(np.zeros(1), z0)
 
     def ring(first, k):
         """States first .. first + k - 1 of the buffer: a view unless they wrap."""
-        start = first % size
+        start = (first + shift) % size
         if start + k <= size:
             return buf[start:start + k]
-        return buf[np.arange(first, first + k) % size]
+        return buf[np.arange(start, start + k) % size]
 
     def delayed_terms(n0, k):
         """Terms of the implicit-stage delayed values of steps n0 .. n0 + k - 1."""
@@ -335,7 +348,7 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     # reports that as divergence, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         t_stepping = time.perf_counter()
-        prev = to_modes(buf[0])
+        prev = to_modes(z0[0])
         if theta < 1.0:
             carry = w_exp * delayed_terms(-1, 1)[0]
         while n0 < n_steps:
@@ -359,7 +372,7 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                 k, diverged = int(tripped[0]) + 1, True
             peak = np.maximum(peak, np.max(row_max[:k]))  # a NaN replaces the peak too
             idx = np.arange(n0 + 1, n0 + 1 + k)
-            buf[idx % size] = z[:k]
+            buf[(idx + shift) % size] = z[:k]
             if on_block is not None:
                 on_block(h * idx, z[:k])
             n0 += k
@@ -370,9 +383,11 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
                        setup_s=setup_s,
                        stepping_s=time.perf_counter() - t_stepping)
 
-    # n0 >= 1, so the ring's m + 2 rows end at step n0
+    # n0 >= 1, so the ring's m + 2 rows end at step n0; after the last step
+    # they are the buffer in time order, and only a halt earlier needs a copy
     idx = np.arange(n0 + 1 - size, n0 + 1)
-    return Trajectory(times=h * idx, states=buf[idx % size], scheme=scheme,
+    states = buf if n0 == n_steps else buf[(idx + shift) % size]
+    return Trajectory(times=h * idx, states=states, scheme=scheme,
                       diverged=diverged, peak_max_norm=float(peak), stats=stats)
 
 

@@ -219,7 +219,9 @@ class RegionBoundary:
 
 def gamma_y(scheme: ThetaScheme, y: float, n_samples: int = 512) -> RegionBoundary:
     """Trace mu(alpha, y) = z^m (1 - z + y(1-theta+z theta)) / (y(1-theta+z theta))
-    with z = e^{i alpha} on a symmetric alpha grid through 0 (u = 0 only).
+    with z = e^{i alpha} on a symmetric alpha grid through 0 (u = 0 only):
+    n_samples // 2 + 1 equispaced points of [0, pi] and their mirror images,
+    2 (n_samples // 2) + 1 samples in all (513 for the default 512).
     """
     if scheme.u != 0.0:
         raise UnsupportedScheme("Gamma_y is parametrized only for u = 0")

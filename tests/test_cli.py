@@ -289,6 +289,13 @@ class TestRegionCommand:
         assert first == second
         assert first.startswith("alpha,re,im\n")
 
+    @pytest.mark.parametrize("n, rows", [("512", 513), ("17", 17)])
+    def test_n_gives_an_odd_row_count(self, capsys, n, rows):
+        # alpha = 0 and its mirrored half grid: 2 (n // 2) + 1 samples
+        assert cli.main(["region", "--y", "-2", "--m", "3", "--n", n]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "alpha,re,im" and len(lines) == rows + 1
+
     def test_stdout_matches_to_csv(self, tmp_path, capsys):
         assert cli.main(["region", "--y", "-2", "--m", "3", "--theta", "0.75",
                          "--n", "64"]) == 0

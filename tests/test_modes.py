@@ -5,6 +5,7 @@ one-step blocks."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,3 +178,21 @@ def test_one_step_blocks(monkeypatch, theta, u):
     assert ref_blocks == math.ceil(ref.stats.steps / span) and got_blocks == got.stats.steps
     assert np.array_equal(got.times, ref.times)
     assert np.max(np.abs(got.states - ref.states)) <= 1e-13 * np.max(np.abs(ref.states))
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_traced_peak_holds_one_ring(monkeypatch, theta):
+    # one-step blocks, as example2 steps at M = 200: a run allocates its
+    # m + 2 ring, no copy of it, and a few states' worth of scratch
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 1)
+    dde = mol.build_example2(40, 0.5, 3.0, 1.0).dde
+    s = ThetaScheme(theta, 0.0, 40, dde.tau)
+    solver.solve_semilinear(dde, s, s.h)  # the sine transforms load and plan untraced
+    tracemalloc.start()
+    try:
+        traj = solver.solve_semilinear(dde, s, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.stats.steps == 120 and not traj.diverged
+    assert peak <= (s.m + 2 + 16) * dde.dim * 8

@@ -409,6 +409,23 @@ class TestSolveStats:
         assert window.diverged and window.stats.steps == len(full.times) - 1 < 500
         assert window.stats.steps == round(window.final_time)
 
+    @pytest.mark.parametrize("t_end, steps, diverged", [(8.0, 32, False), (8.25, 33, True),
+                                                        (12.0, 33, True)],
+                             ids=["finished", "halt-at-last-step", "halt-earlier"])
+    def test_window_is_the_tail_of_the_blocks(self, t_end, steps, diverged):
+        # the guard trips at step 33 (t = 8.25); the first block's z(0) row
+        # is a view of the ring, which a run that took every step returns
+        prob = scalar_problem(1.0, 1e12)
+        s = ThetaScheme(1.0, 0.0, 4, 1.0)
+        rings = []
+        window, full = run_collected(solver.solve_linear, prob, s, t_end,
+                                     on_block=lambda t, z: rings.append(z.base))
+        assert window.stats.steps == steps and window.diverged == diverged
+        assert np.array_equal(window.times, full.times[-(s.m + 2):])
+        assert np.array_equal(window.states, full.states[-(s.m + 2):])
+        assert (not np.max(np.abs(window.final_state)) <= solver.OVERFLOW_GUARD) == diverged
+        assert (window.states is rings[0]) == (steps == solver._n_steps(t_end, s.h))
+
     def test_hand_built_trajectory_has_none(self):
         traj = solver.Trajectory(times=np.zeros(1), states=np.zeros((1, 2)),
                                  scheme=ThetaScheme(1.0, 0.0, 1, 1.0))

@@ -15,6 +15,9 @@ The snapshot holds what the command line prints and writes for:
   without a norm-only CSV and with ``--norm-only`` but no CSV,
   ``solve-kept-too-long``: an example1 ``solve --out-csv`` at
   ``--t-end 1e17``, whose 3.2e17 steps pass the solver's step bound,
+  ``solve-halt-at-last-step`` and ``solve-halt-before-last-step``: a
+  ``--problem linear`` run with a CSV whose overflow guard trips at step
+  33, its last step at ``--t-end 8.25`` and not at ``--t-end 12``,
   ``check --p-grid nan``, matrix files whose
   ``rows`` is 2.5 or whose entries are ``[re]`` lists, mixed or hold a
   string, and ``check`` of example 3.1 with ``--n-angles 4`` and with an
@@ -175,6 +178,13 @@ def snapshot(ddestab, seed: int) -> None:
     run(main, "solve-diverged-norm-csv",
         linear + ["--out-csv", "diverged-norm.csv", "--norm-only"])
     run(main, "solve-norm-only-without-csv", linear + ["--norm-only"])
+    # the guard trips at step 33 (t = 8.25): at the run's last step, and before it
+    workloads.write_matrix("tera.json", [[1e12]])
+    halting = ["solve", "--problem", "linear", "--matrix-a", "one.json", "--matrix-b",
+               "tera.json", "--tau", "1", "--m", "4"]
+    for name, t_end in (("at-last-step", "8.25"), ("before-last-step", "12")):
+        run(main, f"solve-halt-{name}", halting + ["--t-end", t_end,
+                                                   "--out-csv", f"halt-{name}.csv"])
     run(main, "solve-kept-too-long", ["solve", "--problem", "example1", "--grid-m", "10",
                                       "--m", "5", "--t-end", "1e17",
                                       "--out-csv", "too-long.csv"])
