@@ -2,7 +2,10 @@
 
 A flat family of small classes so callers can distinguish failed input
 validation from numerical breakdown without string-matching messages.
+``allocating`` reports an array too large to allocate as ``InvalidParams``.
 """
+
+from contextlib import contextmanager
 
 
 class DdeStabError(Exception):
@@ -51,3 +54,14 @@ class InvalidParams(DdeStabError):
 
 class TimeOffGrid(DdeStabError):
     """Requested time does not coincide with a trajectory grid point."""
+
+
+@contextmanager
+def allocating(what: str):
+    """Raise ``InvalidParams("cannot allocate " + what)`` in place of the
+    ``ValueError`` (past numpy's size limit) or ``MemoryError`` of an array
+    whose size comes from the caller."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise InvalidParams(f"cannot allocate {what}") from exc

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from ._csv import write_csv
-from .errors import InvalidParams, NotHermitian, NotPositiveDefinite
+from .errors import InvalidParams, NotHermitian, NotPositiveDefinite, allocating
 
 DEFAULT_ANGLES = 256
 MIN_ANGLES = 8
@@ -179,6 +179,16 @@ class _Sweep:
                            support=self.support[idx], indices=idx, matrix=self.matrix)
 
 
+def require_grid(n_angles: int) -> None:
+    """Raise ``InvalidParams`` unless a sweep can use the grid of
+    ``n_angles`` directions: at least ``MIN_ANGLES`` of them, and few enough
+    that numpy can allocate a complex value for each."""
+    if n_angles < MIN_ANGLES:
+        raise InvalidParams(f"n_angles must be at least {MIN_ANGLES}")
+    with allocating(f"{n_angles} directions"):
+        np.empty(n_angles, dtype=complex)
+
+
 def fov_boundary(m, n_angles: int = DEFAULT_ANGLES, radius: float | None = None) -> FovBoundary:
     """Sample the boundary of F(M) on the grid of ``n_angles`` equispaced
     directions.
@@ -194,8 +204,7 @@ def fov_boundary(m, n_angles: int = DEFAULT_ANGLES, radius: float | None = None)
     arc is one grid step wide.
     """
     matrix = linalg.as_square_matrix(m)
-    if n_angles < MIN_ANGLES:
-        raise InvalidParams(f"n_angles must be at least {MIN_ANGLES}")
+    require_grid(n_angles)
     sweep = _Sweep(matrix, n_angles)
     if radius is None:
         sweep.solve(range(n_angles))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, allocating
 from .solver import LinearDDE, SemilinearDDE, Trajectory
 
 __all__ = [
@@ -218,7 +218,8 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
 
     c = l + np.pi ** 2 / 4.0
     scale = math.exp(l * math.pi / 2.0)
-    eye = np.eye(n)
+    with allocating(f"example1's {2 * n}x{2 * n} matrices"):
+        eye = np.eye(n)
     b_mol = scale * np.block([[-eye, c * eye], [-c * eye, -eye]])
 
     shape = np.sin(np.pi * grid.interior / 2.0)
@@ -252,8 +253,9 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
         raise InvalidParams("lambda and mu must be positive and finite")
     grid = Grid1D(m=m_grid, length=1.0)
 
-    sin_axis = np.sin(np.pi * grid.interior)
-    state0 = np.outer(sin_axis, sin_axis).ravel()
+    with allocating(f"example2's {grid.n_interior}x{grid.n_interior} grid"):
+        sin_axis = np.sin(np.pi * grid.interior)
+        state0 = np.outer(sin_axis, sin_axis).ravel()
 
     def g(z):
         return reaction_mu * z * (1.0 - z)

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import linalg
 from ._csv import csv_writer
-from .errors import InvalidParams, TimeOffGrid
+from .errors import InvalidParams, TimeOffGrid, allocating
 from .stability import ThetaScheme
 
 OVERFLOW_GUARD = 1e100
@@ -306,11 +306,8 @@ def _integrate(prob, scheme: ThetaScheme, m_linear, g, dtype, t_end: float,
     setup_s = time.perf_counter() - t_setup
 
     size = m + 2
-    try:
+    with allocating(f"{size:.3g} states of dimension {dim}"):
         buf = np.empty((size, dim), dtype=dtype)
-    except (MemoryError, ValueError) as exc:  # too large for numpy or for memory
-        raise InvalidParams(
-            f"cannot allocate {size:.3g} states of dimension {dim}") from exc
     # state n lives in row (n + shift) % size, so step n_steps lands in the last row
     shift = (m + 1 - n_steps) % size
     # -m h lies below -tau when u > 0 (or by rounding): use history(-tau)

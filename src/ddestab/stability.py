@@ -85,6 +85,7 @@ from .errors import (
     NotSimultaneouslyDiagonalizable,
     Singular,
     UnsupportedScheme,
+    allocating,
 )
 
 ROOT_TOL = 1e-9
@@ -230,7 +231,8 @@ def gamma_y(scheme: ThetaScheme, y: float, n_samples: int = 512) -> RegionBounda
     if n_samples < 16:
         raise InvalidParams("n_samples must be at least 16")
     # build the grid from a half axis so alpha -> -alpha symmetry is exact
-    half = np.linspace(0.0, np.pi, n_samples // 2 + 1)
+    with allocating(f"{2 * (n_samples // 2) + 1} samples"):
+        half = np.linspace(0.0, np.pi, n_samples // 2 + 1)
     alphas = np.concatenate([-half[:0:-1], half])
     z = np.exp(1j * alphas)
     denom = y * (1.0 - scheme.theta + z * scheme.theta)
@@ -347,8 +349,7 @@ class _Facts:
     again raises the same error."""
 
     def __init__(self, a, b, n_angles: int = fov.DEFAULT_ANGLES):
-        if n_angles < fov.MIN_ANGLES:  # the rule of fov_boundary, checked on every path
-            raise InvalidParams(f"n_angles must be at least {fov.MIN_ANGLES}")
+        fov.require_grid(n_angles)  # the rule of fov_boundary, checked on every path
         self.a, self.b = linalg.square_pair(a, b)
         self.n_angles = n_angles
         self._known = {}  # (fact, p) -> value, or the error computing it raised

@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +77,25 @@ class TestMatrixFiles:
         ("[1, NaN]", "entry 1 is not finite"),
         ("[[1, 0], [2, -Infinity]]", "entry 1 is not finite"),
         ("[NaN, null]", "entry 0 is not finite"),
+        # entries of length 2 that are not two numbers
+        ("[[1, [2]]]", "entry 0 must be re or [re, im]"),
+        ("[[[1], [2]], [[3], [4]]]", "entry 0 must be re or [re, im]"),
+        ("[[1, 0], [2, [0]]]", "entry 1 must be re or [re, im]"),
+        ('["ab", "cd"]', "entry 0 must be re or [re, im]"),
+        ('[[1, 0], "ab"]', "entry 1 must be re or [re, im]"),
+        ('[{"a": 1, "b": 2}]', "entry 0 must be re or [re, im]"),
+        ('[[1, 0], {"a": 1, "b": 2}]', "entry 1 must be re or [re, im]"),
+        ("[[1, 0], [null, 0]]", "entry 1 must be re or [re, im]"),
+        ("[[1, 0], [18446744073709551616, 0]]", "entry 1 must be re or [re, im]"),
+        ("[[1, 0], [NaN, 0]]", "entry 1 is not finite"),
+        ("[Infinity, 1]", "entry 0 is not finite"),
     ], ids=["number", "string", "null", "float-overflow", "re-only", "re-only-at-1",
             "mixed-list-at-1", "mixed-number-at-1", "string-re", "string-im-at-1",
             "triple-at-1", "int-past-uint64", "nan-at-1", "pair-inf-at-1",
-            "first-fault-wins"])
+            "first-fault-wins", "pair-holds-list", "pairs-of-lists", "pair-holds-list-at-1",
+            "two-char-strings", "two-char-string-at-1", "two-key-object",
+            "two-key-object-at-1", "pair-null-at-1", "pair-int-past-uint64-at-1",
+            "pair-nan-at-1", "infinity"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, entries, where):
         cols = len(json.loads(entries)) if entries.startswith("[") else 1
         path = tmp_path / "m.json"
@@ -87,6 +104,53 @@ class TestMatrixFiles:
             cli.read_matrix(path)
         assert cli.main(["fov", "--matrix", str(path)]) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries", [
+        "[1, -2.5, 0, 3]",
+        "[[1, 0], [2, -0.0], [0, 3], [4, 1e-300]]",
+        "[[1, 0], [-0.0, 0], [0, 0.0], [3, 0]]",
+        "[[5, 0]]",
+        "[7]",
+        "[true, false, 1, 0]",
+        "[[true, false], [1, true], [false, 0], [2.5, 0]]",
+        "[[18446744073709551615, 0], [-9223372036854775808, 0]]",
+        "[[9007199254740993, 1], [5e-324, -5e-324]]",
+    ], ids=["numbers", "pairs", "real-pairs", "1x1-pair", "1x1-number", "bools",
+            "bool-pairs", "pair-int-edges", "pair-bits"])
+    def test_accepted_entries_equal_one_array_parse(self, tmp_path, entries):
+        # the reference: one np.array of the nested entries, pairs viewed as complex
+        values = np.array(json.loads(entries)).astype(float)
+        cols = 2 if len(values) == 4 else len(values)
+        want = (values if values.ndim == 1 else values.view(complex)).reshape(-1, cols)
+        if values.ndim == 2 and not want.imag.any():
+            want = want.real.copy()
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"rows": {len(values) // cols}, "cols": {cols}, '
+                        f'"entries": {entries}}}')
+        back = cli.read_matrix(path)
+        assert back.dtype == want.dtype and back.shape == want.shape
+        assert back.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("text, error", [
+        ('{"rows": 1, "cols": 2, "entries": [[1, 0], [2, 0]]}', None),
+        (None, "No such file"),
+        ('{"rows": 1', "Expecting"),
+        ('{"rows": 1, "cols": 2, "entries": [[1, 0], [2, "0"]]}', "entry 1"),
+    ], ids=["good", "missing", "invalid-json", "bad-entry"])
+    def test_collector_state_is_left_as_found(self, tmp_path, enabled, text, error):
+        path = tmp_path / "m.json"
+        if text is not None:
+            path.write_text(text)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with (nullcontext() if error is None
+                  else pytest.raises(cli.MatrixFileError, match=error)):
+                cli.read_matrix(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("rows", ["2.5", '"2"'], ids=["float", "string"])
     def test_rows_must_be_a_json_integer(self, tmp_path, capsys, rows):
@@ -602,6 +666,23 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
         last = csv.read_text().splitlines()[-1].split(",")
         assert doc["diverged"] is True and float(last[1]) == doc["final_norm"] == 5e305
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "example1", "--grid-m", "10000000000", "--m", "2"],
+    ["solve", "--problem", "example2", "--grid-m", "2000000000000000000", "--m", "2"],
+    ["region", "--y", "-1", "--m", "2", "--n", "100000000000000000000"],
+    ["fov", "--matrix", "a.json", "--n", "100000000000000000000"],
+    ["check", "--matrix-a", "a.json", "--matrix-b", "b.json", "--tau", "1", "--m", "2",
+     "--n-angles", "100000000000000000000"],
+], ids=["example1-grid", "example2-grid", "region-n", "fov-n", "check-n-angles"])
+def test_oversized_sizes_exit_3(tmp_path, monkeypatch, capsys, argv):
+    # every size here needs at least 2^63 bytes, which numpy refuses before allocating
+    monkeypatch.chdir(tmp_path)
+    write_matrix("a.json", np.array([[2.0, 0.5], [0.5, 3.0]]))
+    write_matrix("b.json", np.array([[0.1, 2.0], [0.0, 0.1]]))  # does not commute with A
+    assert cli.main(argv) == 3
+    assert "cannot allocate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["region", "solve", "reproduce"])

@@ -41,6 +41,18 @@ The snapshot holds what the command line prints and writes for:
   pair in range whose A^{-1} B has an overflowing scaled norm, so each p
   is skipped and the dense rho(W) decides;
 * ``solve`` given options that the chosen problem does not read;
+* ``check-pair-NAME``: ``check`` with an A file of ``[re, im]`` pairs
+  whose entry 2 is not a pair of finite numbers: a pair holding a list
+  (``pair-list``), a pair of one-element lists (``pair-of-lists``), the
+  string ``"ab"`` (``string``), a two-key object (``object``), a pair
+  holding null (``null``), an integer past uint64 (``int-past-uint64``),
+  ``NaN`` (``nan``) or ``Infinity`` (``infinity``); and ``check-pair-bools``,
+  whose entry 2 is ``[true, false]``, which reads as 1;
+* sizes that need at least 2^63 bytes, which numpy refuses before it
+  allocates: ``solve`` of example1 at ``--grid-m 10000000000`` and of
+  example2 at ``--grid-m 2000000000000000000``, and ``region --n``,
+  ``fov --n`` and ``check --n-angles`` (of a non-commuting pair) at
+  100000000000000000000;
 * the ``--help`` of ``ddestab`` and of every subcommand;
 * ``imports.out``: the ``scipy.<subpackage>`` names (sorted) that each of
   five calls loads when it runs alone in a fresh interpreter (with
@@ -284,6 +296,31 @@ def snapshot(ddestab, seed: int) -> None:
     run(main, "solve-example2-unread-l", ["solve", "--problem", "example2", "--grid-m", "16",
                                           "--m", "4", "--t-end", "1", "--l", "0.1"])
     run(main, "solve-linear-unread-options", linear + ["--grid-m", "7", "--lam", "9"])
+
+    for name, entry in {"pair-list": "[2, [0]]", "pair-of-lists": "[[0], [0]]",
+                        "string": '"ab"', "object": '{"re": 1, "im": 0}',
+                        "null": "[null, 0]", "int-past-uint64": "[18446744073709551616, 0]",
+                        "nan": "[NaN, 0]", "infinity": "[Infinity, 0]",
+                        "bools": "[true, false]"}.items():
+        Path(f"pair-{name}.json").write_text(
+            f'{{"rows": 2, "cols": 2, "entries": [[2, 0], [0.5, 0], {entry}, [3, 0]]}}',
+            encoding="utf-8")
+        run(main, f"check-pair-{name}", ["check", "--matrix-a", f"pair-{name}.json",
+                                         "--matrix-b", "b.json", "--tau", "1", "--m", "2"])
+
+    workloads.write_matrix("non-commuting-b.json", [[0.1, 2.0], [0.0, 0.1]])
+    huge = "100000000000000000000"
+    for name, argv in {
+            "solve-example1-grid-too-large": ["solve", "--problem", "example1", "--grid-m",
+                                              "10000000000", "--m", "2"],
+            "solve-example2-grid-too-large": ["solve", "--problem", "example2", "--grid-m",
+                                              "2000000000000000000", "--m", "2"],
+            "region-n-too-large": ["region", "--y", "-1", "--m", "2", "--n", huge],
+            "fov-n-too-large": ["fov", "--matrix", "m.json", "--n", huge],
+            "check-n-angles-too-large": ["check", "--matrix-a", "spd.json", "--matrix-b",
+                                         "non-commuting-b.json", "--tau", "1", "--m", "2",
+                                         "--n-angles", huge]}.items():
+        run(main, name, argv)
 
     run(main, "help", ["--help"])
     for command in SUBCOMMANDS:
