@@ -20,6 +20,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import sys
 from contextlib import nullcontext
 
@@ -252,8 +253,21 @@ def _cmd_reproduce(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads an argument starting with "-" and a
+    digit, or "-." and a digit, as a value, as argparse does from Python
+    3.13 on: ``--y -1e-3``, ``--p-grid -1,0``.  Older versions took only
+    plain forms such as -2 and -0.5 for values and the rest for unknown
+    options.  "-inf" and every option ddestab does not know stay options.
+    Its subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddestab",
         description="Theta-method stability certification and integration "
                     "for y' = -A y + B y(t - tau).")

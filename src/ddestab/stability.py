@@ -17,12 +17,16 @@ Membership in D_y is always decided by root computation, never by
 point-in-polygon tests against the boundary curve Gamma_y: the curve
 self-intersects for larger m and only its innermost loop bounds D_y,
 while root-counting is robust for every theta, u, m.  Every D_y question
-(``in_dy``, the step certificate, the mode analysis) is one stacked root
-call over its (y, mu) rows, which solves each distinct row once: y and the
-weights are real, so a row of mu is real for real mu and the exact
-conjugate of the row of conj(mu), whose roots it shares conjugated.  The
-leading coefficient 1 - y theta >= 1 is never trimmed: at large |y| the
-root it carries is the largest one.
+(``in_dy``, the step certificate, the mode analysis) goes through
+``_dy_radii``: a proved upper bound on the root moduli of each (y, mu) row
+(``linalg.root_modulus_bounds``, Cauchy's bound) picks the rows that can
+reach the largest root modulus, and at most two stacked root calls solve
+only those, each distinct row once: y and the weights are real, so a row
+of mu is real for real mu and the exact conjugate of the row of conj(mu),
+whose roots it shares conjugated.  Every other row keeps its bound, which
+lies below the computed maximum, so the maximum is that of solving every
+row.  The leading coefficient 1 - y theta >= 1 is never trimmed: at large
+|y| the root it carries is the largest one.
 
 ``certify`` is the one entry point.  It validates the pair once, in a
 ``_Facts``, which then computes each shared fact at most once and only
@@ -33,9 +37,9 @@ M_p and sigma(A^{-1} B), taken from M_0.  The stages each take the facts
 and return a ``StabilityReport``:
 
 * ``simdiag_analysis`` -- A, B simultaneously diagonalizable
-  (``simdiag_pairs``): exact verdicts mode by mode, from one batched root
-  call, and rho(W) as the largest mode radius, at any dim W.  Its report
-  is the whole verdict of such a pair.
+  (``simdiag_pairs``): exact verdicts mode by mode, from one ``_dy_radii``
+  question over the modes, and rho(W) as the largest mode radius, at any
+  dim W.  Its report is the whole verdict of such a pair.
 * ``unconditional_certificate`` -- no modes, u = 0, theta > 1/2: F(M_p)
   inside the open unit disk for some p means stability for every step
   size.  The test is the per-arc supporting-line bound on w(M_p) of
@@ -184,21 +188,40 @@ class DyMembership:
         return self.inside
 
 
-def _dy_radii(ys, mus, scheme: ThetaScheme) -> np.ndarray:
-    """Largest root modulus of P(z) for every row (y, mu), from one
-    stacked root call; ``ys`` is one y for all rows or one per row."""
+def _dy_radii(ys, mus, scheme: ThetaScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Largest root modulus of P(z), or a proved upper bound on it below
+    the maximum, for every row (y, mu), and which rows were solved; ``ys``
+    is one y for all rows or one per row.
+
+    At most two stacked root calls: first the rows of largest bound
+    (``linalg.root_modulus_bounds``), conjugate twins and duplicates
+    included, as their bounds are equal; then the other rows whose bound
+    reaches the largest computed radius.  A row neither call solved keeps
+    its bound, which lies below that radius, so the maximum is the largest
+    computed radius, as from one call over every row, and 1 - the entry of
+    an unsolved row is a proved lower bound on its margin."""
     ys = np.asarray(ys, dtype=float)
     ok = (ys < 0.0) & np.isfinite(ys)
     if not np.all(ok):
         raise InvalidParams(f"y must be finite and negative, got {ys[~ok][0]}")
-    roots = linalg.poly_roots(_coefficient_rows(ys, mus, scheme))
-    return np.max(np.abs(roots), axis=1)
+    coeffs = _coefficient_rows(ys, mus, scheme)
+    radii = linalg.root_modulus_bounds(coeffs)
+
+    def solve(rows):
+        radii[rows] = np.max(np.abs(linalg.poly_roots(coeffs[rows])), axis=1)
+
+    top = radii == np.max(radii)
+    solve(top)
+    rest = ~top & (radii >= np.max(radii[top]))
+    if np.any(rest):
+        solve(rest)
+    return radii, top | rest
 
 
 def in_dy(mu: complex, y: float, scheme: ThetaScheme) -> DyMembership:
     """Does mu lie in D_y (y finite, negative)?  The rule with bound ROOT_TOL
     on the largest root modulus of P(z), a one-row stacked root call."""
-    radius = float(_dy_radii(y, np.array([mu]), scheme)[0])
+    radius = float(_dy_radii(y, np.array([mu]), scheme)[0][0])
     return DyMembership(_side(radius, ROOT_TOL) == _INSIDE, 1.0 - radius, radius)
 
 
@@ -468,14 +491,14 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
     Region nesting (y1 < y2 < 0 implies D_{y1} subset of D_{y2}) reduces
     the intersection of D_y over y in -h F(A) to y = -h lambda_max(A).
     Each sampled point of F(M_p) must lie in that D_y by the rule with the
-    inflation margin as its bound.  The margins come from one stacked root
-    call over sigma(A^{-1} B) and one per swept p.
+    inflation margin as its bound.  The margins come from one ``_dy_radii``
+    question over sigma(A^{-1} B) and one per swept p.
     """
     if scheme.theta != 1.0 or scheme.u != 0.0:
         return _refusal("scheme-hypotheses", "step certificate requires theta = 1 and u = 0",
                         scheme)
     refusal = _obstruction(facts, "step-certificate", scheme, lambda s, y: (
-        float(np.max(_dy_radii(y, s, scheme))),
+        float(np.max(_dy_radii(y, s, scheme)[0])),
         f"an eigenvalue of A^{{-1}} B lies outside D_y at y = {y:.6g}, which rules out every p"))
     if refusal is not None:
         return refusal
@@ -487,7 +510,7 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
         except InvalidParams as exc:  # M_p or its scaled norm overflows
             evidence.append(Evidence("fov-in-dy", index=p, note=f"skipped: {exc}"))
             continue
-        worst = float(np.max(_dy_radii(y_worst, boundary.points, scheme)))
+        worst = float(np.max(_dy_radii(y_worst, boundary.points, scheme)[0]))
         evidence.append(Evidence("fov-in-dy", index=p, margin=1.0 - worst,
                                  note=f"y = {y_worst:.6g}"))
         if _side(worst, _inflation_margin(t_mat)) == _INSIDE:
@@ -573,16 +596,18 @@ def _simdiag(facts: _Facts) -> tuple[np.ndarray, np.ndarray]:
 
 def simdiag_analysis(facts: _Facts, scheme: ThetaScheme) -> StabilityReport:
     """The whole verdict of a pair with modes (:func:`_mode_report`), from
-    one stacked root call over the rows (y_i, mu_i).  Raises what
+    one ``_dy_radii`` question over the rows (y_i, mu_i).  Raises what
     ``simdiag_pairs`` raises for a pair without modes."""
     lam, gamma = _simdiag(facts)
-    radii = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
-    return _mode_report(lam, gamma, radii, scheme)
+    radii, solved = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
+    return _mode_report(lam, gamma, radii, solved, scheme)
 
 
-def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
+def _mode_report(lam, gamma, radii, solved, scheme: ThetaScheme) -> StabilityReport:
     """Mode-by-mode verdict from the pairs (lambda_i, gamma_i) of
-    simultaneously diagonalizable A, B and their largest root moduli.
+    simultaneously diagonalizable A, B and their largest root moduli, where
+    ``solved``; elsewhere ``radii`` holds a proved upper bound on it (as
+    ``_dy_radii`` returns them), below the largest radius.
 
     With mu_i = gamma_i / lambda_i and y_i = -lambda_i h, two closed-form
     tests come first:
@@ -591,9 +616,11 @@ def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
     * some Re(mu_i) >= 1, u = 0, theta = 1 -> CertifiedUnstable
       (unstable for every step size).
 
-    When neither decides, every mode's ``mu-in-dy`` margin follows.  The
-    last entry is always rho(W), the largest radius: det P(z) factors over
-    the modes, so it needs no W and no cap.  The verdict is that of
+    When neither decides, every mode's ``mu-in-dy`` margin follows: 1 - its
+    radius, or for a mode not solved 1 - its bound, a proved lower bound on
+    the margin, as the ``fov-unit-disk`` margins are, and its note says so.
+    The last entry is always rho(W), the largest radius: det P(z) factors
+    over the modes, so it needs no W and no cap.  The verdict is that of
     :func:`_merge` over the closed-form tests and rho(W).
     """
     mus = gamma / lam
@@ -615,8 +642,10 @@ def _mode_report(lam, gamma, radii, scheme: ThetaScheme) -> StabilityReport:
 
     if verdict == UNCERTIFIED:
         for i, (lam_i, mu_i, radius) in enumerate(zip(lam, mus, radii)):
+            note = f"lambda = {lam_i:.6g}, mu = {mu_i:.6g}"
             evidence.append(Evidence("mu-in-dy", index=i, margin=1.0 - float(radius),
-                                     note=f"lambda = {lam_i:.6g}, mu = {mu_i:.6g}"))
+                                     note=note if solved[i] else
+                                     f"{note}; lower bound from Cauchy's root bound"))
     rho = OracleVerdict(float(np.max(radii)), (scheme.m + 1) * lam.size)
     return _merge([StabilityReport(verdict, tuple(evidence)),
                    _rho_report(rho, f"per-mode over {lam.size} modes")], scheme)

@@ -14,7 +14,7 @@ from ddestab.stability import (
     ThetaScheme,
 )
 
-from conftest import random_complex, random_spd
+from conftest import canonical_row, random_complex, random_spd
 
 BENCH_A = np.array([[29.0, -7.0, 1.0], [3.0, 27.0, -7.0], [3.0, 9.0, 11.0]])
 BENCH_B = np.array([[-30.0, -27.0, 33.0], [-3.0, -96.0, 75.0], [-3.0, -111.0, 90.0]])
@@ -198,22 +198,34 @@ class TestStepCertificateRootCalls:
         assert (UNCERTIFIED, 3, "fov-in-dy") in outcomes
         assert any(v == STABLE_FOR_THIS_STEP and k > 1 for v, k, _ in outcomes)
 
-    def test_one_root_call_per_swept_p(self, monkeypatch):
-        calls = []
-        roots = linalg.poly_roots
+    def test_at_most_two_root_calls_per_question(self, monkeypatch):
+        # one D_y question over sigma(A^{-1} B), then one per swept p; each
+        # makes at most two root calls, which never solve more rows than it
+        # asked about nor one distinct row (up to conjugation) twice
+        questions = []
+        roots, dy_radii = linalg.poly_roots, stability._dy_radii
 
-        def counted(coeffs):
-            calls.append(len(coeffs))
+        def counted_roots(coeffs):
+            questions[-1][1].append({canonical_row(row) for row in coeffs})
             return roots(coeffs)
 
-        monkeypatch.setattr(linalg, "poly_roots", counted)
+        def counted_question(ys, mus, scheme):
+            questions.append((len(mus), []))
+            return dy_radii(ys, mus, scheme)
+
+        monkeypatch.setattr(linalg, "poly_roots", counted_roots)
+        monkeypatch.setattr(stability, "_dy_radii", counted_question)
         most_swept = 0
         for a, b, s in step_cases():
-            calls.clear()
+            questions.clear()
             rep = stability.step_certificate(stability._Facts(a, b), s, P_GRID)
             swept = sum(e.check == "fov-in-dy" for e in rep.evidence)
-            assert len(calls) == 1 + swept
-            assert calls[0] == a.shape[0]  # the rows are sigma(A^{-1} B)
+            assert len(questions) == 1 + swept
+            assert questions[0][0] == a.shape[0]  # the rows are sigma(A^{-1} B)
+            for asked, calls in questions:
+                assert 1 <= len(calls) <= 2
+                assert sum(map(len, calls)) <= asked
+                assert len(calls) == 1 or not calls[0] & calls[1]
             most_swept = max(most_swept, swept)
         assert most_swept == 3
 
@@ -538,7 +550,8 @@ class TestModeReportThreshold:
         radius = edge if direction is None else np.nextafter(edge, direction)
         lam, gamma = np.array([2.0, 1.0]), np.array([0.5, -0.25])
         radii = np.array([0.5, radius])
-        rep = stability._mode_report(lam, gamma, radii, scheme(theta=0.5, u=0.5, m=3))
+        rep = stability._mode_report(lam, gamma, radii, np.ones(2, bool),
+                                     scheme(theta=0.5, u=0.5, m=3))
         assert rep.verdict == verdict
         assert [e.check for e in rep.evidence] == ["mu-in-dy"] * 2 + ["oracle-spectral-radius"]
         assert [e.margin for e in rep.evidence] == [0.5, 1.0 - radius, 1.0 - radius]

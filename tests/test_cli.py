@@ -704,6 +704,45 @@ def test_unwritable_output_exit_2(tmp_path, capsys, command):
     assert not missing.parent.exists()
 
 
+class TestNegativeValues:
+    # an argument that starts with "-" and a digit, or "-." and a digit, is
+    # a value, as in argparse from Python 3.13 on: each call must give what
+    # its "--flag=value" form gives
+    @pytest.mark.parametrize("case", ["region-y", "solve-l", "check-p-grid",
+                                      "solve-history-const"])
+    def test_exponent_form_reads_as_value(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        write_matrix("a.json", EXAMPLE31_A)
+        write_matrix("b.json", EXAMPLE31_B)
+        write_matrix("one.json", np.array([[1.0]]))
+        argv, flag, value = {
+            "region-y": (["region", "--m", "3", "--n", "16"], "--y", "-1e-3"),
+            "solve-l": (["solve", "--problem", "example1", "--grid-m", "10", "--m", "4",
+                         "--t-end", "1"], "--l", "-1e-1"),
+            "check-p-grid": (["check", "--matrix-a", "a.json", "--matrix-b", "b.json",
+                              "--tau", "1", "--m", "2"], "--p-grid", "-1,0"),
+            "solve-history-const": (["solve", "--problem", "linear", "--matrix-a", "one.json",
+                                     "--matrix-b", "one.json", "--tau", "1", "--m", "2",
+                                     "--t-end", "3"], "--history-const", "-1e-3"),
+        }[case]
+        outputs = []
+        for args in ([flag, value], [f"{flag}={value}"]):
+            assert cli.main(argv + args) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--y", "-1", "--m", "3", "--bogus", "1"],
+        ["region", "--y", "-1", "--m", "3", "-x"],
+        ["region", "--y", "-inf", "--m", "3"],  # not a number by that rule either
+    ], ids=["long", "short", "minus-inf"])
+    def test_unknown_options_still_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestReproduceCommand:
     def test_example31_target(self, capsys):
         assert cli.main(["reproduce", "--target", "example31"]) == 0

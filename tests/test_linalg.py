@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ddestab import errors, linalg
+from ddestab import errors, linalg, stability
 from ddestab.mol import dirichlet_laplacian
 
 from conftest import multiset_distance, random_complex, random_hermitian, random_spd
@@ -240,6 +240,80 @@ class TestStackedPolyRoots:
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: original(m) + 0.1)
         with pytest.raises(errors.NoConvergence, match="root residual"):
             linalg.poly_roots(rows)
+
+
+def lower_root_bound(coeffs):
+    """r_lo = max_k |c_k / c_n|^{1/(n-k)}, with R in [r_lo, 2 r_lo)."""
+    a = np.abs(np.asarray(coeffs))
+    n = a.shape[1] - 1
+    return np.max((a[:, :-1] / a[:, -1:]) ** (1.0 / (n - np.arange(n))), axis=1)
+
+
+class TestRootModulusBounds:
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 101])
+    def test_pure_power_gives_the_root_modulus(self, rng, n):
+        # every root of c_n z^n - c has modulus |c / c_n|^{1/n}
+        for c, lead in ((rng.standard_normal() + 1j * rng.standard_normal(), 1.0),
+                        (3.7e5, -2.5), (1e-30j, 1e-8)):
+            row = np.zeros(n + 1, dtype=complex)
+            row[0], row[-1] = -c, lead
+            got = linalg.root_modulus_bounds([row])[0]
+            assert got == pytest.approx(abs(c / lead) ** (1.0 / n), rel=1e-12)
+
+    @staticmethod
+    def seeded_rows(gen, kind):
+        n = int(gen.integers(1, 40))
+        rows = gen.standard_normal((12, n + 1))
+        if kind in ("complex", "sparse"):
+            rows = rows + 1j * gen.standard_normal((12, n + 1))
+        rows *= np.exp(gen.uniform(-8.0, 8.0, rows.shape))
+        if kind == "sparse":  # about 4 in 5 lower columns zero, never all of them
+            zero = gen.random(n) < 0.8
+            zero[gen.integers(n)] = False
+            rows[:, :-1][:, zero] = 0.0
+        return rows
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "sparse"])
+    def test_bounds_every_root_and_stays_below_twice_r_lo(self, kind):
+        gen = np.random.default_rng(["real", "complex", "sparse"].index(kind))
+        for _ in range(40):
+            rows = self.seeded_rows(gen, kind)
+            got = linalg.root_modulus_bounds(rows)
+            radii = np.max(np.abs(linalg.poly_roots(rows)), axis=1)
+            assert np.all(got >= radii)
+            r_lo = lower_root_bound(rows)
+            assert np.all(r_lo <= got) and np.all(got <= 2.0 * r_lo)
+
+    @pytest.mark.parametrize("theta, u", [(0.5, 0.5), (0.75, 0.0), (1.0, 0.0), (1.0, 0.5)])
+    def test_bounds_stability_polynomial_rows(self, rng, theta, u):
+        # at theta = 1 the constant term of every row is 0
+        for m in (3, 12, 50):
+            s = stability.ThetaScheme(theta=theta, u=u, m=m, tau=1.0)
+            mus = rng.uniform(-2.0, 2.0, 30) + 1j * rng.uniform(-2.0, 2.0, 30)
+            mus[:10] = mus[:10].real
+            rows = stability._coefficient_rows(-rng.uniform(0.01, 20.0, 30), mus, s)
+            got = linalg.root_modulus_bounds(rows)
+            radii = np.max(np.abs(linalg.poly_roots(rows)), axis=1)
+            assert np.all(got >= radii)
+            assert np.all(got <= 2.0 * lower_root_bound(rows))
+
+    def test_conjugate_rows_get_equal_bounds(self, rng):
+        row = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        got = linalg.root_modulus_bounds([row, row.conj(), row])
+        assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("rows", [
+        [[1e308, 1e-308]],         # the root -1e616 overflows
+        [[1.0, 2.0, 0.0]],         # zero leading coefficient
+        [[np.nan, 0.0, 1.0]],
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]],  # a row whose lower part is 0
+    ], ids=["overflow", "zero-leading", "nan", "zero-lower-part"])
+    def test_inf_never_a_finite_wrong_bound(self, rows):
+        assert linalg.root_modulus_bounds(rows)[0] == np.inf
+
+    def test_rejects_malformed_rows(self):
+        with pytest.raises(errors.InvalidParams):
+            linalg.root_modulus_bounds(np.ones(3))
 
 
 class TestLinearSolver:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from ddestab import errors, linalg, stability
 from ddestab.stability import ThetaScheme, gamma_y, in_dy
 
-from conftest import multiset_distance
+from conftest import canonical_row, multiset_distance
 
 
 def scheme(theta=1.0, u=0.0, m=2, tau=1.0):
@@ -127,8 +127,10 @@ class TestDyRadiiSymmetry:
         s = scheme(theta=theta, u=u, m=6)
         mus = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         ys = -rng.uniform(0.1, 10.0, 40)
-        assert np.array_equal(stability._dy_radii(ys, mus.conj(), s),
-                              stability._dy_radii(ys, mus, s))
+        radii, solved = stability._dy_radii(ys, mus, s)
+        radii_conj, solved_conj = stability._dy_radii(ys, mus.conj(), s)
+        assert np.array_equal(radii_conj, radii)
+        assert np.array_equal(solved_conj, solved)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mode_path_matches_dense_oracle(self, seed):
@@ -147,6 +149,81 @@ class TestDyRadiiSymmetry:
         assert rep.evidence[-1].note.endswith("per-mode over 6 modes")
         dense = stability.oracle_stability(a, b, s).spectral_radius
         assert abs(1.0 - rep.evidence[-1].margin - dense) <= 1e-10 * dense
+
+
+def counted_root_calls(monkeypatch):
+    """Patch ``linalg.poly_roots`` to record the canonical rows of each call."""
+    calls, roots = [], linalg.poly_roots
+
+    def counted(coeffs):
+        calls.append([canonical_row(row) for row in coeffs])
+        return roots(coeffs)
+
+    monkeypatch.setattr(linalg, "poly_roots", counted)
+    return calls
+
+
+def pruning_rows(gen, n):
+    """n generic complex rows (y, mu), then real mu, a duplicate, a
+    conjugate twin and near-tied rows: mu and y moved by a few ulps."""
+    mus = gen.uniform(-1.5, 1.5, n) + 1j * gen.uniform(-1.5, 1.5, n)
+    mus[: n // 4] = mus[: n // 4].real
+    ys = -gen.uniform(0.05, 5.0, n)
+    top = int(np.argmax(np.abs(mus)))
+    mus = np.concatenate([mus, [mus[top], np.conj(mus[top]), mus[top] * (1 + 4e-16),
+                                mus[1], mus[1].conj()]])
+    ys = np.concatenate([ys, [ys[top], ys[top], np.nextafter(ys[top], 0.0),
+                              ys[1], ys[1] * (1 + 1e-15)]])
+    return ys, mus
+
+
+class TestDyRadiiPruning:
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    @pytest.mark.parametrize("m", [3, 10, 25, 60])
+    def test_matches_a_call_over_every_row(self, theta, u, m, monkeypatch):
+        gen = np.random.default_rng([m, int(4 * theta), int(2 * u)])
+        s = scheme(theta=theta, u=u, m=m)
+        ys, mus = pruning_rows(gen, 24)
+        coeffs = stability._coefficient_rows(ys, mus, s)
+        every = np.max(np.abs(linalg.poly_roots(coeffs)), axis=1)
+        calls = counted_root_calls(monkeypatch)
+        radii, solved = stability._dy_radii(ys, mus, s)
+        assert np.max(radii) == np.max(every)  # bit for bit
+        assert np.array_equal(radii[solved], every[solved])
+        assert np.all(every[~solved] <= radii[~solved])
+        assert np.all(radii[~solved] < np.max(every))
+        # at most two calls, no distinct row solved twice, no row beyond those asked
+        assert 1 <= len(calls) <= 2
+        assert sum(map(len, calls)) == np.count_nonzero(solved) <= len(mus)
+        assert len(calls) == 1 or not set(calls[0]) & set(calls[1])
+
+    def test_thirty_modes_solve_few_rows(self, monkeypatch):
+        # distinct real lambda in [1, 20] and real mu in [-0.9, 0.9], the
+        # modes of a simultaneously diagonalizable pair at theta = u = 1/2.
+        # How many bounds reach the largest radius depends on the pair:
+        # over these seeds, 1 to 7 of the 30 rows, and 2 on seed 0
+        s = ThetaScheme(theta=0.5, u=0.5, m=50, tau=1.0)
+        counts = []
+        for seed in range(12):
+            gen = np.random.default_rng(seed)
+            lam = np.sort(1.0 + 19.0 * (np.arange(30) + gen.uniform(0.2, 0.8, 30)) / 30)
+            mus = gen.uniform(-0.9, 0.9, 30)
+            calls = counted_root_calls(monkeypatch)
+            radii, solved = stability._dy_radii(-s.h * lam, mus, s)
+            assert sum(map(len, calls)) == np.count_nonzero(solved)
+            counts.append(np.count_nonzero(solved))
+            monkeypatch.undo()
+        assert counts[0] <= 3
+        assert np.median(counts) == 1 and max(counts) <= 30 // 4
+
+    def test_in_dy_solves_its_row(self, monkeypatch):
+        s = scheme(theta=0.5, u=0.5, m=8)
+        coeffs = stability._coefficient_rows(np.array([-1.5]), np.array([0.3 + 0.2j]), s)
+        radius = np.max(np.abs(linalg.poly_roots(coeffs)))
+        calls = counted_root_calls(monkeypatch)
+        assert in_dy(0.3 + 0.2j, -1.5, s).max_root_modulus == radius
+        assert len(calls) == 1 and len(calls[0]) == 1
 
 
 class TestGammaY:

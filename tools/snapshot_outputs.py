@@ -7,7 +7,8 @@ The snapshot holds what the command line prints and writes for:
 * the seeded ``check``, ``oracle`` and ``solve`` operations of the
   benchmark (``bench/workloads.build_ops``), with their input files;
 * the four ``reproduce`` targets, ``table1`` with ``--full``;
-* ``region``, ``fov`` with and without ``--matrix-b``, trajectory CSVs of
+* ``region`` (also at ``--y -1e-3``, a negative value in exponent form),
+  ``fov`` with and without ``--matrix-b``, trajectory CSVs of
   example1 at theta = 1/2, of example2 (M = 16) at theta = 1 and 1/2 and
   of a decaying ``--problem linear`` run at theta = 1/2, u = 1/2, so that
   every stepping path shows its states; and a few inputs at the edges
@@ -171,6 +172,7 @@ def snapshot(ddestab, seed: int) -> None:
     run(main, "region", ["region", "--y", "-2", "--m", "5", "-o", "region.csv"])
     run(main, "region-theta", ["region", "--y", "-0.5", "--m", "3", "--theta", "0.75",
                                "--n", "64"])
+    run(main, "region-y-exponent", ["region", "--y", "-1e-3", "--m", "3", "--n", "64"])
     workloads.write_matrix("m.json", [[2.0, 1.0], [0.0, 3.0]])
     workloads.write_matrix("b.json", [[0.3, -0.2], [0.4, 0.1]])
     run(main, "fov", ["fov", "--matrix", "m.json", "--n", "32"])
