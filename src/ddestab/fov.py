@@ -233,7 +233,8 @@ def transformed_matrix(a, b, p: float, eigen=None) -> np.ndarray:
     Hermitian positive definite A (``linalg.require_positive_definite``):
     ``eigen``, A's ``EigenDecomposition``, when given, else a new one.  An
     A without that hypothesis raises ``NotHermitian`` or
-    ``NotPositiveDefinite``, whose message names p and the hypothesis.
+    ``NotPositiveDefinite``, whose message names p and the hypothesis.  An
+    overflowing M_p comes back non-finite, without a warning.
     """
     am, bm = linalg.square_pair(a, b)
     if p == 0.0:
@@ -247,4 +248,5 @@ def transformed_matrix(a, b, p: float, eigen=None) -> np.ndarray:
     v = dec.vectors
     left = (v * dec.values[None, :] ** (0.5 * p - 1.0)) @ v.conj().T
     right = (v * dec.values[None, :] ** (-0.5 * p)) @ v.conj().T
-    return left @ bm @ right
+    with np.errstate(over="ignore", invalid="ignore"):
+        return left @ bm @ right

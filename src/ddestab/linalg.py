@@ -5,8 +5,8 @@ eigendecompositions (full, or the largest eigenpair alone), general
 eigenvalues (of one matrix, or of a stack in one call), the roots of a
 stack of polynomials through their balanced companion matrices, proved
 upper bounds on their moduli without any eigensolve, and reusable LU
-solvers.  ``poly_roots`` trims nothing and solves each distinct row (up
-to conjugation) once, its real rows in real arithmetic.
+solvers.  ``poly_roots`` trims nothing and solves every row it is given,
+the real ones in real arithmetic; callers fold equal rows themselves.
 
 All tolerances are relative to ``scaled_norm`` (max-abs entry times
 dimension), so the contracts are scale-free and need it finite: a matrix
@@ -108,14 +108,15 @@ def hermitian_eigen(m) -> EigenDecomposition:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"hermitian eigensolver failed: {exc}") from exc
-    nrm = scaled_norm(a)
-    if nrm > 0.0:
-        resid = np.max(np.abs(a @ vectors - vectors * values[None, :]))
-        if resid > 1e-9 * nrm:
-            raise NoConvergence(
-                f"eigen residual {resid:.3e} exceeds 1e-9 * ||M|| = {1e-9 * nrm:.3e}"
-            )
+    _require_residual(a, np.max(np.abs(a @ vectors - vectors * values[None, :])))
     return EigenDecomposition(values=values, vectors=vectors)
+
+
+def _require_residual(a, resid) -> None:
+    """Raise NoConvergence when an eigen residual of M exceeds 1e-9 * scaled_norm(M)."""
+    bound = 1e-9 * scaled_norm(a)
+    if resid > bound:
+        raise NoConvergence(f"eigen residual {resid:.3e} exceeds 1e-9 * ||M|| = {bound:.3e}")
 
 
 def require_positive_definite(m, dec: EigenDecomposition | None = None) -> EigenDecomposition:
@@ -147,12 +148,7 @@ def largest_eigenpair(m) -> tuple[float, np.ndarray]:
         raise NoConvergence(f"hermitian eigensolver failed: {exc}") from exc
     lam = float(values[0])
     x = vectors[:, 0]
-    nrm = scaled_norm(a)
-    resid = float(np.max(np.abs(a @ x - lam * x)))
-    if resid > 1e-9 * nrm:
-        raise NoConvergence(
-            f"eigen residual {resid:.3e} exceeds 1e-9 * ||M|| = {1e-9 * nrm:.3e}"
-        )
+    _require_residual(a, float(np.max(np.abs(a @ x - lam * x))))
     return lam, x
 
 
@@ -161,8 +157,7 @@ def general_eigenvalues(m) -> np.ndarray:
 
     The eigenvalue sum is checked against the trace to 1e-8 * ||M|| * n.
     """
-    a = as_square_matrix(m)
-    return stacked_eigenvalues(a[None])[0]
+    return stacked_eigenvalues(as_square_matrix(m)[None])[0]
 
 
 def stacked_eigenvalues(ms) -> np.ndarray:
@@ -179,9 +174,9 @@ def stacked_eigenvalues(ms) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
     n = a.shape[1]
-    gap = np.abs(np.sum(values, axis=1) - np.trace(a, axis1=1, axis2=2))
-    bound = 1e-8 * np.max(np.abs(a), axis=(1, 2)) * n * n
-    if np.any(gap > bound):
+    gap = np.abs(values.sum(axis=1) - a.trace(axis1=1, axis2=2))
+    bound = 1e-8 * np.abs(a).max(axis=(1, 2)) * n * n
+    if (gap > bound).any():
         worst = int(np.argmax(gap - bound))
         raise NoConvergence(f"eigenvalue sum deviates from trace by {gap[worst]:.3e}")
     return values
@@ -192,16 +187,14 @@ def poly_roots(coeffs) -> np.ndarray:
 
     Computed as eigenvalues of the companion matrices (built as
     :func:`numpy.roots` builds them); returns an (rows, n) array.  Nothing
-    is trimmed, so every row needs a nonzero leading coefficient.
-
-    Each distinct row is solved once: a row whose first nonzero imaginary
-    part is negative is replaced by its conjugate, whose roots are the
-    conjugates of its own, so equal and conjugate rows share one solve and
-    get exactly equal or exactly conjugate roots.  Distinct real rows go
+    is trimmed, so every row needs a nonzero leading coefficient, and
+    nothing is folded: every row given is solved.  The real rows go
     through one stacked real eigenvalue call, the others through one
     complex call; both are backward stable (Edelman & Murakami, Math.
     Comp. 64, 1995).  Every root of every row is verified to satisfy
-    |p(root)| <= 1e-8 * max|c| * (1 + |root|)^n.
+    |p(root)| <= 1e-8 * max|c| * (1 + |root|)^n, divided through by
+    (1 + |root|)^n and summed over the columns nonzero in some row, so
+    that no term overflows.
 
     A caller that needs only the largest modulus over many rows passes
     only the rows that can reach it: :func:`root_modulus_bounds` proves
@@ -212,31 +205,25 @@ def poly_roots(coeffs) -> np.ndarray:
         raise InvalidParams("coefficients must be rows of at least two entries")
     if np.any(c[:, -1] == 0.0):
         raise DegenerateLeading("a leading coefficient vanishes")
-    first = np.argmax(c.imag != 0.0, axis=1)  # 0 for a real row, never flipped
-    flip = c.imag[np.arange(c.shape[0]), first] < 0.0
-    canonical = np.where(flip[:, None], c.conj(), c) + 0.0  # -0.0 becomes 0.0
-    # rows match by their bytes: np.unique(axis=0) would sort structured
-    # rows, and its first call adds about 256 KiB of resident memory
-    index = {}
-    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in canonical])
-    distinct = canonical[np.unique(inverse, return_index=True)[1]]
     degree = c.shape[1] - 1
-    solved = np.empty((distinct.shape[0], degree), dtype=complex)
-    real = ~np.any(distinct.imag, axis=1)
-    for rows, part in ((real, distinct.real), (~real, distinct)):
-        if np.any(rows):
-            solved[rows] = _companion_eigenvalues(part[rows])
-    roots = solved[inverse]
-    roots[flip] = roots[flip].conj()
-    value = np.zeros_like(roots)
-    for j in range(degree, -1, -1):  # Horner, leading coefficient first
-        value = value * roots + c[:, j, None]
-    scale = np.max(np.abs(c), axis=1)
-    excess = np.abs(value) - 1e-8 * scale[:, None] * (1.0 + np.abs(roots)) ** degree
-    if np.any(excess > 0.0):
-        row, col = np.unravel_index(int(np.argmax(excess)), excess.shape)
-        raise NoConvergence(
-            f"root residual {abs(value[row, col]):.3e} exceeds its bound in row {row}")
+    roots = np.empty((c.shape[0], degree), dtype=complex)
+    real = ~c.imag.any(axis=1)
+    for rows, part in ((real, c.real), (~real, c)):  # each stack in its own arithmetic
+        if rows.any():
+            companion = np.zeros((np.count_nonzero(rows), degree, degree), dtype=part.dtype)
+            companion[:, 0, :] = -part[rows, -2::-1] / part[rows, -1:]
+            companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+            roots[rows] = stacked_eigenvalues(companion)
+    # sum_k c_k z^k / (1 + |z|)^n, each power |z|^k (1 + |z|)^(k - n) at most 1
+    cols = np.flatnonzero(c.any(axis=0))
+    shrink = 1.0 / (1.0 + np.abs(roots))[:, None, :]
+    value = np.sum(c[:, cols, None] * (roots[:, None, :] * shrink) ** cols[:, None]
+                   * shrink ** (degree - cols)[:, None], axis=1)
+    bad = ~(np.abs(value) <= 1e-8 * np.max(np.abs(c), axis=1)[:, None])  # NaN too
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise NoConvergence(f"root residual |p(z)| / (1 + |z|)^n = "
+                            f"{abs(value[row, col]):.3e} exceeds its bound in row {row}")
     return roots
 
 
@@ -290,20 +277,6 @@ def root_modulus_bounds(coeffs) -> np.ndarray:
     return np.where(g <= 1.0 - allowance, bound, np.inf)
 
 
-def _companion_eigenvalues(c) -> np.ndarray:
-    """Eigenvalues of the companion matrix of every row of ``c`` (real or
-    complex, constant first), from one stacked call in ``c``'s arithmetic."""
-    degree = c.shape[1] - 1
-    companion = np.zeros((c.shape[0], degree, degree), dtype=c.dtype)
-    companion[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
-    sub = np.arange(degree - 1)
-    companion[:, sub + 1, sub] = 1.0
-    try:
-        return np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"companion eigenvalue iteration failed: {exc}") from exc
-
-
 class LinearSolver:
     """Reusable LU factorization of a square matrix.
 
@@ -323,9 +296,8 @@ class LinearSolver:
 
         rhs = np.asarray(b)
         if rhs.shape[0] != self.size:
-            raise InvalidParams(
-                f"rhs has leading dimension {rhs.shape[0]}, expected {self.size}"
-            )
+            raise InvalidParams(f"rhs has leading dimension {rhs.shape[0]}, "
+                                f"expected {self.size}")
         return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
 
 

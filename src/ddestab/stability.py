@@ -21,25 +21,26 @@ while root-counting is robust for every theta, u, m.  Every D_y question
 ``_dy_radii``: a proved upper bound on the root moduli of each (y, mu) row
 (``linalg.root_modulus_bounds``, Cauchy's bound) picks the rows that can
 reach the largest root modulus, and at most two stacked root calls solve
-only those, each distinct row once: y and the weights are real, so a row
-of mu is real for real mu and the exact conjugate of the row of conj(mu),
-whose roots it shares conjugated.  Every other row keeps its bound, which
-lies below the computed maximum, so the maximum is that of solving every
-row.  The leading coefficient 1 - y theta >= 1 is never trimmed: at large
-|y| the root it carries is the largest one.
+only those, each distinct row once: y and the weights are real, so the
+row of conj(mu) is the exact conjugate of the row of mu, with the same
+radius, and every row is built from the mu with Im mu <= 0.  Every other
+row keeps its bound, which lies below the computed maximum, so the
+maximum is that of solving every row.  The leading coefficient
+1 - y theta >= 1 is never trimmed: at large |y| the root it carries is
+the largest one.
 
 ``certify`` is the one entry point.  It validates the pair once, in a
 ``_Facts``, which then computes each shared fact at most once and only
 when a stage first asks for it: the one eigendecomposition of a Hermitian
-A and whether A is positive definite, the transformed matrix
+A and whether A is positive definite, the modes, the transformed matrix
 M_p = A^{p/2-1} B A^{-p/2} of each p, the field-of-values boundary of
 M_p and sigma(A^{-1} B), taken from M_0.  The stages each take the facts
 and return a ``StabilityReport``:
 
-* ``simdiag_analysis`` -- A, B simultaneously diagonalizable
-  (``simdiag_pairs``): exact verdicts mode by mode, from one ``_dy_radii``
-  question over the modes, and rho(W) as the largest mode radius, at any
-  dim W.  Its report is the whole verdict of such a pair.
+* ``simdiag_analysis`` -- A, B simultaneously diagonalizable with finite
+  mu_i = gamma_i / lambda_i (``_Facts.modes``): exact verdicts mode by
+  mode, from one ``_dy_radii`` question over the modes, and rho(W) as the
+  largest mode radius, at any dim W.  Its report is the whole verdict.
 * ``unconditional_certificate`` -- no modes, u = 0, theta > 1/2: F(M_p)
   inside the open unit disk for some p means stability for every step
   size.  The test is the per-arc supporting-line bound on w(M_p) of
@@ -191,24 +192,32 @@ class DyMembership:
 def _dy_radii(ys, mus, scheme: ThetaScheme) -> tuple[np.ndarray, np.ndarray]:
     """Largest root modulus of P(z), or a proved upper bound on it below
     the maximum, for every row (y, mu), and which rows were solved; ``ys``
-    is one y for all rows or one per row.
+    is one y for all rows or one per row, and every y and mu is finite.
 
-    At most two stacked root calls: first the rows of largest bound
-    (``linalg.root_modulus_bounds``), conjugate twins and duplicates
-    included, as their bounds are equal; then the other rows whose bound
+    Rows are built from the mu with Im mu <= 0, so that conjugate twins and
+    duplicates are equal rows with equal bounds.  At most two stacked root
+    calls, each over the distinct rows of its set: the rows of largest bound
+    (``linalg.root_modulus_bounds``), then the other rows whose bound
     reaches the largest computed radius.  A row neither call solved keeps
-    its bound, which lies below that radius, so the maximum is the largest
-    computed radius, as from one call over every row, and 1 - the entry of
-    an unsolved row is a proved lower bound on its margin."""
+    its bound, below that radius, so the maximum is that of one call over
+    every row, and 1 - the entry of an unsolved row bounds its margin below."""
     ys = np.asarray(ys, dtype=float)
     ok = (ys < 0.0) & np.isfinite(ys)
     if not np.all(ok):
         raise InvalidParams(f"y must be finite and negative, got {ys[~ok][0]}")
-    coeffs = _coefficient_rows(ys, mus, scheme)
+    mus = np.asarray(mus, dtype=complex)
+    ok = np.isfinite(mus)
+    if not np.all(ok):
+        raise InvalidParams(f"mu must be finite, got {mus[~ok][0]}")
+    coeffs = _coefficient_rows(ys, np.where(mus.imag > 0.0, mus.conj(), mus), scheme)
     radii = linalg.root_modulus_bounds(coeffs)
 
     def solve(rows):
-        radii[rows] = np.max(np.abs(linalg.poly_roots(coeffs[rows])), axis=1)
+        first = {}  # row bytes -> the first index of an equal row
+        firsts = [first.setdefault(coeffs[i].tobytes(), i) for i in np.flatnonzero(rows)]
+        distinct = list(first.values())
+        radii[distinct] = np.max(np.abs(linalg.poly_roots(coeffs[distinct])), axis=1)
+        radii[rows] = radii[firsts]
 
     top = radii == np.max(radii)
     solve(top)
@@ -219,8 +228,8 @@ def _dy_radii(ys, mus, scheme: ThetaScheme) -> tuple[np.ndarray, np.ndarray]:
 
 
 def in_dy(mu: complex, y: float, scheme: ThetaScheme) -> DyMembership:
-    """Does mu lie in D_y (y finite, negative)?  The rule with bound ROOT_TOL
-    on the largest root modulus of P(z), a one-row stacked root call."""
+    """Does a finite mu lie in D_y (y finite, negative)?  The rule with bound
+    ROOT_TOL on the largest root modulus of P(z), a one-row stacked root call."""
     radius = float(_dy_radii(y, np.array([mu]), scheme)[0][0])
     return DyMembership(_side(radius, ROOT_TOL) == _INSIDE, 1.0 - radius, radius)
 
@@ -368,8 +377,8 @@ class StabilityReport:
 
 class _Facts:
     """The facts the stages share about one pair (A, B), each computed at
-    most once, on first use.  A fact that raised is not retried: asking
-    again raises the same error."""
+    most once, on first use.  A fact other than ``modes`` that raised is not
+    retried: asking again raises the same error."""
 
     def __init__(self, a, b, n_angles: int = fov.DEFAULT_ANGLES):
         fov.require_grid(n_angles)  # the rule of fov_boundary, checked on every path
@@ -403,6 +412,20 @@ class _Facts:
         grid without solving any twice."""
         return self._once("boundary", p, lambda: fov.fov_boundary(
             self.transform(p), self.n_angles, 1.0))
+
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``simdiag_pairs`` of the pair, kept (an error is not: its traceback
+        would tie these facts into a cycle with the frame of ``certify``);
+        InvalidParams names a ratio gamma_i / lambda_i that overflows."""
+        if ("modes", None) not in self._known:
+            self._known["modes", None] = _simdiag(self)
+        lam, gamma = self._known["modes", None]
+        with np.errstate(over="ignore"):
+            i = np.flatnonzero(~np.isfinite(gamma / lam))[:1]
+        if i.size:
+            raise InvalidParams(f"the mode ratio gamma / lambda = {gamma[i][0]:.6g} / "
+                                f"{lam[i][0]:.6g} overflows")
+        return lam, gamma
 
     def _once(self, fact: str, p, compute):
         if (fact, p) not in self._known:
@@ -597,8 +620,8 @@ def _simdiag(facts: _Facts) -> tuple[np.ndarray, np.ndarray]:
 def simdiag_analysis(facts: _Facts, scheme: ThetaScheme) -> StabilityReport:
     """The whole verdict of a pair with modes (:func:`_mode_report`), from
     one ``_dy_radii`` question over the rows (y_i, mu_i).  Raises what
-    ``simdiag_pairs`` raises for a pair without modes."""
-    lam, gamma = _simdiag(facts)
+    ``_Facts.modes`` raises for a pair without modes."""
+    lam, gamma = facts.modes()
     radii, solved = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
     return _mode_report(lam, gamma, radii, solved, scheme)
 
@@ -691,9 +714,11 @@ def certify(a, b, scheme: ThetaScheme,
     matrices; its evidence comes last."""
     facts = _Facts(a, b, n_angles)
     try:
-        return simdiag_analysis(facts, scheme)
-    except (NotSimultaneouslyDiagonalizable, ComplexSpectrum) as exc:
+        facts.modes()
+    except (NotSimultaneouslyDiagonalizable, ComplexSpectrum, InvalidParams) as exc:
         reports = [_refusal("simdiag", f"not applicable: {exc}")]
+    else:
+        return simdiag_analysis(facts, scheme)
     oracle = _oracle(facts, scheme, oracle_cap)
     reports.append(unconditional_certificate(facts, scheme, p_grid))
     if reports[-1].verdict != UNCONDITIONALLY_STABLE:

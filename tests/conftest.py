@@ -153,12 +153,6 @@ def multiset_distance(xs, ys):
     return float(np.max(cost[rows, cols]))
 
 
-def canonical_row(row) -> bytes:
-    """The bytes of a coefficient row or of its conjugate, whichever is
-    smaller: equal for a row, its duplicates and its conjugate twins."""
-    return min((row + 0.0).tobytes(), (row.conj() + 0.0).tobytes())
-
-
 def write_matrix(path, matrix):
     """Write ``matrix`` in the JSON matrix-file format ``cli.read_matrix``
     reads: {"rows": n, "cols": n, "entries": [[re, im], ...]}."""

@@ -9,6 +9,7 @@ the mode path, and there the per-mode rho(W) that ``certify`` reports
 must match the dense one.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -230,3 +231,43 @@ def test_overflowing_transform_leaves_the_verdict_to_the_oracle(tmp_path, capsys
     oracle = report["evidence"][-1]
     assert oracle["check"] == "oracle-spectral-radius"
     assert 1.0 - oracle["margin"] == pytest.approx(11832.66, rel=1e-6)
+
+
+def test_overflowing_mode_ratio_is_a_pair_without_modes():
+    # gamma / lambda = 1e300 / 1e-10 overflows: no mode row can be built,
+    # so the dense rho(W) decides, with no warning on the way (pytest
+    # turns warnings into errors)
+    report = stability.certify([[1e-10]], [[1e300]], ThetaScheme(theta=1.0, u=0.0, m=2, tau=1.0))
+    assert report.verdict == CERTIFIED_UNSTABLE
+    refusal = report.evidence[0]
+    assert refusal.check == "simdiag"
+    assert refusal.note == ("not applicable: the mode ratio gamma / lambda = "
+                            "1e+300 / 1e-10 overflows")
+    oracle = report.evidence[-1]
+    assert oracle.note.endswith("dim 3, dense W")
+    assert 1.0 - oracle.margin == pytest.approx(7.0710678116887e149, rel=1e-9)
+
+
+def test_other_invalid_mode_rows_are_not_swallowed():
+    # finite modes whose y = -h lambda underflows to -0.0: the mode path
+    # raises, and certify does not turn that into a pair without modes
+    with pytest.raises(errors.InvalidParams, match="y must be finite and negative"):
+        stability.certify([[1e-300]], [[1e-301]], ThetaScheme(theta=1.0, u=0.0, m=2,
+                                                              tau=1e-300))
+
+
+
+def test_a_pair_without_modes_leaves_no_cycle():
+    # certify of a pair without modes must free its facts (the eigen-
+    # decomposition of A, every M_p and its sweep) when it returns, not
+    # when the garbage collector next runs
+    gen = np.random.default_rng(5)
+    a, b = np.diag(gen.uniform(1.0, 2.0, 40)), gen.standard_normal((40, 40))
+    scheme = ThetaScheme(theta=1.0, u=0.0, m=2, tau=1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        stability.certify(a, b, scheme)
+        assert not any(isinstance(o, stability._Facts) for o in gc.get_objects())
+    finally:
+        gc.enable()

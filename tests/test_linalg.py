@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -213,33 +215,43 @@ class TestStackedPolyRoots:
                 # numpy.roots takes the leading coefficient first
                 assert multiset_distance(roots, np.roots(row[::-1])) <= 1e-10
 
-    def test_equal_and_conjugate_rows_get_exact_roots(self, rng):
-        row = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        got = linalg.poly_roots([row, row.conj(), row])
-        assert np.array_equal(got[1], got[0].conj())
-        assert np.array_equal(got[2], got[0])
-
-    def test_solves_each_distinct_row_once(self, rng, monkeypatch):
-        calls = []
+    @staticmethod
+    def patch_eigvals(monkeypatch, mutate):
         original = np.linalg.eigvals
-
-        def counted(m):
-            calls.append((m.shape[0], np.iscomplexobj(m)))
-            return original(m)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
-        linalg.poly_roots(self.mixed_stack(rng))
-        assert sorted(calls) == [(2, False), (4, True)]
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: mutate(original(m)))
 
     @pytest.mark.parametrize("rows", [
         [[2.0, -3.0, 1.0], [2.0, -3.0, 1.0]],
-        [[1.0 + 1j, 2.0, 1.0], [1.0 - 1j, 2.0, 1.0], [1.0 + 1j, 2.0, 1.0]],
-    ], ids=["real", "deduplicated"])
+        [[1.0 + 1j, 2.0, 1.0]],
+    ], ids=["real", "complex"])
     def test_wrong_roots_raise(self, rows, monkeypatch):
-        original = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda m: original(m) + 0.1)
+        # the roots spread 10% away from their mean keep their sum, so the
+        # trace check passes them and the residual check must fire
+        def spread(values):
+            mean = values.mean(axis=-1, keepdims=True)
+            return mean + 1.1 * (values - mean)
+
+        self.patch_eigvals(monkeypatch, spread)
         with pytest.raises(errors.NoConvergence, match="root residual"):
             linalg.poly_roots(rows)
+
+    def test_wrong_huge_roots_raise_without_overflow(self, monkeypatch):
+        # the roots +-1, +-2 of (z^2 - 1)(z^2 - 4) pushed out to +-1e102, in
+        # sum still 0, the trace: (1 + |z|)^4 overflows, so an unscaled
+        # bound would be inf and accept them
+        self.patch_eigvals(monkeypatch, lambda values: values + 1e102 * np.sign(values.real))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NoConvergence, match="root residual"):
+                linalg.poly_roots([[4.0, 0.0, -5.0, 0.0, 1.0]])
+
+    def test_huge_roots_pass_without_overflow(self):
+        # the row of check-mode-root-overflow: 1.5 z^3 - z^2 + 5e205 z,
+        # whose roots of modulus 5.8e102 make (1 + |z|)^3 overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = linalg.poly_roots([[0.0, 5e205, -1.0, 1.5]])
+        assert np.max(np.abs(roots)) == pytest.approx((5e205 / 1.5) ** 0.5, rel=1e-12)
 
 
 def lower_root_bound(coeffs):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from ddestab import errors, linalg, stability
 from ddestab.stability import ThetaScheme, gamma_y, in_dy
 
-from conftest import canonical_row, multiset_distance
+from conftest import multiset_distance
 
 
 def scheme(theta=1.0, u=0.0, m=2, tau=1.0):
@@ -92,6 +92,13 @@ class TestInDy:
         with pytest.raises(errors.InvalidParams):
             in_dy(0.1, y, scheme())
 
+    @pytest.mark.parametrize("mu", [math.inf, complex(0.1, -math.inf), math.nan],
+                             ids=["inf", "imaginary-inf", "nan"])
+    def test_rejects_mu_not_finite(self, mu):
+        # before any coefficient row is built, so no warning either
+        with pytest.raises(errors.InvalidParams, match="mu must be finite"):
+            in_dy(mu, -1.0, scheme())
+
     def test_benchmark_mu2_outside_at_m50(self):
         s = scheme(theta=1.0, m=50, tau=1.0)
         res = in_dy(-24.0 / 23.0, -s.h * 23.0, s)
@@ -132,6 +139,38 @@ class TestDyRadiiSymmetry:
         assert np.array_equal(radii_conj, radii)
         assert np.array_equal(solved_conj, solved)
 
+    @pytest.mark.parametrize("theta, u", [(0.75, 0.5), (1.0, 0.0)])
+    def test_equal_and_conjugate_rows_get_identical_radii(self, rng, theta, u,
+                                                          monkeypatch):
+        # the same (y, mu), its conjugate twin and a third copy: one row,
+        # one solve, bit-identical radii
+        s = scheme(theta=theta, u=u, m=8)
+        mu = complex(rng.standard_normal(), rng.standard_normal())
+        calls = counted_root_calls(monkeypatch)
+        radii, solved = stability._dy_radii(-1.5, np.array([mu, mu.conjugate(), mu]), s)
+        assert radii[0] == radii[1] == radii[2] and solved.all()
+        assert [len(call) for call in calls] == [1]
+
+    def test_each_distinct_row_solved_once(self, rng, monkeypatch):
+        # with every bound inf, every row is in the first call: real mu,
+        # duplicates, conjugate twins and generic mu in a shuffled order,
+        # 6 distinct up to conjugation
+        monkeypatch.setattr(linalg, "root_modulus_bounds", lambda c: np.full(len(c), np.inf))
+        s = scheme(theta=0.5, u=0.5, m=6)
+        real = rng.standard_normal(2)
+        paired = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        generic = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        mus = np.concatenate([real, real[:1], paired, paired.conj(), paired[1:],
+                              generic, generic[:1]])[rng.permutation(11)]
+        calls = counted_root_calls(monkeypatch)
+        radii, solved = stability._dy_radii(-0.8, mus, s)
+        assert solved.all()
+        assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 6
+        for mu, radius in zip(mus, radii):
+            row = stability._coefficient_rows(np.array([-0.8]), np.array([mu]), s)[0]
+            # numpy.roots takes the leading coefficient first
+            assert radius == pytest.approx(np.max(np.abs(np.roots(row[::-1]))), rel=1e-12)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_mode_path_matches_dense_oracle(self, seed):
         # real A with three double eigenvalues and B acting on each
@@ -152,15 +191,22 @@ class TestDyRadiiSymmetry:
 
 
 def counted_root_calls(monkeypatch):
-    """Patch ``linalg.poly_roots`` to record the canonical rows of each call."""
+    """Patch ``linalg.poly_roots`` to record the bytes of the rows of each call."""
     calls, roots = [], linalg.poly_roots
 
     def counted(coeffs):
-        calls.append([canonical_row(row) for row in coeffs])
+        calls.append([row.tobytes() for row in coeffs])
         return roots(coeffs)
 
     monkeypatch.setattr(linalg, "poly_roots", counted)
     return calls
+
+
+def canonical(mus):
+    """Each mu, or its conjugate where Im mu > 0: the mu of the same radius
+    whose row ``_dy_radii`` solves."""
+    mus = np.asarray(mus, dtype=complex)
+    return np.where(mus.imag > 0.0, mus.conj(), mus)
 
 
 def pruning_rows(gen, n):
@@ -185,7 +231,7 @@ class TestDyRadiiPruning:
         gen = np.random.default_rng([m, int(4 * theta), int(2 * u)])
         s = scheme(theta=theta, u=u, m=m)
         ys, mus = pruning_rows(gen, 24)
-        coeffs = stability._coefficient_rows(ys, mus, s)
+        coeffs = stability._coefficient_rows(ys, canonical(mus), s)
         every = np.max(np.abs(linalg.poly_roots(coeffs)), axis=1)
         calls = counted_root_calls(monkeypatch)
         radii, solved = stability._dy_radii(ys, mus, s)
@@ -193,9 +239,14 @@ class TestDyRadiiPruning:
         assert np.array_equal(radii[solved], every[solved])
         assert np.all(every[~solved] <= radii[~solved])
         assert np.all(radii[~solved] < np.max(every))
-        # at most two calls, no distinct row solved twice, no row beyond those asked
+        # the duplicate and the conjugate twin of the row of largest |mu|
+        assert radii[24] == radii[25] == radii[np.argmax(np.abs(mus[:24]))]
+        # at most two calls, each over the distinct (y, mu) up to conjugation
+        # among the solved rows, so none is solved twice
+        distinct = {(y, mu) for y, mu in zip(ys[solved], canonical(mus[solved]))}
         assert 1 <= len(calls) <= 2
-        assert sum(map(len, calls)) == np.count_nonzero(solved) <= len(mus)
+        assert all(len(set(call)) == len(call) for call in calls)
+        assert sum(map(len, calls)) == len(distinct)
         assert len(calls) == 1 or not set(calls[0]) & set(calls[1])
 
     def test_thirty_modes_solve_few_rows(self, monkeypatch):

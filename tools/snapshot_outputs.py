@@ -41,6 +41,12 @@ The snapshot holds what the command line prints and writes for:
   1e308 whose scaled norm overflows, and ``check-transform-overflow``: a
   pair in range whose A^{-1} B has an overflowing scaled norm, so each p
   is skipped and the dense rho(W) decides;
+* ``check`` at theta = 1, m = 2, tau = 1 of two 1 x 1 pairs:
+  ``check-mode-root-overflow``: A = [[1]], B = [[-1e206]], whose mode row
+  has roots of modulus 5.8e102, so (1 + |z|)^3 overflows; and
+  ``check-mode-ratio-overflow``: A = [[1e-10]], B = [[1e300]], whose mode
+  ratio gamma / lambda overflows, so the pair has no modes and the dense
+  rho(W) decides;
 * ``solve`` given options that the chosen problem does not read;
 * ``check-pair-NAME``: ``check`` with an A file of ``[re, im]`` pairs
   whose entry 2 is not a pair of finite numbers: a pair holding a list
@@ -291,6 +297,14 @@ def snapshot(ddestab, seed: int) -> None:
     run(main, "check-transform-overflow", ["check", "--matrix-a", "transform-overflow-a.json",
                                            "--matrix-b", "transform-overflow-b.json",
                                            "--tau", "1", "--m", "2", "--theta", "1"])
+
+    for name, (a, b) in {"root": ([[1.0]], [[-1e206]]),
+                         "ratio": ([[1e-10]], [[1e300]])}.items():
+        workloads.write_matrix(f"mode-{name}-overflow-a.json", a)
+        workloads.write_matrix(f"mode-{name}-overflow-b.json", b)
+        run(main, f"check-mode-{name}-overflow",
+            ["check", "--matrix-a", f"mode-{name}-overflow-a.json", "--matrix-b",
+             f"mode-{name}-overflow-b.json", "--tau", "1", "--m", "2", "--theta", "1"])
 
     run(main, "solve-example1-unread-options",
         ["solve", "--problem", "example1", "--grid-m", "10", "--m", "4", "--t-end", "1",
