@@ -187,14 +187,14 @@ def poly_roots(coeffs) -> np.ndarray:
 
     Computed as eigenvalues of the companion matrices (built as
     :func:`numpy.roots` builds them); returns an (rows, n) array.  Nothing
-    is trimmed, so every row needs a nonzero leading coefficient, and
-    nothing is folded: every row given is solved.  The real rows go
-    through one stacked real eigenvalue call, the others through one
-    complex call; both are backward stable (Edelman & Murakami, Math.
-    Comp. 64, 1995).  Every root of every row is verified to satisfy
-    |p(root)| <= 1e-8 * max|c| * (1 + |root|)^n, divided through by
-    (1 + |root|)^n and summed over the columns nonzero in some row, so
-    that no term overflows.
+    is trimmed, so every row needs a leading coefficient c_n with every
+    c_k / c_n finite (else DegenerateLeading), and nothing is folded:
+    every row given is solved.  The real rows go through one stacked real
+    eigenvalue call, the others through one complex call; both are
+    backward stable (Edelman & Murakami, Math. Comp. 64, 1995).  Every
+    root of every row is verified to satisfy |p(root)| <= 1e-8 * max|c| *
+    (1 + |root|)^n, divided through by (1 + |root|)^n and summed over the
+    columns nonzero in some row, so that no term overflows.
 
     A caller that needs only the largest modulus over many rows passes
     only the rows that can reach it: :func:`root_modulus_bounds` proves
@@ -203,15 +203,16 @@ def poly_roots(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] < 2:
         raise InvalidParams("coefficients must be rows of at least two entries")
-    if np.any(c[:, -1] == 0.0):
-        raise DegenerateLeading("a leading coefficient vanishes")
     degree = c.shape[1] - 1
     roots = np.empty((c.shape[0], degree), dtype=complex)
     real = ~c.imag.any(axis=1)
     for rows, part in ((real, c.real), (~real, c)):  # each stack in its own arithmetic
         if rows.any():
             companion = np.zeros((np.count_nonzero(rows), degree, degree), dtype=part.dtype)
-            companion[:, 0, :] = -part[rows, -2::-1] / part[rows, -1:]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                companion[:, 0, :] = -part[rows, -2::-1] / part[rows, -1:]
+            if not np.isfinite(companion[:, 0, :]).all():
+                raise DegenerateLeading("a leading coefficient vanishes or c_k / c_n overflows")
             companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
             roots[rows] = stacked_eigenvalues(companion)
     # sum_k c_k z^k / (1 + |z|)^n, each power |z|^k (1 + |z|)^(k - n) at most 1

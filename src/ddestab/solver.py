@@ -10,17 +10,18 @@ advances
                   + h theta [M z_{n+1} + g(d_{n+1})],
 
 with the delayed value of the implicit stage interpolated linearly,
-d_{n+1} = (1-u) z_{n-m+1} + u z_{n-m+2}.  g acts on the delayed state
-only, and within k <= m steps (m - 1 when u > 0) every delayed value is
-already known (the method of steps).  So the driver marches in blocks of
-k steps: it evaluates a block's delayed terms f_n together (g once per
-step; the explicit stage carries the previous step's term), advances
-w_{n+1} = K w_n + f_n state by state and returns to physical space once
-per block, for the overflow guard, the peak and the ring buffer, which
-holds the last m + 2 states; a run that takes all its steps returns that
-buffer itself as its window, not a copy.  Every state reaches its
-consumer as it is written: the ``on_block`` callback of
-:func:`solve_linear` and :func:`solve_semilinear` receives each block
+d_{n+1} = (1-u) z_{n-m+1} + u z_{n-m+2}; for g(d) = B d this is T(z) of
+``stability``, stepped in this form, which fits any g.  g acts on the
+delayed state only, and within k <= m steps (m - 1 when u > 0) every
+delayed value is already known (the method of steps).  So the driver
+marches in blocks of k steps: it evaluates a block's delayed terms f_n
+together (g once per step; the explicit stage carries the previous
+step's term), advances w_{n+1} = K w_n + f_n state by state and returns
+to physical space once per block, for the overflow guard, the peak and
+the ring buffer, which holds the last m + 2 states; a run that takes all
+its steps returns that buffer itself as its window, not a copy.  Every
+state reaches its consumer as it is written: the ``on_block`` callback
+of :func:`solve_linear` and :func:`solve_semilinear` receives each block
 (:func:`csv_sink` writes them to a CSV file), so no output needs the
 whole trajectory in memory.  A run takes at most ``MAX_STEPS`` steps.
 

@@ -1,33 +1,27 @@
 """Stability machinery for theta-methods applied to y' = -A y + B y(t - tau).
 
-The one-step map of the method acting on the stacked history
-(y_n, ..., y_{n-m}) is the companion matrix W; the method is
-(asymptotically) stable iff rho(W) < 1.  The scalar reduction replaces a
-mode of the system by the pair (y, mu) with y = -h*lambda < 0 and checks
-whether all roots of the stability polynomial
+The method with step h is one matrix polynomial (``_polynomial``),
 
-    P(z) = a(z) - y c(z) + y mu b(z),
-    a(z) = z^{m+1} - z^m,
-    b(z) = theta (u z^2 + (1-u) z) + (1-theta) (u z + (1-u)),
-    c(z) = theta z^{m+1} + (1-theta) z^m,
+    T(z) = sum_{k=0}^{m+1} z^k (e_k I + a_k h A + b_k h B),
+    e(z) = z^{m+1} - z^m,   a(z) = theta z^{m+1} + (1-theta) z^m,
+    b(z) = -theta (u z^2 + (1-u) z) - (1-theta) (u z + (1-u)),
 
-lie strictly inside the unit disk (the region D_y); y must be finite.
+whose zeros are the eigenvalues of the one-step matrix W on the stacked
+history (y_n, ..., y_{n-m}) (``build_w``); the method is (asymptotically)
+stable iff rho(W) < 1.  A mode (y, mu), y = -h lambda < 0 and mu = gamma /
+lambda, has the scalar row P(z) = e(z) - y a(z) - y mu b(z), and D_y is
+the set of mu whose row has every root strictly inside the unit disk; y
+must be finite.  Each row is written as P(z) / s, with s >= 1 a power of
+two that brings y / s into (-1, 0) (``_coefficient_rows``): an exact
+scaling, which keeps the roots and the companion matrix of P(z).
 
 Membership in D_y is always decided by root computation, never by
 point-in-polygon tests against the boundary curve Gamma_y: the curve
 self-intersects for larger m and only its innermost loop bounds D_y,
 while root-counting is robust for every theta, u, m.  Every D_y question
 (``in_dy``, the step certificate, the mode analysis) goes through
-``_dy_radii``: a proved upper bound on the root moduli of each (y, mu) row
-(``linalg.root_modulus_bounds``, Cauchy's bound) picks the rows that can
-reach the largest root modulus, and at most two stacked root calls solve
-only those, each distinct row once: y and the weights are real, so the
-row of conj(mu) is the exact conjugate of the row of mu, with the same
-radius, and every row is built from the mu with Im mu <= 0.  Every other
-row keeps its bound, which lies below the computed maximum, so the
-maximum is that of solving every row.  The leading coefficient
-1 - y theta >= 1 is never trimmed: at large |y| the root it carries is
-the largest one.
+``_dy_radii``, which solves only the rows whose proved bound on the root
+moduli reaches the largest root modulus.
 
 ``certify`` is the one entry point.  It validates the pair once, in a
 ``_Facts``, which then computes each shared fact at most once and only
@@ -43,15 +37,10 @@ and return a ``StabilityReport``:
   largest mode radius, at any dim W.  Its report is the whole verdict.
 * ``unconditional_certificate`` -- no modes, u = 0, theta > 1/2: F(M_p)
   inside the open unit disk for some p means stability for every step
-  size.  The test is the per-arc supporting-line bound on w(M_p) of
-  ``fov`` (``FovBoundary.outer_radius``), sound for any solved directions
-  whose gaps are below pi, so the sweep of each p solves only the
-  directions that decide it (``fov.fov_boundary`` with radius 1).
+  size, tested on an outer bound of w(M_p) (``FovBoundary.outer_radius``).
 * ``step_certificate`` -- no modes and no unconditional certificate,
   theta = 1, u = 0: F(M_p) inside D_{-h lambda_max(A)} means stability
-  for this step.  It reuses the unconditional stage's transforms and
-  completes its sweeps to every direction of the grid, solving none
-  twice.
+  for this step.  It completes the unconditional stage's sweeps.
 * ``_oracle`` -- no modes: rho of the dense W of ``oracle_stability``, the
   tests' reference, while dim W = (m + 1) N fits under ``ORACLE_CAP``.
   The cap bounds only this dense W.
@@ -145,23 +134,32 @@ class ThetaScheme:
                 "tau": self.tau, "h": self.h}
 
 
-def _delayed_weights(theta: float, u: float) -> np.ndarray:
-    # b(z) coefficients: constant, z, z^2
-    return np.array([
-        (1.0 - theta) * (1.0 - u),
-        theta * (1.0 - u) + (1.0 - theta) * u,
-        theta * u,
-    ])
+def _polynomial(scheme: ThetaScheme) -> np.ndarray:
+    """The weight rows (e, a, b) of T(z), constant term first, each of
+    length m + 2; b_{m+1} = 0, since u > 0 needs m >= 3."""
+    m, theta, u = scheme.m, scheme.theta, scheme.u
+    weights = np.zeros((3, m + 2))
+    weights[:2, m:] = [[-1.0, 1.0], [1.0 - theta, theta]]
+    weights[2, :3] = [-(1.0 - theta) * (1.0 - u),
+                      -(theta * (1.0 - u) + (1.0 - theta) * u), -(theta * u)]
+    return weights
 
 
-def _coefficient_rows(ys, mus, scheme: ThetaScheme) -> np.ndarray:
-    """One row of P(z) coefficients (constant first) per finite y < 0 and mu."""
-    m, theta = scheme.m, scheme.theta
-    coeffs = np.zeros((len(mus), m + 2), dtype=complex)
-    coeffs[:, m + 1] += 1.0 - ys * theta
-    coeffs[:, m] += -1.0 - ys * (1.0 - theta)
-    coeffs[:, :3] += (ys * mus)[:, None] * _delayed_weights(theta, scheme.u)
-    return coeffs
+def _coefficient_rows(ys, mus, scheme: ThetaScheme, h: float = 1.0) -> np.ndarray:
+    """One row of P(z) / s coefficients (constant first) per y = h ys < 0
+    and finite mu, from y / s and 1 / s, never from h ys; 1 / s may
+    underflow to its limit 0.  InvalidParams names a y not finite and < 0."""
+    ys = np.broadcast_to(ys, np.shape(mus))
+    frac, expo = np.frexp(ys)
+    h_frac, h_expo = math.frexp(h)
+    k = np.maximum(expo + h_expo, 0)
+    y_s = np.ldexp(frac * h_frac, expo + h_expo - k)  # y / s, exact unless subnormal
+    ok = (y_s < 0.0) & np.isfinite(y_s)
+    if not np.all(ok):
+        raise InvalidParams(f"y must be finite and negative, got {h * ys[~ok][0]}")
+    e, a, b = _polynomial(scheme)
+    return (np.ldexp(1.0, -k)[:, None] * e - y_s[:, None] * a
+            - (y_s * mus)[:, None] * b)
 
 
 def _side(radius: float, bound: float) -> str:
@@ -189,27 +187,26 @@ class DyMembership:
         return self.inside
 
 
-def _dy_radii(ys, mus, scheme: ThetaScheme) -> tuple[np.ndarray, np.ndarray]:
+def _dy_radii(ys, mus, scheme: ThetaScheme, h: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Largest root modulus of P(z), or a proved upper bound on it below
-    the maximum, for every row (y, mu), and which rows were solved; ``ys``
-    is one y for all rows or one per row, and every y and mu is finite.
+    the maximum, for every row (y, mu) with y = h ys (``ys`` one value or
+    one per row; every y and mu finite), and which rows were solved.  No
+    leading coefficient is trimmed: at large |y| its root is the largest.
 
-    Rows are built from the mu with Im mu <= 0, so that conjugate twins and
-    duplicates are equal rows with equal bounds.  At most two stacked root
-    calls, each over the distinct rows of its set: the rows of largest bound
-    (``linalg.root_modulus_bounds``), then the other rows whose bound
-    reaches the largest computed radius.  A row neither call solved keeps
-    its bound, below that radius, so the maximum is that of one call over
-    every row, and 1 - the entry of an unsolved row bounds its margin below."""
-    ys = np.asarray(ys, dtype=float)
-    ok = (ys < 0.0) & np.isfinite(ys)
-    if not np.all(ok):
-        raise InvalidParams(f"y must be finite and negative, got {ys[~ok][0]}")
+    y and the weights are real, so the row of conj(mu) is the conjugate of
+    the row of mu: rows are built from the mu with Im mu <= 0, so that
+    conjugate twins and duplicates are equal rows with equal bounds.  At
+    most two stacked root calls, each over the distinct rows of its set:
+    the rows of largest bound (``linalg.root_modulus_bounds``), then the
+    other rows whose bound reaches the largest computed radius.  A row
+    neither call solved keeps its bound, below that radius, so the maximum
+    is that of one call over every row, and 1 - the entry of an unsolved
+    row bounds its margin below."""
     mus = np.asarray(mus, dtype=complex)
     ok = np.isfinite(mus)
     if not np.all(ok):
         raise InvalidParams(f"mu must be finite, got {mus[~ok][0]}")
-    coeffs = _coefficient_rows(ys, np.where(mus.imag > 0.0, mus.conj(), mus), scheme)
+    coeffs = _coefficient_rows(ys, np.where(mus.imag > 0.0, mus.conj(), mus), scheme, h)
     radii = linalg.root_modulus_bounds(coeffs)
 
     def solve(rows):
@@ -255,10 +252,12 @@ def gamma_y(scheme: ThetaScheme, y: float, n_samples: int = 512) -> RegionBounda
     with z = e^{i alpha} on a symmetric alpha grid through 0 (u = 0 only):
     n_samples // 2 + 1 equispaced points of [0, pi] and their mirror images,
     2 (n_samples // 2) + 1 samples in all (513 for the default 512).
+    This closed form, not ``_polynomial``, gives mu = 1 exactly at alpha =
+    0 (``reproduce figures`` checks it) and the bytes of the region CSV.
     """
     if scheme.u != 0.0:
         raise UnsupportedScheme("Gamma_y is parametrized only for u = 0")
-    if not -math.inf < y < 0.0:  # the rule of _dy_radii; y = -inf gives nan
+    if not -math.inf < y < 0.0:  # in_dy's rule; at y = -inf mu(alpha, y) is inf / inf
         raise InvalidParams(f"y must be finite and negative, got {y}")
     if n_samples < 16:
         raise InvalidParams("n_samples must be at least 16")
@@ -279,30 +278,25 @@ def gamma_y(scheme: ThetaScheme, y: float, n_samples: int = 512) -> RegionBounda
 def build_w(a, b, scheme: ThetaScheme) -> np.ndarray:
     """One-step matrix W mapping (y_n, ..., y_{n-m}) to (y_{n+1}, ..., y_{n-m+1}).
 
-    First block row: (I + theta h A)^{-1} applied to
-    [I - (1-theta) h A | ... | h B theta u | hB(theta(1-u)+(1-theta)u) | hB(1-theta)(1-u)]
-    at the block columns of y_n, y_{n-m+2}, y_{n-m+1} and y_{n-m};
-    coinciding columns accumulate.  Rows below shift the history.
+    The method reads T_{m+1} y_{n+1} + T_m y_n + ... + T_0 y_{n-m} = 0
+    (``_polynomial``), so the first block row is -T_{m+1}^{-1} [T_m | ...
+    | T_0], the h A and h B terms of T_k added only where their weights are
+    nonzero.  Rows below shift the history, so z is an eigenvalue of W iff
+    T(z) is singular.  The benchmark builds its own W, a reference for it.
     """
     am, bm = linalg.square_pair(a, b)
-    n = am.shape[0]
-    m, h, theta, u = scheme.m, scheme.h, scheme.theta, scheme.u
-    dtype = np.result_type(am, bm, 1.0)
-    eye = np.eye(n, dtype=dtype)
-    weights = h * _delayed_weights(theta, u)  # columns y_{n-m}, y_{n-m+1}, y_{n-m+2}
-
-    row0 = np.zeros((n, (m + 1) * n), dtype=dtype)
-    row0[:, :n] += eye - (1.0 - theta) * h * am
-    for k, w in enumerate(weights):
-        if w != 0.0:
-            col = m - k
-            row0[:, col * n:(col + 1) * n] += w * bm
-
-    solver = linalg.solver_for(eye + theta * h * am)
+    n, m, h = am.shape[0], scheme.m, scheme.h
+    dtype, diag = np.result_type(am, bm, 1.0), np.arange(n)
+    lead, row0 = np.zeros((n, n), dtype=dtype), np.zeros((n, (m + 1) * n), dtype=dtype)
+    for k, (e, wa, wb) in enumerate(_polynomial(scheme).T):  # lead = T_{m+1}, row0 -T_k
+        out, sign = (lead, 1.0) if k == m + 1 else (row0[:, (m - k) * n:(m - k + 1) * n], -1.0)
+        out[diag, diag] += sign * e
+        for w, mat in ((wa, am), (wb, bm)):
+            if w:
+                out += (sign * w * h) * mat
     w_mat = np.zeros(((m + 1) * n, (m + 1) * n), dtype=dtype)
-    w_mat[:n, :] = solver.solve(row0)
-    for r in range(1, m + 1):
-        w_mat[r * n:(r + 1) * n, (r - 1) * n:r * n] = eye
+    w_mat[:n, :] = linalg.solver_for(lead).solve(row0)
+    w_mat[np.arange(n, (m + 1) * n), np.arange(m * n)] = 1.0
     return w_mat
 
 
@@ -377,8 +371,8 @@ class StabilityReport:
 
 class _Facts:
     """The facts the stages share about one pair (A, B), each computed at
-    most once, on first use.  A fact other than ``modes`` that raised is not
-    retried: asking again raises the same error."""
+    most once, on first use.  A fact that raised is not retried: asking
+    again raises a copy of the error, which no traceback ties to the facts."""
 
     def __init__(self, a, b, n_angles: int = fov.DEFAULT_ANGLES):
         fov.require_grid(n_angles)  # the rule of fov_boundary, checked on every path
@@ -414,28 +408,32 @@ class _Facts:
             self.transform(p), self.n_angles, 1.0))
 
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``simdiag_pairs`` of the pair, kept (an error is not: its traceback
-        would tie these facts into a cycle with the frame of ``certify``);
-        InvalidParams names a ratio gamma_i / lambda_i that overflows."""
-        if ("modes", None) not in self._known:
-            self._known["modes", None] = _simdiag(self)
-        lam, gamma = self._known["modes", None]
-        with np.errstate(over="ignore"):
-            i = np.flatnonzero(~np.isfinite(gamma / lam))[:1]
-        if i.size:
-            raise InvalidParams(f"the mode ratio gamma / lambda = {gamma[i][0]:.6g} / "
-                                f"{lam[i][0]:.6g} overflows")
-        return lam, gamma
+        """``simdiag_pairs`` of the pair; InvalidParams names a ratio
+        gamma_i / lambda_i that overflows."""
+        def compute():
+            lam, gamma = _simdiag(self)
+            with np.errstate(over="ignore"):
+                i = np.flatnonzero(~np.isfinite(gamma / lam))[:1]
+            if i.size:
+                raise InvalidParams(f"the mode ratio gamma / lambda = {gamma[i][0]:.6g} / "
+                                    f"{lam[i][0]:.6g} overflows")
+            return lam, gamma
+        return self._once("modes", None, compute)
 
     def _once(self, fact: str, p, compute):
+        """``compute()`` or its error, kept under (fact, p); a kept error, its
+        cause and context drop their tracebacks, whose frames hold the facts."""
         if (fact, p) not in self._known:
             try:
                 self._known[fact, p] = compute()
             except DdeStabError as exc:
+                for error in filter(None, (exc, exc.__cause__, exc.__context__)):
+                    error.__traceback__ = None
                 self._known[fact, p] = exc
-        if isinstance(self._known[fact, p], DdeStabError):
-            raise self._known[fact, p]
-        return self._known[fact, p]
+        known = self._known[fact, p]
+        if isinstance(known, DdeStabError):
+            raise type(known)(*known.args)
+        return known
 
 
 def _refusal(check: str, note: str, scheme=None, margin=None) -> StabilityReport:
@@ -553,7 +551,7 @@ def simdiag_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
     of V^H B V outside the diagonal cluster blocks must be at most 1e-8
     scaled_norm(B).  A cluster c then gives the modes (lambda_c, gamma) for
     every eigenvalue gamma of its block B_c, with lambda_c the cluster
-    mean.  On a cluster A is lambda_c I up to rounding, so det P(z) factors
+    mean.  On a cluster A is lambda_c I up to rounding, so det T(z) factors
     over the eigenvalues of B_c and the modes are exact also when B_c is
     not diagonalizable (a Jordan block).  Eigenvalues of A any further
     apart are separate clusters, so a B coupling them is rejected: a
@@ -622,7 +620,7 @@ def simdiag_analysis(facts: _Facts, scheme: ThetaScheme) -> StabilityReport:
     one ``_dy_radii`` question over the rows (y_i, mu_i).  Raises what
     ``_Facts.modes`` raises for a pair without modes."""
     lam, gamma = facts.modes()
-    radii, solved = _dy_radii(-scheme.h * lam, gamma / lam, scheme)
+    radii, solved = _dy_radii(-lam, gamma / lam, scheme, scheme.h)
     return _mode_report(lam, gamma, radii, solved, scheme)
 
 
@@ -642,7 +640,7 @@ def _mode_report(lam, gamma, radii, solved, scheme: ThetaScheme) -> StabilityRep
     When neither decides, every mode's ``mu-in-dy`` margin follows: 1 - its
     radius, or for a mode not solved 1 - its bound, a proved lower bound on
     the margin, as the ``fov-unit-disk`` margins are, and its note says so.
-    The last entry is always rho(W), the largest radius: det P(z) factors
+    The last entry is always rho(W), the largest radius: det T(z) factors
     over the modes, so it needs no W and no cap.  The verdict is that of
     :func:`_merge` over the closed-form tests and rho(W).
     """

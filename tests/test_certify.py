@@ -257,6 +257,62 @@ def test_other_invalid_mode_rows_are_not_swallowed():
 
 
 
+def finite_json(text):
+    """The JSON document, failing on any NaN or infinity in it."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text}"))
+
+
+def test_mode_row_whose_y_mu_overflows_is_unstable(tmp_path, capsys):
+    # y mu = -h gamma = -1e310 overflows; the row holds y / s and mu, and
+    # its largest root (1 - y mu) / (1 - y) = 1e300 / (1 + 1e-10) is finite
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, [[1.0]])
+    write_matrix(b_path, [[1e300]])
+    code = cli.main(["check", "--matrix-a", str(a_path), "--matrix-b", str(b_path),
+                     "--tau", "1e10", "--m", "1", "--theta", "1"])
+    assert code == 0
+    report = finite_json(capsys.readouterr().out)
+    assert report["verdict"] == CERTIFIED_UNSTABLE
+    assert 1.0 - report["evidence"][-1]["margin"] == pytest.approx(1e300 / (1 + 1e-10),
+                                                                   rel=1e-9)
+
+
+def test_mode_whose_y_overflows_is_decided():
+    # y = -h lambda = -1e310 overflows; 1 / s = 2^-1031 and y / s are not,
+    # and |mu| = 0.1 decides at theta = 1, with rho(W) = (1 - y mu) / (1 - y)
+    scheme = ThetaScheme(theta=1.0, u=0.0, m=1, tau=1e10)
+    report = stability.certify([[1e300]], [[1e299]], scheme)
+    assert report.verdict == UNCONDITIONALLY_STABLE
+    finite_json(report.to_json())
+    assert 1.0 - report.evidence[-1].margin == pytest.approx(0.1, rel=1e-12)
+
+
+def test_explicit_mode_whose_root_overflows_raises():
+    # theta = 0: the largest root is about |1 + y| = 1e310, past the float
+    # range; the row's leading coefficient is 1 / s = 2^-1031, so the ratios
+    # of its companion matrix overflow, and poly_roots says so
+    scheme = ThetaScheme(theta=0.0, u=0.0, m=1, tau=1e10)
+    with pytest.raises(errors.DegenerateLeading, match="overflows"):
+        stability.certify([[1e300]], [[1e299]], scheme)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1e-300 * np.array([[2.0, 1.0], [1.0, 3.0]]), 4e8 * np.array([[0.5, 0.3], [0.2, 0.4]])),
+    ([[1e-10]], [[1e300]]),
+], ids=["transform-overflow", "mode-ratio-overflow"])
+def test_kept_fact_errors_leave_no_cycle(a, b):
+    # a fact that raised keeps its error: neither it nor the copies raised
+    # from it may hold a traceback, whose frames hold the facts
+    gc.collect()
+    gc.disable()
+    try:
+        report = stability.certify(a, b, ThetaScheme(theta=1.0, u=0.0, m=2, tau=1.0))
+        assert report.verdict == CERTIFIED_UNSTABLE
+        assert not any(isinstance(o, stability._Facts) for o in gc.get_objects())
+    finally:
+        gc.enable()
+
+
 def test_a_pair_without_modes_leaves_no_cycle():
     # certify of a pair without modes must free its facts (the eigen-
     # decomposition of A, every M_p and its sweep) when it returns, not

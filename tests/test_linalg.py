@@ -193,6 +193,13 @@ class TestStackedPolyRoots:
         with pytest.raises(errors.DegenerateLeading):
             linalg.poly_roots([[1.0, 2.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("row", [[1e300, 0.0, 1e-300], [1e300j, 1.0, 1e-300]],
+                             ids=["real", "complex"])
+    def test_overflowing_ratio_raises(self, row):
+        # c_0 / c_2 overflows: no companion matrix, and no numpy warning
+        with pytest.raises(errors.DegenerateLeading, match="overflows"):
+            linalg.poly_roots([row])
+
     @staticmethod
     def mixed_stack(rng):
         """Real rows, conjugate pairs, exact duplicates and generic complex

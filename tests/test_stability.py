@@ -44,7 +44,9 @@ class TestScheme:
 
 class TestStabilityPolynomial:
     def test_matches_direct_evaluation(self, rng):
-        # oracle: P(z) = a(z) - y c(z) + y mu b(z) evaluated from powers
+        # oracle: P(z) = a(z) - y c(z) + y mu b(z) evaluated from powers.  A
+        # row holds P(z) / s for a power of two s >= 1 within 4 |y| of |y|,
+        # read off the leading coefficients, where the division is exact
         for _ in range(200):
             theta = rng.uniform(0.0, 1.0)
             u = rng.choice([0.0, rng.uniform(0.0, 1.0)])
@@ -54,15 +56,18 @@ class TestStabilityPolynomial:
             z = rng.normal() + 1j * rng.normal()
             coeffs = stability._coefficient_rows(
                 np.array([y]), np.array([mu]), scheme(theta, u, m))[0]
+            power = (1.0 - y * theta) / coeffs[-1].real
+            assert math.frexp(power)[0] == 0.5 and 1.0 <= power <= 4.0 * max(1.0, -y)
             a, b, c = abc_at(z, theta, u, m)
             direct = a - y * c + y * mu * b
-            via_coeffs = np.polyval(coeffs[::-1], z)
+            via_coeffs = np.polyval(power * coeffs[::-1], z)
             assert abs(via_coeffs - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_leading_coefficient_positive(self):
+        # y = -5: s = 16, the power of two with 1/4 <= |y| / s < 1
         coeffs = stability._coefficient_rows(
             np.array([-5.0]), np.array([1.0]), scheme(theta=0.8, m=3))[0]
-        assert coeffs[-1].real == 1.0 + 5.0 * 0.8
+        assert 16.0 * coeffs[-1].real == 1.0 + 5.0 * 0.8
 
     def test_rejects_nonnegative_y(self):
         with pytest.raises(errors.InvalidParams):
@@ -98,6 +103,13 @@ class TestInDy:
         # before any coefficient row is built, so no warning either
         with pytest.raises(errors.InvalidParams, match="mu must be finite"):
             in_dy(mu, -1.0, scheme())
+
+    def test_overflowing_y_mu_is_outside(self):
+        # y mu = -1e400 overflows; the row holds y / s and mu, and its
+        # roots 0 and +-1e100 (z^2 = -y mu / (1 - y)) are finite
+        res = in_dy(1e200, -1e200, scheme(theta=1.0, m=2))
+        assert not res.inside
+        assert res.max_root_modulus == pytest.approx(1e100, rel=1e-9)
 
     def test_benchmark_mu2_outside_at_m50(self):
         s = scheme(theta=1.0, m=50, tau=1.0)
@@ -378,19 +390,36 @@ class TestCompanionMatrix:
             assert np.max(np.abs(block)) == 0.0
 
     def test_scalar_roots_match_stability_polynomial(self, rng):
-        # N = 1: W has dimension m + 1 = deg P and det(zI - W) is P(z) up
-        # to its leading coefficient, so the two root multisets coincide
-        for _ in range(20):
-            a_val = rng.uniform(0.2, 4.0)
-            b_val = rng.uniform(-3.0, 3.0)
-            h = rng.uniform(0.05, 1.5)
-            m = int(rng.integers(1, 7))
-            s = ThetaScheme(theta=1.0, u=0.0, m=m, tau=m * h)
-            w = stability.build_w(np.array([[a_val]]), np.array([[b_val]]), s)
-            coeffs = stability._coefficient_rows(
-                np.array([-h * a_val]), np.array([b_val / a_val]), s)
-            roots = linalg.poly_roots(coeffs)[0]
-            assert multiset_distance(linalg.general_eigenvalues(w), roots) <= 1e-8
+        # z is an eigenvalue of W iff T(z) = a(z) I + h c(z) A - h b(z) B is
+        # singular, and x = the last block of its eigenvector (y_{n-m}) spans
+        # the kernel.  N = 1: W has dimension m + 1 = deg P and, with the
+        # leading coefficient 1 - y theta, (1 - y theta) det(zI - W) = P(z)
+        # at every z, so the root multisets coincide.  At m = 1 and 2 the
+        # delayed columns coincide with y_n's
+        cases = [(theta, u, m) for theta in (0.0, 0.5, 1.0)
+                 for u, m in ((0.0, 1), (0.0, 2), (0.0, 5), (0.5, 3), (0.5, 5))]
+        for theta, u, m in cases:
+            for n in (1, 3):
+                h = rng.uniform(0.05, 1.5)
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                a_mat = (q * rng.uniform(0.2, 4.0, n)) @ q.T
+                b_mat = rng.uniform(-3.0, 3.0, (n, n))
+                s = ThetaScheme(theta=theta, u=u, m=m, tau=(m - u) * h)
+                w = stability.build_w(a_mat, b_mat, s)
+                values, vectors = np.linalg.eig(w)
+                for z, v in zip(values, vectors.T):
+                    x = v[m * n:]
+                    a, b, c = abc_at(z, theta, u, m)
+                    t_z = a * np.eye(n) + s.h * c * a_mat - s.h * b * b_mat
+                    scale = abs(a) + s.h * (abs(c) * np.abs(a_mat).sum() + abs(b) * np.abs(b_mat).sum())
+                    assert np.linalg.norm(t_z @ x) <= 1e-9 * scale * np.linalg.norm(x)
+                if n == 1:
+                    y, mu = -s.h * a_mat[0, 0], b_mat[0, 0] / a_mat[0, 0]
+                    for z in rng.standard_normal(4) + 1j * rng.standard_normal(4):
+                        a, b, c = abc_at(z, theta, u, m)
+                        p = a - y * c + y * mu * b
+                        det = (1.0 - y * theta) * np.linalg.det(z * np.eye(m + 1) - w)
+                        assert abs(det - p) <= 1e-10 * (abs(a) + abs(y * c) + abs(y * mu * b))
 
 
 class TestReportSerialization:

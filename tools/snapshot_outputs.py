@@ -47,6 +47,11 @@ The snapshot holds what the command line prints and writes for:
   ``check-mode-ratio-overflow``: A = [[1e-10]], B = [[1e300]], whose mode
   ratio gamma / lambda overflows, so the pair has no modes and the dense
   rho(W) decides;
+* ``check`` at theta = 1, m = 1, tau = 1e10 of two more 1 x 1 pairs with
+  modes: ``check-mode-product-overflow``: A = [[1]], B = [[1e300]], whose
+  y mu = -1e310 overflows, though its largest root, near 1e300, does not;
+  and ``check-mode-y-overflow``: A = [[1e300]], B = [[1e299]], whose y =
+  -h lambda = -1e310 overflows, with |mu| = 0.1;
 * ``solve`` given options that the chosen problem does not read;
 * ``check-pair-NAME``: ``check`` with an A file of ``[re, im]`` pairs
   whose entry 2 is not a pair of finite numbers: a pair holding a list
@@ -298,13 +303,15 @@ def snapshot(ddestab, seed: int) -> None:
                                            "--matrix-b", "transform-overflow-b.json",
                                            "--tau", "1", "--m", "2", "--theta", "1"])
 
-    for name, (a, b) in {"root": ([[1.0]], [[-1e206]]),
-                         "ratio": ([[1e-10]], [[1e300]])}.items():
+    for name, (a, b, tau, m) in {"root": ([[1.0]], [[-1e206]], "1", "2"),
+                                 "ratio": ([[1e-10]], [[1e300]], "1", "2"),
+                                 "product": ([[1.0]], [[1e300]], "1e10", "1"),
+                                 "y": ([[1e300]], [[1e299]], "1e10", "1")}.items():
         workloads.write_matrix(f"mode-{name}-overflow-a.json", a)
         workloads.write_matrix(f"mode-{name}-overflow-b.json", b)
         run(main, f"check-mode-{name}-overflow",
             ["check", "--matrix-a", f"mode-{name}-overflow-a.json", "--matrix-b",
-             f"mode-{name}-overflow-b.json", "--tau", "1", "--m", "2", "--theta", "1"])
+             f"mode-{name}-overflow-b.json", "--tau", tau, "--m", m, "--theta", "1"])
 
     run(main, "solve-example1-unread-options",
         ["solve", "--problem", "example1", "--grid-m", "10", "--m", "4", "--t-end", "1",
