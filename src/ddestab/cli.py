@@ -232,7 +232,7 @@ def _cmd_solve(args) -> int:
     }
     if problem is not None and problem.exact is not None and not traj.diverged:
         summary["errors"] = {
-            f"v{c + 1}": problem.discrete_error(traj, traj.final_time, c)
+            f"v{c + 1}": problem.discrete_error(traj.final_state, traj.final_time, c)
             for c in range(problem.n_components)
         }
     if args.out_csv:

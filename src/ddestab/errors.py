@@ -52,10 +52,6 @@ class InvalidParams(DdeStabError):
     """Arguments violate a documented precondition."""
 
 
-class TimeOffGrid(DdeStabError):
-    """Requested time does not coincide with a trajectory grid point."""
-
-
 @contextmanager
 def allocating(what: str):
     """Raise ``InvalidParams("cannot allocate " + what)`` in place of the

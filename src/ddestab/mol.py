@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, allocating
-from .solver import LinearDDE, SemilinearDDE, Trajectory
+from .solver import LinearDDE, SemilinearDDE
 
 __all__ = [
     "Grid1D", "MolProblem", "SineLaplacian", "dirichlet_laplacian",
@@ -182,12 +182,11 @@ class MolProblem:
         a = self.dde.a
         return (a if isinstance(a, np.ndarray) else a.toarray()), np.asarray(self.dde.b)
 
-    def discrete_error(self, traj: Trajectory, t: float, component: int) -> float:
-        """Root-sum-of-squares over interior nodes of (numerical - exact) for
-        one component at grid time t."""
+    def discrete_error(self, state, t: float, component: int) -> float:
+        """Root-sum-of-squares over interior nodes of (state - exact(t)) for
+        one component; the caller picks the state (a trajectory row) and t."""
         if self.exact is None:
             raise InvalidParams("no exact solution attached")
-        state = traj.state_at(t)  # raises TimeOffGrid off the grid
         ref = np.asarray(self.exact(t))
         sl = slice(component * self.n_interior, (component + 1) * self.n_interior)
         diff = state[sl] - ref[sl]

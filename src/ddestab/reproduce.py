@@ -89,10 +89,11 @@ def run_table1(full: bool = False) -> TargetResult:
     """Rebuild the example1 error table (m = 5..100; m = 1000 with full).
 
     The stored m = 1000 reference values coincide (to their full printed
-    precision) with the numerical state one step before t = 10 pi compared
-    against the exact solution at t = 10 pi, so that column accepts either
-    the faithful on-grid error or the one-step-early reading; the detail
-    string always reports both.
+    precision) with the numerical state one step before t = 10 pi
+    (``states[-2]``) compared against the exact solution at t = 10 pi, so
+    that column accepts either the faithful on-grid error of
+    ``final_state`` or that one-step-early reading; the detail string
+    always reports both.
     """
     problem = mol.build_example1(100, 1.0, 1.0, -0.1, math.pi / 2.0)
     ms = [5, 25, 50, 100] + ([1000] if full else [])
@@ -101,11 +102,11 @@ def run_table1(full: bool = False) -> TargetResult:
         scheme = stability.ThetaScheme(theta=1.0, u=0.0, m=m, tau=problem.tau)
         traj = solver.solve_linear(problem.dde, scheme, TABLE1_T_END)
         for comp in (0, 1):
-            got = problem.discrete_error(traj, TABLE1_T_END, comp)
+            got = problem.discrete_error(traj.final_state, TABLE1_T_END, comp)
             want = TABLE1_REFERENCE[m][comp]
             row = _rel_compare(f"table1 m={m} v{comp + 1}", got, want, TABLE1_RTOL)
             if not row.passed and m == 1000:
-                early = _early_reading(problem, traj, comp)
+                early = problem.discrete_error(traj.states[-2], TABLE1_T_END, comp)
                 rel = abs(early - want) / abs(want)
                 row = Comparison(
                     row.label, rel <= TABLE1_RTOL,
@@ -113,16 +114,6 @@ def run_table1(full: bool = False) -> TargetResult:
                     f"one-step-early reading {early:.6g} (rel {rel:.3%})")
             rows.append(row)
     return TargetResult("table1", tuple(rows))
-
-
-def _early_reading(problem, traj, comp: int) -> float:
-    """Error of the state one step before t = 10 pi against the exact
-    solution at t = 10 pi (the stored reference's evaluation)."""
-    state = traj.states[traj.index_of_time(TABLE1_T_END) - 1]
-    ref = problem.exact(TABLE1_T_END)
-    sl = slice(comp * problem.n_interior, (comp + 1) * problem.n_interior)
-    diff = state[sl] - ref[sl]
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2)))
 
 
 def run_example31() -> TargetResult:

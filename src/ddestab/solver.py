@@ -54,7 +54,7 @@ import numpy as np
 
 from . import linalg
 from ._csv import csv_writer
-from .errors import InvalidParams, TimeOffGrid, allocating
+from .errors import InvalidParams, allocating
 from .stability import ThetaScheme
 
 OVERFLOW_GUARD = 1e100
@@ -154,19 +154,19 @@ def state_norm(state) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The last m + 2 states of a run on the uniform grid, in time order.
-    After a run's last step they are the stepping driver's ring buffer
-    itself, not a copy; only a run halted before it copies the buffer into
-    time order.  A run halted within its first m + 1 steps leaves history
-    samples, at negative times, in the first rows.  A run's ``on_block``
-    callback is handed every state it computed.  ``diverged`` marks a run
-    halted by the overflow guard (a state above
-    1e100 in max norm, or NaN); states beyond the halt do not exist.
-    ``peak_max_norm`` is the largest max norm over every state the run
-    computed, z(0) included and NaN once a state held one; it equals the
-    largest max norm over the states handed to ``on_block``.  It is None
-    on a hand-built trajectory, and so is ``stats`` (see
-    :class:`SolveStats`)."""
+    """The last m + 2 states of a run on the uniform grid, in time order,
+    read by position (``final_state`` is ``states[-1]``).  After a run's
+    last step they are the stepping driver's ring buffer itself, not a
+    copy; only a run halted before it copies the buffer into time order.
+    A run halted within its first m + 1 steps leaves history samples, at
+    negative times, in the first rows.  A run's ``on_block`` callback is
+    handed every state it computed.  ``diverged`` marks a run halted by the
+    overflow guard (a state above 1e100 in max norm, or NaN); states beyond
+    the halt do not exist.  ``peak_max_norm`` is the largest max norm over
+    every state the run computed, z(0) included and NaN once a state held
+    one; it equals the largest max norm over the states handed to
+    ``on_block``.  It is None on a hand-built trajectory, and so is
+    ``stats`` (see :class:`SolveStats`)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -182,15 +182,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def index_of_time(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if not (math.isfinite(t) and abs(self.times[idx] - t) <= 1e-9 * max(1.0, abs(t))):
-            raise TimeOffGrid(f"t = {t} is not on the trajectory grid")
-        return idx
-
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.index_of_time(t)]
 
     def to_csv(self, path, norm_only: bool = False) -> None:
         """Write the held states in the format of :func:`csv_sink`."""

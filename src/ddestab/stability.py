@@ -24,12 +24,12 @@ while root-counting is robust for every theta, u, m.  Every D_y question
 moduli reaches the largest root modulus.
 
 ``certify`` is the one entry point.  It validates the pair once, in a
-``_Facts``, which then computes each shared fact at most once and only
-when a stage first asks for it: the one eigendecomposition of a Hermitian
-A and whether A is positive definite, the modes, the transformed matrix
-M_p = A^{p/2-1} B A^{-p/2} of each p, the field-of-values boundary of
-M_p and sigma(A^{-1} B), taken from M_0.  The stages each take the facts
-and return a ``StabilityReport``:
+``_Facts``, which then computes each shared fact when a stage first asks
+for it and keeps its value (an error is not kept): the one
+eigendecomposition of a Hermitian A and whether A is positive definite,
+the modes, the transformed matrix M_p = A^{p/2-1} B A^{-p/2} of each p,
+the field-of-values boundary of M_p and sigma(A^{-1} B), taken from M_0.
+The stages each take the facts and return a ``StabilityReport``:
 
 * ``simdiag_analysis`` -- A, B simultaneously diagonalizable with finite
   mu_i = gamma_i / lambda_i (``_Facts.modes``): exact verdicts mode by
@@ -72,7 +72,6 @@ from . import fov, linalg
 from ._csv import write_csv
 from .errors import (
     ComplexSpectrum,
-    DdeStabError,
     InvalidParams,
     NotHermitian,
     NotPositiveDefinite,
@@ -281,8 +280,9 @@ def build_w(a, b, scheme: ThetaScheme) -> np.ndarray:
     The method reads T_{m+1} y_{n+1} + T_m y_n + ... + T_0 y_{n-m} = 0
     (``_polynomial``), so the first block row is -T_{m+1}^{-1} [T_m | ...
     | T_0], the h A and h B terms of T_k added only where their weights are
-    nonzero.  Rows below shift the history, so z is an eigenvalue of W iff
-    T(z) is singular.  The benchmark builds its own W, a reference for it.
+    nonzero; InvalidParams says when one of these blocks overflows.  Rows
+    below shift the history, so z is an eigenvalue of W iff T(z) is
+    singular.  The benchmark builds its own W, a reference for it.
     """
     am, bm = linalg.square_pair(a, b)
     n, m, h = am.shape[0], scheme.m, scheme.h
@@ -293,7 +293,11 @@ def build_w(a, b, scheme: ThetaScheme) -> np.ndarray:
         out[diag, diag] += sign * e
         for w, mat in ((wa, am), (wb, bm)):
             if w:
-                out += (sign * w * h) * mat
+                try:
+                    with np.errstate(over="raise"):
+                        out += (sign * w * h) * mat
+                except FloatingPointError as exc:
+                    raise InvalidParams(f"h A or h B overflows at h = {h:.6g}") from exc
     w_mat = np.zeros(((m + 1) * n, (m + 1) * n), dtype=dtype)
     w_mat[:n, :] = linalg.solver_for(lead).solve(row0)
     w_mat[np.arange(n, (m + 1) * n), np.arange(m * n)] = 1.0
@@ -370,15 +374,15 @@ class StabilityReport:
 # ---------------------------------------------------------------------------
 
 class _Facts:
-    """The facts the stages share about one pair (A, B), each computed at
-    most once, on first use.  A fact that raised is not retried: asking
-    again raises a copy of the error, which no traceback ties to the facts."""
+    """The facts the stages share about one pair (A, B), each computed on
+    first use and kept.  An error is not kept: it propagates from where it
+    was raised, and asking again repeats the check that raised it."""
 
     def __init__(self, a, b, n_angles: int = fov.DEFAULT_ANGLES):
         fov.require_grid(n_angles)  # the rule of fov_boundary, checked on every path
         self.a, self.b = linalg.square_pair(a, b)
         self.n_angles = n_angles
-        self._known = {}  # (fact, p) -> value, or the error computing it raised
+        self._known = {}  # (fact, p) -> value
 
     def eigen_a(self) -> linalg.EigenDecomposition:
         """``linalg.hermitian_eigen`` of A, the one decomposition of A."""
@@ -421,19 +425,10 @@ class _Facts:
         return self._once("modes", None, compute)
 
     def _once(self, fact: str, p, compute):
-        """``compute()`` or its error, kept under (fact, p); a kept error, its
-        cause and context drop their tracebacks, whose frames hold the facts."""
+        """The value kept under (fact, p), else ``compute()``, kept once it returns."""
         if (fact, p) not in self._known:
-            try:
-                self._known[fact, p] = compute()
-            except DdeStabError as exc:
-                for error in filter(None, (exc, exc.__cause__, exc.__context__)):
-                    error.__traceback__ = None
-                self._known[fact, p] = exc
-        known = self._known[fact, p]
-        if isinstance(known, DdeStabError):
-            raise type(known)(*known.args)
-        return known
+            self._known[fact, p] = compute()
+        return self._known[fact, p]
 
 
 def _refusal(check: str, note: str, scheme=None, margin=None) -> StabilityReport:
@@ -444,20 +439,20 @@ def _refusal(check: str, note: str, scheme=None, margin=None) -> StabilityReport
 def _obstruction(facts: _Facts, stage: str, scheme: ThetaScheme, test):
     """The refusal of a field-of-values stage before any sweep, else None:
     one ``stage`` entry unless A is Hermitian positive definite, then the
-    refusal when the radius of ``test(sigma, y) -> (radius, note)`` over
-    sigma(A^{-1} B), which lies in F(M_p) for every p, is outside by the
-    rule with bound 0; y = -h lambda_max(A).  The spectrum test is skipped
-    when the scaled norm of M_0 overflows (each p whose M_p overflows too
-    is then skipped with a note)."""
+    refusal when the radius of ``test(sigma, lambda_max(A)) -> (radius,
+    note)`` over sigma(A^{-1} B), which lies in F(M_p) for every p, is
+    outside by the rule with bound 0.  The spectrum test is skipped when
+    the scaled norm of M_0 overflows (each p whose M_p overflows too is
+    then skipped with a note)."""
     try:
-        y = -scheme.h * float(facts.positive_definite_a().values[-1])
+        lam_max = float(facts.positive_definite_a().values[-1])
     except (NotHermitian, NotPositiveDefinite) as exc:
         return _refusal(stage, f"needs a Hermitian positive definite A: {exc}", scheme)
     try:
         spectrum = facts.spectrum()
     except InvalidParams:
         return None
-    worst, note = test(spectrum, y)
+    worst, note = test(spectrum, lam_max)
     if _side(worst, 0.0) == _OUTSIDE:
         return _refusal("spectrum-obstruction", note, scheme, 1.0 - worst)
     return None
@@ -482,7 +477,7 @@ def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
     if scheme.u != 0.0 or scheme.theta <= 0.5:
         return _refusal("scheme-hypotheses", "certificate requires u = 0" if scheme.u
                         else "unconditional region is empty for theta <= 1/2", scheme)
-    refusal = _obstruction(facts, "unconditional-certificate", scheme, lambda s, y: (
+    refusal = _obstruction(facts, "unconditional-certificate", scheme, lambda s, lam: (
         float(np.max(np.abs(s))), "an eigenvalue of A^{p/2-1} B A^{-p/2} has modulus >= 1 "
                                   "for every p; certificate inapplicable"))
     if refusal is not None:
@@ -513,17 +508,19 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
     the intersection of D_y over y in -h F(A) to y = -h lambda_max(A).
     Each sampled point of F(M_p) must lie in that D_y by the rule with the
     inflation margin as its bound.  The margins come from one ``_dy_radii``
-    question over sigma(A^{-1} B) and one per swept p.
+    question over sigma(A^{-1} B) and one per swept p, each handed
+    -lambda_max(A) and h apart, so y is never formed as a product there.
     """
     if scheme.theta != 1.0 or scheme.u != 0.0:
         return _refusal("scheme-hypotheses", "step certificate requires theta = 1 and u = 0",
                         scheme)
-    refusal = _obstruction(facts, "step-certificate", scheme, lambda s, y: (
-        float(np.max(_dy_radii(y, s, scheme)[0])),
-        f"an eigenvalue of A^{{-1}} B lies outside D_y at y = {y:.6g}, which rules out every p"))
+    refusal = _obstruction(facts, "step-certificate", scheme, lambda s, lam: (
+        float(np.max(_dy_radii(-lam, s, scheme, scheme.h)[0])),
+        f"an eigenvalue of A^{{-1}} B lies outside D_y at y = {-scheme.h * lam:.6g}, "
+        "which rules out every p"))
     if refusal is not None:
         return refusal
-    y_worst = -scheme.h * float(facts.positive_definite_a().values[-1])
+    lam_max = float(facts.positive_definite_a().values[-1])
     evidence = []
     for p in p_grid:
         try:
@@ -531,9 +528,9 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
         except InvalidParams as exc:  # M_p or its scaled norm overflows
             evidence.append(Evidence("fov-in-dy", index=p, note=f"skipped: {exc}"))
             continue
-        worst = float(np.max(_dy_radii(y_worst, boundary.points, scheme)[0]))
+        worst = float(np.max(_dy_radii(-lam_max, boundary.points, scheme, scheme.h)[0]))
         evidence.append(Evidence("fov-in-dy", index=p, margin=1.0 - worst,
-                                 note=f"y = {y_worst:.6g}"))
+                                 note=f"y = {-scheme.h * lam_max:.6g}"))
         if _side(worst, _inflation_margin(t_mat)) == _INSIDE:
             return StabilityReport(STABLE_FOR_THIS_STEP, tuple(evidence), scheme)
     return StabilityReport(UNCERTIFIED, tuple(evidence), scheme)
@@ -684,11 +681,16 @@ def _rho_report(oracle: OracleVerdict, path: str) -> StabilityReport:
 
 def _oracle(facts: _Facts, scheme: ThetaScheme, cap: int) -> StabilityReport:
     """rho of the dense W (``oracle_stability``) while dim W fits under
-    ``cap``; a pair with modes never comes here."""
+    ``cap`` and its blocks do not overflow; a pair with modes never comes
+    here."""
     dim = (scheme.m + 1) * facts.a.shape[0]
     if dim > cap:
         return _refusal("oracle-spectral-radius", f"skipped: dim {dim} exceeds {cap}")
-    return _rho_report(oracle_stability(facts.a, facts.b, scheme), "dense W")
+    try:
+        oracle = oracle_stability(facts.a, facts.b, scheme)
+    except InvalidParams as exc:  # h A or h B overflows
+        return _refusal("oracle-spectral-radius", f"skipped: {exc}")
+    return _rho_report(oracle, "dense W")
 
 
 def _merge(reports, scheme: ThetaScheme) -> StabilityReport:

@@ -209,9 +209,9 @@ class TestStepCertificateRootCalls:
             questions[-1][1].append([row.tobytes() for row in coeffs])
             return roots(coeffs)
 
-        def counted_question(ys, mus, scheme):
+        def counted_question(ys, mus, scheme, h=1.0):
             questions.append((len(mus), []))
-            return dy_radii(ys, mus, scheme)
+            return dy_radii(ys, mus, scheme, h)
 
         monkeypatch.setattr(linalg, "poly_roots", counted_roots)
         monkeypatch.setattr(stability, "_dy_radii", counted_question)

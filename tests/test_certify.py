@@ -300,9 +300,9 @@ def test_explicit_mode_whose_root_overflows_raises():
     (1e-300 * np.array([[2.0, 1.0], [1.0, 3.0]]), 4e8 * np.array([[0.5, 0.3], [0.2, 0.4]])),
     ([[1e-10]], [[1e300]]),
 ], ids=["transform-overflow", "mode-ratio-overflow"])
-def test_kept_fact_errors_leave_no_cycle(a, b):
-    # a fact that raised keeps its error: neither it nor the copies raised
-    # from it may hold a traceback, whose frames hold the facts
+def test_fact_errors_leave_no_cycle(a, b):
+    # a fact's error propagates and is not kept, so its traceback, whose
+    # frames hold the facts, dies with the handler that caught it
     gc.collect()
     gc.disable()
     try:
@@ -311,6 +311,75 @@ def test_kept_fact_errors_leave_no_cycle(a, b):
         assert not any(isinstance(o, stability._Facts) for o in gc.get_objects())
     finally:
         gc.enable()
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the shape of the
+    first argument of every call; returns that list."""
+    calls, original = [], getattr(module, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_refused_non_hermitian_a_is_never_decomposed(monkeypatch):
+    # both field-of-values stages ask for a positive definite A and are
+    # refused; the second ask repeats only the Hermitian check
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    a, b = [[1.6, -3.3], [3.9, 0.8]], [[0.8, -0.4], [0.6, 2.1]]
+    report = stability.certify(a, b, ThetaScheme(theta=1.0, u=0.0, m=2, tau=1.0))
+    assert [e.check for e in report.evidence[1:3]] == ["unconditional-certificate",
+                                                       "step-certificate"]
+    assert eighs == []
+
+
+def test_overflowing_transform_asked_twice_solves_one_eigenproblem(monkeypatch):
+    # sigma(A^{-1} B) is asked by both stages and M_0 overflows each time;
+    # the one general eigenvalue call is that of the dense W
+    eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    a = 1e-300 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = 4e8 * np.array([[0.5, 0.3], [0.2, 0.4]])
+    report = stability.certify(a, b, ThetaScheme(theta=1.0, u=0.0, m=2, tau=1.0))
+    assert report.evidence[-1].note.endswith("dim 6, dense W")
+    assert eigvals == [(1, 6, 6)] and eighs == [(2, 2)]
+
+
+def test_overflowing_w_blocks_skip_the_oracle(tmp_path, capsys):
+    # h A = 1e310 overflows, so the dense W is never formed; A fails the
+    # positive definite test, so both field-of-values stages refuse too
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, np.diag([1e300, 1.0]))
+    write_matrix(b_path, [[0.0, 1e-3], [2e-3, 0.0]])
+    code = cli.main(["check", "--matrix-a", str(a_path), "--matrix-b", str(b_path),
+                     "--tau", "1e10", "--m", "1", "--theta", "1"])
+    assert code == 0
+    report = finite_json(capsys.readouterr().out)
+    assert report["verdict"] == UNCERTIFIED
+    assert [e["check"] for e in report["evidence"]] == [
+        "simdiag", "unconditional-certificate", "step-certificate", "oracle-spectral-radius"]
+    assert report["evidence"][-1]["note"] == "skipped: h A or h B overflows at h = 1e+10"
+    with pytest.raises(errors.InvalidParams, match="overflows at h = 1e"):
+        stability.build_w(np.diag([1e300, 1.0]), np.zeros((2, 2)),
+                          ThetaScheme(theta=1.0, u=0.0, m=1, tau=1e10))
+
+
+def test_step_stage_whose_y_overflows_is_decided():
+    # y = -h lambda_max = -2e310 overflows; the step stage hands -lambda_max
+    # and h apart to the D_y rows, which need no y
+    report = stability.certify(np.diag([2e300, 1e300]), [[0.0, 3e300], [3e300, 0.0]],
+                               ThetaScheme(theta=1.0, u=0.0, m=1, tau=1e10), oracle_cap=0)
+    assert report.verdict == UNCERTIFIED
+    obstructions = [e for e in report.evidence if e.check == "spectrum-obstruction"]
+    assert len(obstructions) == 2
+    for e in obstructions:
+        assert e.margin == pytest.approx(1.0 - 4.5 ** 0.5, rel=1e-12)
+    assert obstructions[1].note.startswith("an eigenvalue of A^{-1} B lies outside D_y at "
+                                           "y = -inf")
 
 
 def test_a_pair_without_modes_leaves_no_cycle():

@@ -106,7 +106,7 @@ def test_single_mode_recurrence():
     assert traj.stats.path == "modes" and got.shape == norms.shape
     assert np.max(np.abs(got - norms) / norms) <= 1e-11
     for comp, want in enumerate(errors):
-        got_error = problem.discrete_error(traj, traj.final_time, comp)
+        got_error = problem.discrete_error(traj.final_state, traj.final_time, comp)
         assert abs(got_error - want) <= 1e-9 * want
 
 

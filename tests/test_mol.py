@@ -264,18 +264,11 @@ class TestDiscreteError:
         states = np.stack([problem.exact(t) for t in times])
         traj = solver.Trajectory(times=times, states=states, scheme=s)
         for comp in (0, 1):
-            assert problem.discrete_error(traj, times[-1], comp) == 0.0
-
-    def test_off_grid_time_raises(self):
-        problem = mol.build_example1(6, 1.0, 1.0, -0.1, math.pi / 2)
-        s = stability.ThetaScheme(1.0, 0.0, 4, problem.tau)
-        traj = solver.solve_linear(problem.dde, s, 4 * s.h)
-        with pytest.raises(errors.TimeOffGrid):
-            problem.discrete_error(traj, 0.5 * s.h, 0)
+            assert problem.discrete_error(traj.final_state, times[-1], comp) == 0.0
 
     def test_requires_exact(self):
         problem = mol.build_example2(4, 0.5, 3.0, 1.0)
         s = stability.ThetaScheme(1.0, 0.0, 4, 1.0)
         traj = solver.solve_semilinear(problem.dde, s, 1.0)
         with pytest.raises(errors.InvalidParams):
-            problem.discrete_error(traj, 1.0, 0)
+            problem.discrete_error(traj.final_state, 1.0, 0)

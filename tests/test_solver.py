@@ -169,16 +169,6 @@ class TestLinearStepping:
             SemilinearDDE(m_linear=np.eye(1), g=lambda z: z, tau=tau,
                           history=lambda t: np.ones(1))
 
-    def test_time_lookup(self):
-        prob = scalar_problem(1.0, 0.0)
-        window, full = run_collected(solver.solve_linear, prob,
-                                     ThetaScheme(1.0, 0.0, 2, 1.0), 4.0)
-        assert full.index_of_time(2.0) == 4 and window.index_of_time(4.0) == 3
-        for traj, t in ((full, 2.25), (window, 2.0), (full, math.nan), (full, math.inf),
-                        (window, -math.inf)):
-            with pytest.raises(errors.TimeOffGrid):
-                traj.state_at(t)
-
 
 class TestSemilinear:
     def test_pure_decay_without_forcing(self):

@@ -52,6 +52,12 @@ The snapshot holds what the command line prints and writes for:
   y mu = -1e310 overflows, though its largest root, near 1e300, does not;
   and ``check-mode-y-overflow``: A = [[1e300]], B = [[1e299]], whose y =
   -h lambda = -1e310 overflows, with |mu| = 0.1;
+* ``check`` at theta = 1, m = 1, tau = 1e10 of two 2 x 2 pairs without
+  modes: ``check-dense-w-overflow``: A = diag(1e300, 1), B = [[0, 1e-3],
+  [2e-3, 0]], whose h A overflows, so the dense W is skipped, and A fails
+  the positive definite test; and ``check-step-y-overflow``: A =
+  diag(2e300, 1e300), B = [[0, 3e300], [3e300, 0]], whose y = -h
+  lambda_max(A) overflows in the step stage;
 * ``solve`` given options that the chosen problem does not read;
 * ``check-pair-NAME``: ``check`` with an A file of ``[re, im]`` pairs
   whose entry 2 is not a pair of finite numbers: a pair holding a list
@@ -312,6 +318,15 @@ def snapshot(ddestab, seed: int) -> None:
         run(main, f"check-mode-{name}-overflow",
             ["check", "--matrix-a", f"mode-{name}-overflow-a.json", "--matrix-b",
              f"mode-{name}-overflow-b.json", "--tau", tau, "--m", m, "--theta", "1"])
+
+    for name, (a, b) in {"dense-w": (np.diag([1e300, 1.0]), [[0.0, 1e-3], [2e-3, 0.0]]),
+                         "step-y": (np.diag([2e300, 1e300]), [[0.0, 3e300], [3e300, 0.0]])
+                         }.items():
+        workloads.write_matrix(f"{name}-overflow-a.json", a)
+        workloads.write_matrix(f"{name}-overflow-b.json", b)
+        run(main, f"check-{name}-overflow",
+            ["check", "--matrix-a", f"{name}-overflow-a.json", "--matrix-b",
+             f"{name}-overflow-b.json", "--tau", "1e10", "--m", "1", "--theta", "1"])
 
     run(main, "solve-example1-unread-options",
         ["solve", "--problem", "example1", "--grid-m", "10", "--m", "4", "--t-end", "1",
