@@ -27,7 +27,6 @@ from .linalg import (
 )
 from .mol import (
     Example2Condition,
-    Grid1D,
     MolProblem,
     build_example1,
     build_example2,
@@ -77,6 +76,6 @@ __all__ = [
     "LinearDDE", "SemilinearDDE", "Trajectory", "solve_linear",
     "solve_semilinear",
     # mol
-    "Example2Condition", "Grid1D", "MolProblem", "build_example1",
-    "build_example2", "example2_condition",
+    "Example2Condition", "MolProblem", "build_example1", "build_example2",
+    "example2_condition",
 ]

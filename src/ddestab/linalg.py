@@ -34,6 +34,7 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     Singular,
+    allocating,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -208,7 +209,9 @@ def poly_roots(coeffs) -> np.ndarray:
     real = ~c.imag.any(axis=1)
     for rows, part in ((real, c.real), (~real, c)):  # each stack in its own arithmetic
         if rows.any():
-            companion = np.zeros((np.count_nonzero(rows), degree, degree), dtype=part.dtype)
+            count = np.count_nonzero(rows)
+            with allocating(f"a stack of {count} companion matrices of size {degree}"):
+                companion = np.zeros((count, degree, degree), dtype=part.dtype)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 companion[:, 0, :] = -part[rows, -2::-1] / part[rows, -1:]
             if not np.isfinite(companion[:, 0, :]).all():

@@ -34,37 +34,10 @@ from .errors import InvalidParams, allocating
 from .solver import LinearDDE, SemilinearDDE
 
 __all__ = [
-    "Grid1D", "MolProblem", "SineLaplacian", "dirichlet_laplacian",
-    "dirichlet_eigenvalues",
+    "MolProblem", "SineLaplacian", "dirichlet_laplacian", "dirichlet_eigenvalues",
     "build_example1", "build_example2", "example2_condition",
     "Example2Condition",
 ]
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid with M cells on [0, length]; interior nodes 1..M-1."""
-
-    m: int
-    length: float
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidParams("grid resolution M must be at least 2")
-        if not self.length > 0.0:
-            raise InvalidParams("domain length must be positive")
-
-    @property
-    def dx(self) -> float:
-        return self.length / self.m
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.dx * np.arange(1, self.m)
-
-    @property
-    def n_interior(self) -> int:
-        return self.m - 1
 
 
 def dirichlet_laplacian(n_interior: int, dx: float) -> np.ndarray:
@@ -212,8 +185,9 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
         raise InvalidParams("diffusion coefficients must be positive and finite")
     if not (math.isfinite(l) and math.isfinite(tau)):
         raise InvalidParams("l and tau must be finite")
-    grid = Grid1D(m=m_grid, length=2.0)
-    n = grid.n_interior
+    if m_grid < 2:
+        raise InvalidParams("grid resolution M must be at least 2")
+    dx, n = 2.0 / m_grid, m_grid - 1
 
     c = l + np.pi ** 2 / 4.0
     scale = math.exp(l * math.pi / 2.0)
@@ -221,7 +195,7 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
         eye = np.eye(n)
     b_mol = scale * np.block([[-eye, c * eye], [-c * eye, -eye]])
 
-    shape = np.sin(np.pi * grid.interior / 2.0)
+    shape = np.sin(np.pi * (dx * np.arange(1, m_grid)) / 2.0)
 
     def state(t):
         amp = math.exp(l * t)
@@ -230,7 +204,7 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
 
     has_exact = (lambda1 == 1.0 and lambda2 == 1.0
                  and abs(tau - math.pi / 2.0) <= 1e-12)
-    dde = LinearDDE(a=SineLaplacian(n, grid.dx, (-lambda1, -lambda2)), b=b_mol,
+    dde = LinearDDE(a=SineLaplacian(n, dx, (-lambda1, -lambda2)), b=b_mol,
                     tau=tau, history=state)
     return MolProblem(dde=dde, exact=state if has_exact else None, n_components=2)
 
@@ -250,18 +224,19 @@ def build_example2(m_grid: int, lam: float = 0.5, reaction_mu: float = 3.0,
     """
     if not (0.0 < lam < math.inf and 0.0 < reaction_mu < math.inf):
         raise InvalidParams("lambda and mu must be positive and finite")
-    grid = Grid1D(m=m_grid, length=1.0)
+    if m_grid < 2:
+        raise InvalidParams("grid resolution M must be at least 2")
+    dx, n = 1.0 / m_grid, m_grid - 1
 
-    with allocating(f"example2's {grid.n_interior}x{grid.n_interior} grid"):
-        sin_axis = np.sin(np.pi * grid.interior)
+    with allocating(f"example2's {n}x{n} grid"):
+        sin_axis = np.sin(np.pi * (dx * np.arange(1, m_grid)))
         state0 = np.outer(sin_axis, sin_axis).ravel()
 
     def g(z):
         return reaction_mu * z * (1.0 - z)
 
-    dde = SemilinearDDE(m_linear=SineLaplacian(grid.n_interior, grid.dx, (lam,), dims=2),
-                        g=g, tau=tau,
-                        history=lambda t: state0)
+    dde = SemilinearDDE(m_linear=SineLaplacian(n, dx, (lam,), dims=2), g=g,
+                        tau=tau, history=lambda t: state0)
     return MolProblem(dde=dde)
 
 

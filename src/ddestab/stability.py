@@ -137,7 +137,8 @@ def _polynomial(scheme: ThetaScheme) -> np.ndarray:
     """The weight rows (e, a, b) of T(z), constant term first, each of
     length m + 2; b_{m+1} = 0, since u > 0 needs m >= 3."""
     m, theta, u = scheme.m, scheme.theta, scheme.u
-    weights = np.zeros((3, m + 2))
+    with allocating(f"the 3x{m + 2} weights of T(z)"):
+        weights = np.zeros((3, m + 2))
     weights[:2, m:] = [[-1.0, 1.0], [1.0 - theta, theta]]
     weights[2, :3] = [-(1.0 - theta) * (1.0 - u),
                       -(theta * (1.0 - u) + (1.0 - theta) * u), -(theta * u)]
@@ -157,8 +158,9 @@ def _coefficient_rows(ys, mus, scheme: ThetaScheme, h: float = 1.0) -> np.ndarra
     if not np.all(ok):
         raise InvalidParams(f"y must be finite and negative, got {h * ys[~ok][0]}")
     e, a, b = _polynomial(scheme)
-    return (np.ldexp(1.0, -k)[:, None] * e - y_s[:, None] * a
-            - (y_s * mus)[:, None] * b)
+    with allocating(f"{y_s.size} rows of {e.size} coefficients"):
+        return (np.ldexp(1.0, -k)[:, None] * e - y_s[:, None] * a
+                - (y_s * mus)[:, None] * b)
 
 
 def _side(radius: float, bound: float) -> str:
@@ -280,14 +282,16 @@ def build_w(a, b, scheme: ThetaScheme) -> np.ndarray:
     The method reads T_{m+1} y_{n+1} + T_m y_n + ... + T_0 y_{n-m} = 0
     (``_polynomial``), so the first block row is -T_{m+1}^{-1} [T_m | ...
     | T_0], the h A and h B terms of T_k added only where their weights are
-    nonzero; InvalidParams says when one of these blocks overflows.  Rows
-    below shift the history, so z is an eigenvalue of W iff T(z) is
-    singular.  The benchmark builds its own W, a reference for it.
+    nonzero; InvalidParams says when one of these blocks or that row
+    overflows, or when W is too large to allocate.  Rows below shift the
+    history, so z is an eigenvalue of W iff T(z) is singular.  The
+    benchmark builds its own W, a reference for it.
     """
     am, bm = linalg.square_pair(a, b)
     n, m, h = am.shape[0], scheme.m, scheme.h
     dtype, diag = np.result_type(am, bm, 1.0), np.arange(n)
-    lead, row0 = np.zeros((n, n), dtype=dtype), np.zeros((n, (m + 1) * n), dtype=dtype)
+    with allocating(f"W's {n}x{(m + 1) * n} first block row"):
+        lead, row0 = np.zeros((n, n), dtype=dtype), np.zeros((n, (m + 1) * n), dtype=dtype)
     for k, (e, wa, wb) in enumerate(_polynomial(scheme).T):  # lead = T_{m+1}, row0 -T_k
         out, sign = (lead, 1.0) if k == m + 1 else (row0[:, (m - k) * n:(m - k + 1) * n], -1.0)
         out[diag, diag] += sign * e
@@ -298,8 +302,11 @@ def build_w(a, b, scheme: ThetaScheme) -> np.ndarray:
                         out += (sign * w * h) * mat
                 except FloatingPointError as exc:
                     raise InvalidParams(f"h A or h B overflows at h = {h:.6g}") from exc
-    w_mat = np.zeros(((m + 1) * n, (m + 1) * n), dtype=dtype)
+    with allocating(f"the {(m + 1) * n}x{(m + 1) * n} matrix W"):
+        w_mat = np.zeros(((m + 1) * n, (m + 1) * n), dtype=dtype)
     w_mat[:n, :] = linalg.solver_for(lead).solve(row0)
+    if not np.all(np.isfinite(w_mat[:n, :])):
+        raise InvalidParams(f"W's first block row overflows at h = {h:.6g}")
     w_mat[np.arange(n, (m + 1) * n), np.arange(m * n)] = 1.0
     return w_mat
 
@@ -681,14 +688,14 @@ def _rho_report(oracle: OracleVerdict, path: str) -> StabilityReport:
 
 def _oracle(facts: _Facts, scheme: ThetaScheme, cap: int) -> StabilityReport:
     """rho of the dense W (``oracle_stability``) while dim W fits under
-    ``cap`` and its blocks do not overflow; a pair with modes never comes
-    here."""
+    ``cap`` and its first block row does not overflow; a pair with modes
+    never comes here."""
     dim = (scheme.m + 1) * facts.a.shape[0]
     if dim > cap:
         return _refusal("oracle-spectral-radius", f"skipped: dim {dim} exceeds {cap}")
     try:
         oracle = oracle_stability(facts.a, facts.b, scheme)
-    except InvalidParams as exc:  # h A or h B overflows
+    except InvalidParams as exc:  # W overflows or is too large
         return _refusal("oracle-spectral-radius", f"skipped: {exc}")
     return _rho_report(oracle, "dense W")
 

@@ -368,6 +368,20 @@ def test_overflowing_w_blocks_skip_the_oracle(tmp_path, capsys):
                           ThetaScheme(theta=1.0, u=0.0, m=1, tau=1e10))
 
 
+def test_overflowing_w_row_skips_the_oracle():
+    # every block T_k is finite, but T_2^{-1} T_1 = [[0, 1e313], [1e300, 0]]
+    # is not; A has eigenvalue -1, so both field-of-values stages refuse
+    a, b = np.diag([-1.0 + 1e-13, 1.0]), [[0.0, 1e300], [1e300, 0.0]]
+    scheme = ThetaScheme(theta=1.0, u=0.0, m=1, tau=1.0)
+    report = stability.certify(a, b, scheme)
+    assert report.verdict == UNCERTIFIED
+    oracle = report.evidence[-1]
+    assert oracle.check == "oracle-spectral-radius"
+    assert oracle.note == "skipped: W's first block row overflows at h = 1"
+    with pytest.raises(errors.InvalidParams, match="first block row overflows"):
+        stability.build_w(a, b, scheme)
+
+
 def test_step_stage_whose_y_overflows_is_decided():
     # y = -h lambda_max = -2e310 overflows; the step stage hands -lambda_max
     # and h apart to the D_y rows, which need no y

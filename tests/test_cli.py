@@ -260,6 +260,29 @@ class TestCheckCommand:
         assert 6138 > stability.ORACLE_CAP
         assert 1.0 - oracle["margin"] == pytest.approx(1.00502, abs=5e-6)
 
+    def test_oracle_cap_decides_whether_the_dense_w_votes(self, tmp_path, capsys):
+        # a non-commuting SPD pair that no field-of-values stage certifies at
+        # m = 2, so the dense W of dim 3 * 6 = 18 decides
+        gen = np.random.default_rng(0)
+        q, _ = np.linalg.qr(gen.standard_normal((6, 6)))
+        a = (q * np.linspace(1.0, 3.0, 6)) @ q.T
+        b = gen.standard_normal((6, 6))
+        b *= 0.9 / np.max(np.abs(np.linalg.eigvals(np.linalg.solve(a, b))))
+        write_matrix(tmp_path / "a.json", a)
+        write_matrix(tmp_path / "b.json", b)
+        argv = ["check", "--matrix-a", str(tmp_path / "a.json"), "--matrix-b",
+                str(tmp_path / "b.json"), "--tau", "1", "--m", "2", "--theta", "1"]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "StableForThisStep"
+        assert doc["evidence"][-1]["note"] == "rho(W) = 0.964602969979, dim 18, dense W"
+        assert cli.main(argv + ["--oracle-cap", "0"]) == 0
+        capped = json.loads(capsys.readouterr().out)
+        assert capped["verdict"] == "Uncertified"
+        assert capped["evidence"][-1]["note"] == "skipped: dim 18 exceeds 0"
+        scheme = stability.ThetaScheme(1.0, 0.0, 2, 1.0)
+        assert capped == stability.certify(a, b, scheme, oracle_cap=0).to_dict()
+
     def test_zero_b_unconditional(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
         write_matrix(a_path, np.diag([2.0, 3.0]))
@@ -675,12 +698,17 @@ class TestSolveCommand:
     ["fov", "--matrix", "a.json", "--n", "100000000000000000000"],
     ["check", "--matrix-a", "a.json", "--matrix-b", "b.json", "--tau", "1", "--m", "2",
      "--n-angles", "100000000000000000000"],
-], ids=["example1-grid", "example2-grid", "region-n", "fov-n", "check-n-angles"])
+    ["check", "--matrix-a", "one.json", "--matrix-b", "half.json", "--tau", "1",
+     "--m", "2000000000000000000"],
+], ids=["example1-grid", "example2-grid", "region-n", "fov-n", "check-n-angles", "check-m"])
 def test_oversized_sizes_exit_3(tmp_path, monkeypatch, capsys, argv):
     # every size here needs at least 2^63 bytes, which numpy refuses before allocating
     monkeypatch.chdir(tmp_path)
     write_matrix("a.json", np.array([[2.0, 0.5], [0.5, 3.0]]))
     write_matrix("b.json", np.array([[0.1, 2.0], [0.0, 0.1]]))  # does not commute with A
+    # a 1 x 1 pair has a mode, so its D_y row is always built
+    write_matrix("one.json", np.array([[1.0]]))
+    write_matrix("half.json", np.array([[0.5]]))
     assert cli.main(argv) == 3
     assert "cannot allocate" in capsys.readouterr().err
 

@@ -160,6 +160,15 @@ class TestPolyRoots:
             got = linalg.poly_roots([coeffs])[0]
             assert multiset_distance(got, true_roots) <= 1e-6
 
+    def test_companion_stack_too_large_is_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(linalg.np, "zeros", refuse)
+        with pytest.raises(errors.InvalidParams, match="cannot allocate a stack of 1 "
+                                                       "companion matrices of size 2"):
+            linalg.poly_roots([[-1.0, 0.0, 1.0]])
+
 
 
 class TestStackedEigenvalues:

@@ -10,12 +10,10 @@ from ddestab import errors, linalg, mol, solver, stability
 
 
 class TestGridAndLaplacian:
-    def test_grid_basics(self):
-        g = mol.Grid1D(m=4, length=2.0)
-        assert g.dx == 0.5
-        assert_allclose(g.interior, [0.5, 1.0, 1.5])
-        with pytest.raises(errors.InvalidParams):
-            mol.Grid1D(m=1, length=1.0)
+    def test_builders_refuse_a_grid_below_two_cells(self):
+        for build in (mol.build_example1, mol.build_example2):
+            with pytest.raises(errors.InvalidParams, match="grid resolution M"):
+                build(1)
 
     @pytest.mark.parametrize("length", [1.0, 2.0])
     @pytest.mark.parametrize("m_grid", [4, 16, 64])
@@ -136,7 +134,7 @@ class TestExample2:
     def test_history_profile(self):
         problem = mol.build_example2(4, 0.5, 3.0, 1.0)
         state = problem.dde.history(-0.3)
-        xs = mol.Grid1D(4, 1.0).interior
+        xs = np.array([0.25, 0.5, 0.75])
         expected = np.outer(np.sin(np.pi * xs), np.sin(np.pi * xs)).ravel()
         assert_allclose(state, expected)
 

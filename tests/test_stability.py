@@ -422,6 +422,16 @@ class TestCompanionMatrix:
                         assert abs(det - p) <= 1e-10 * (abs(a) + abs(y * c) + abs(y * mu * b))
 
 
+def test_m_past_numpys_size_limit_is_refused():
+    # every array that grows with m needs at least 2^63 bytes here, which
+    # numpy refuses before it allocates
+    s = scheme(theta=1.0, m=2 * 10 ** 18, tau=1.0)
+    with pytest.raises(errors.InvalidParams, match="cannot allocate"):
+        stability.in_dy(0.5, -1.0, s)
+    with pytest.raises(errors.InvalidParams, match="cannot allocate"):
+        stability.oracle_stability(np.array([[1.0]]), np.array([[0.5]]), s)
+
+
 class TestReportSerialization:
     def test_json_round_trip(self):
         import json

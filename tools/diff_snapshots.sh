@@ -7,7 +7,9 @@
 # then for each seed (default 1 and 2) writes a snapshot of that tree and of
 # the working tree with tools/snapshot_outputs.py and compares the two with
 # `diff -r`.  Both snapshots use this tree's snapshot script and bench/.
-# Exits non-zero when any snapshot differs; writes nothing inside the repo.
+# Then prints the line count of src/ddestab/*.py in REV and in the working
+# tree.  Exits non-zero when any snapshot differs; writes nothing inside
+# the repo.
 set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
@@ -31,4 +33,6 @@ for seed in "$@"; do
     echo "seed $seed: $rev against the working tree"
     diff -r "$tmp/rev-$seed" "$tmp/work-$seed" || status=1
 done
+src_lines() { echo $(($(cat "$1"/src/ddestab/*.py | wc -l))); }
+echo "src lines: $rev $(src_lines "$tmp/tree"), working tree $(src_lines "$repo")"
 exit $status

@@ -58,6 +58,10 @@ The snapshot holds what the command line prints and writes for:
   the positive definite test; and ``check-step-y-overflow``: A =
   diag(2e300, 1e300), B = [[0, 3e300], [3e300, 0]], whose y = -h
   lambda_max(A) overflows in the step stage;
+* ``check-w-row-overflow``: ``check`` at theta = 1, m = 1, tau = 1 of A =
+  diag(-1 + 1e-13, 1), B = [[0, 1e300], [1e300, 0]], whose blocks T_k are
+  finite but whose first block row of W overflows, so the dense W is
+  skipped;
 * ``solve`` given options that the chosen problem does not read;
 * ``check-pair-NAME``: ``check`` with an A file of ``[re, im]`` pairs
   whose entry 2 is not a pair of finite numbers: a pair holding a list
@@ -68,9 +72,10 @@ The snapshot holds what the command line prints and writes for:
   whose entry 2 is ``[true, false]``, which reads as 1;
 * sizes that need at least 2^63 bytes, which numpy refuses before it
   allocates: ``solve`` of example1 at ``--grid-m 10000000000`` and of
-  example2 at ``--grid-m 2000000000000000000``, and ``region --n``,
+  example2 at ``--grid-m 2000000000000000000``, ``region --n``,
   ``fov --n`` and ``check --n-angles`` (of a non-commuting pair) at
-  100000000000000000000;
+  100000000000000000000, and ``check --m 2000000000000000000`` of A =
+  [[1]], B = [[0.5]] (``check-m-too-large``);
 * the ``--help`` of ``ddestab`` and of every subcommand;
 * ``imports.out``: the ``scipy.<subpackage>`` names (sorted) that each of
   five calls loads when it runs alone in a fresh interpreter (with
@@ -328,6 +333,12 @@ def snapshot(ddestab, seed: int) -> None:
             ["check", "--matrix-a", f"{name}-overflow-a.json", "--matrix-b",
              f"{name}-overflow-b.json", "--tau", "1e10", "--m", "1", "--theta", "1"])
 
+    workloads.write_matrix("w-row-overflow-a.json", np.diag([-1.0 + 1e-13, 1.0]))
+    workloads.write_matrix("w-row-overflow-b.json", [[0.0, 1e300], [1e300, 0.0]])
+    run(main, "check-w-row-overflow", ["check", "--matrix-a", "w-row-overflow-a.json",
+                                       "--matrix-b", "w-row-overflow-b.json", "--tau", "1",
+                                       "--m", "1", "--theta", "1"])
+
     run(main, "solve-example1-unread-options",
         ["solve", "--problem", "example1", "--grid-m", "10", "--m", "4", "--t-end", "1",
          "--history-const", "1,2", "--matrix-a", "nonexistent.json"])
@@ -347,6 +358,7 @@ def snapshot(ddestab, seed: int) -> None:
                                          "--matrix-b", "b.json", "--tau", "1", "--m", "2"])
 
     workloads.write_matrix("non-commuting-b.json", [[0.1, 2.0], [0.0, 0.1]])
+    workloads.write_matrix("half.json", [[0.5]])
     huge = "100000000000000000000"
     for name, argv in {
             "solve-example1-grid-too-large": ["solve", "--problem", "example1", "--grid-m",
@@ -357,7 +369,9 @@ def snapshot(ddestab, seed: int) -> None:
             "fov-n-too-large": ["fov", "--matrix", "m.json", "--n", huge],
             "check-n-angles-too-large": ["check", "--matrix-a", "spd.json", "--matrix-b",
                                          "non-commuting-b.json", "--tau", "1", "--m", "2",
-                                         "--n-angles", huge]}.items():
+                                         "--n-angles", huge],
+            "check-m-too-large": ["check", "--matrix-a", "one.json", "--matrix-b", "half.json",
+                                  "--tau", "1", "--m", "2000000000000000000"]}.items():
         run(main, name, argv)
 
     run(main, "help", ["--help"])
