@@ -16,6 +16,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import json
@@ -152,6 +153,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_fov(args) -> int:
+    if args.p is not None and not math.isfinite(args.p):
+        raise MatrixFileError(f"bad p {args.p!r}: p must be finite")
     a = read_matrix(args.matrix)
     if args.matrix_b is not None:
         a = fov.transformed_matrix(a, read_matrix(args.matrix_b), args.p or 0.0)
@@ -266,7 +269,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ddestab parser, built once per process: ``parse_args`` keeps no
+    state between calls, so every call of ``main`` can share it."""
     parser = _Parser(
         prog="ddestab",
         description="Theta-method stability certification and integration "

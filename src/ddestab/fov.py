@@ -34,7 +34,7 @@ bound is not yet below ``radius`` (:meth:`FovBoundary.outer_radius`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,20 +55,19 @@ class FovBoundary:
     """Sampled boundary of a field of values on a grid of ``n_angles``
     equispaced directions, ordered by angle.
 
-    ``indices`` are the grid directions known so far (every one, unless
-    the sweep was refined against a radius) and ``angles`` their angles.
+    ``indices`` are the grid directions the sweep knows (every one, unless
+    it was refined against a radius) and ``angles`` their angles.
     ``points[k]`` is the extreme point found in direction ``angles[k]``;
     the polyline is treated as cyclic.  ``support[k]`` bounds the support
     function from above: the computed largest eigenvalue of H(angles[k])
     plus the eigensolver's rounding allowance, so every z in F(M)
-    satisfies Re(e^{i angles[k]} z) <= support[k].  ``matrix`` is M.
+    satisfies Re(e^{i angles[k]} z) <= support[k].
     """
 
     points: np.ndarray
     n_angles: int
     support: np.ndarray
     indices: np.ndarray
-    matrix: np.ndarray = field(repr=False, compare=False)
 
     @property
     def angles(self) -> np.ndarray:
@@ -84,16 +83,6 @@ class FovBoundary:
         from direction k to the next (see the module docstring)."""
         return float(np.max(_arc_bounds(self.support, _gaps(self.indices, self.n_angles),
                                         self.n_angles)))
-
-    def completed(self) -> FovBoundary:
-        """This boundary at every direction of its grid, solving only the
-        directions not yet known: the boundary ``fov_boundary(matrix,
-        n_angles)`` returns."""
-        if self.indices.size == self.n_angles:
-            return self
-        sweep = _Sweep(self.matrix, self.n_angles, start=self)
-        sweep.solve(range(self.n_angles))
-        return sweep.boundary()
 
     def to_csv(self, path) -> None:
         """Write angle, re, im rows; ``path=None`` writes to stdout."""
@@ -114,12 +103,11 @@ def _arc_bounds(support, gaps, n_angles: int) -> np.ndarray:
 
 
 class _Sweep:
-    """The directions of one grid solved so far for one matrix, starting
-    from those ``start``, a boundary of the same matrix and grid, knows."""
+    """The directions of one grid solved so far for one matrix."""
 
-    def __init__(self, matrix: np.ndarray, n_angles: int, start: FovBoundary | None = None):
+    def __init__(self, matrix: np.ndarray, n_angles: int):
         a = matrix.astype(complex)
-        self.matrix, self.a, self.n_angles = matrix, a, n_angles
+        self.a, self.n_angles = a, n_angles
         self.angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
         self.herm = 0.5 * (a + a.conj().T)
         self.skew = -0.5j * (a - a.conj().T)  # Hermitian: -i times the skew part
@@ -129,10 +117,6 @@ class _Sweep:
         self.points = np.empty(n_angles, dtype=complex)
         self.support = np.empty(n_angles)
         self.known = np.zeros(n_angles, dtype=bool)
-        if start is not None:
-            self.points[start.indices] = start.points
-            self.support[start.indices] = start.support
-            self.known[start.indices] = True
 
     def solve(self, ks) -> None:
         """Make every grid direction in ``ks`` known, each solved at most
@@ -176,7 +160,7 @@ class _Sweep:
         """The known directions, in angle order."""
         idx = np.flatnonzero(self.known)
         return FovBoundary(points=self.points[idx], n_angles=self.n_angles,
-                           support=self.support[idx], indices=idx, matrix=self.matrix)
+                           support=self.support[idx], indices=idx)
 
 
 def require_grid(n_angles: int) -> None:
@@ -246,7 +230,7 @@ def transformed_matrix(a, b, p: float, eigen=None) -> np.ndarray:
     except (NotHermitian, NotPositiveDefinite) as exc:
         raise type(exc)(f"p = {p:g} needs a Hermitian positive definite A: {exc}") from exc
     v = dec.vectors
-    left = (v * dec.values[None, :] ** (0.5 * p - 1.0)) @ v.conj().T
-    right = (v * dec.values[None, :] ** (-0.5 * p)) @ v.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
+        left = (v * dec.values[None, :] ** (0.5 * p - 1.0)) @ v.conj().T
+        right = (v * dec.values[None, :] ** (-0.5 * p)) @ v.conj().T
         return left @ bm @ right

@@ -75,9 +75,14 @@ class SineLaplacian:
         if dims not in (1, 2):
             raise InvalidParams(f"dims must be 1 or 2, got {dims}")
         self._n, self._dx, self._coefs = n, dx, tuple(coefs)
-        omega = [c * dirichlet_eigenvalues(n, dx) for c in coefs]
-        if dims == 2:
-            omega = [(w[:, None] + w[None, :]).ravel() for w in omega]
+        with np.errstate(over="ignore"):
+            omega = [c * dirichlet_eigenvalues(n, dx) for c in coefs]
+            if dims == 2:
+                omega = [(w[:, None] + w[None, :]).ravel() for w in omega]
+        for c, w in zip(coefs, omega):
+            if not np.all(np.isfinite(w)):
+                raise InvalidParams(f"the coefficient {c:g} times the Laplacian's "
+                                    f"spectrum at dx = {dx:g} overflows")
         self.omega = np.concatenate(omega)
         self._grid = (len(omega),) + (n,) * dims
         self._sine = None
@@ -170,6 +175,14 @@ class MolProblem:
 # example 1: coupled 1-D system with exact solution
 # ---------------------------------------------------------------------------
 
+def _exp(x: float, what: str) -> float:
+    """e^x, else ``InvalidParams`` saying that ``what`` overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise InvalidParams(f"{what} overflows") from None
+
+
 def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
                    l: float = -0.1, tau: float = math.pi / 2) -> MolProblem:
     """Two-component delayed reaction-diffusion system on [0, 2].
@@ -190,7 +203,12 @@ def build_example1(m_grid: int, lambda1: float = 1.0, lambda2: float = 1.0,
     dx, n = 2.0 / m_grid, m_grid - 1
 
     c = l + np.pi ** 2 / 4.0
-    scale = math.exp(l * math.pi / 2.0)
+    scale = _exp(l * math.pi / 2.0, f"e^(l pi / 2) at l = {l:g}")
+    if not math.isfinite(scale * max(1.0, abs(c))):
+        raise InvalidParams(f"the delayed coupling e^(l pi / 2) (l + pi^2 / 4) at l = {l:g} "
+                            "overflows")
+    if tau > 0.0:  # the history's largest value, e^(l t) at t = -tau
+        _exp(l * -tau, f"the history e^(l t) at t = -tau = {-tau:g} (l = {l:g})")
     with allocating(f"example1's {2 * n}x{2 * n} matrices"):
         eye = np.eye(n)
     b_mol = scale * np.block([[-eye, c * eye], [-c * eye, -eye]])

@@ -27,9 +27,9 @@ moduli reaches the largest root modulus.
 ``_Facts``, which then computes each shared fact when a stage first asks
 for it and keeps its value (an error is not kept): the one
 eigendecomposition of a Hermitian A and whether A is positive definite,
-the modes, the transformed matrix M_p = A^{p/2-1} B A^{-p/2} of each p,
-the field-of-values boundary of M_p and sigma(A^{-1} B), taken from M_0.
-The stages each take the facts and return a ``StabilityReport``:
+the modes, the transformed matrix M_p = A^{p/2-1} B A^{-p/2} of each p
+and sigma(A^{-1} B), taken from M_0.  Each field-of-values stage sweeps
+F(M_p) itself, with one ``fov.fov_boundary`` call per p.  The stages each take the facts and return a ``StabilityReport``:
 
 * ``simdiag_analysis`` -- A, B simultaneously diagonalizable with finite
   mu_i = gamma_i / lambda_i (``_Facts.modes``): exact verdicts mode by
@@ -40,7 +40,8 @@ The stages each take the facts and return a ``StabilityReport``:
   size, tested on an outer bound of w(M_p) (``FovBoundary.outer_radius``).
 * ``step_certificate`` -- no modes and no unconditional certificate,
   theta = 1, u = 0: F(M_p) inside D_{-h lambda_max(A)} means stability
-  for this step.  It completes the unconditional stage's sweeps.
+  for this step.  It sweeps every direction of the grid, as ``ddestab
+  fov`` does.
 * ``_oracle`` -- no modes: rho of the dense W of ``oracle_stability``, the
   tests' reference, while dim W = (m + 1) N fits under ``ORACLE_CAP``.
   The cap bounds only this dense W.
@@ -313,8 +314,8 @@ def build_w(a, b, scheme: ThetaScheme) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """rho(W) of a one-step matrix W of dimension ``dim``, whose sides by
-    the rule (:func:`_side`) with bound ROOT_TOL are the two verdicts."""
+    """rho(W) of a one-step matrix W of dimension ``dim``; ``stable`` when
+    it is inside by the rule (:func:`_side`) with bound ROOT_TOL."""
 
     spectral_radius: float
     dim: int
@@ -325,10 +326,6 @@ class OracleVerdict:
     @property
     def stable(self) -> bool:
         return _side(self.spectral_radius, ROOT_TOL) == _INSIDE
-
-    @property
-    def certified_unstable(self) -> bool:
-        return _side(self.spectral_radius, ROOT_TOL) == _OUTSIDE
 
 
 def oracle_stability(a, b, scheme: ThetaScheme) -> OracleVerdict:
@@ -410,14 +407,6 @@ class _Facts:
         return self._once("transform", p, lambda: fov.transformed_matrix(
             self.a, self.b, p, self.positive_definite_a()))
 
-    def boundary(self, p: float) -> fov.FovBoundary:
-        """The sampled field-of-values boundary of ``transform(p)``, from one
-        ``fov.fov_boundary`` call refined only until it decides the unit-
-        disk test; its ``completed()`` adds the other directions of the
-        grid without solving any twice."""
-        return self._once("boundary", p, lambda: fov.fov_boundary(
-            self.transform(p), self.n_angles, 1.0))
-
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
         """``simdiag_pairs`` of the pair; InvalidParams names a ratio
         gamma_i / lambda_i that overflows."""
@@ -492,7 +481,7 @@ def unconditional_certificate(facts: _Facts, scheme: ThetaScheme,
     evidence = []
     for p in p_grid:
         try:
-            boundary = facts.boundary(p)
+            boundary = fov.fov_boundary(facts.transform(p), facts.n_angles, 1.0)
         except InvalidParams as exc:  # M_p or its scaled norm overflows
             evidence.append(Evidence("fov-unit-disk", index=p, note=f"skipped: {exc}"))
             continue
@@ -531,7 +520,8 @@ def step_certificate(facts: _Facts, scheme: ThetaScheme, p_grid) -> StabilityRep
     evidence = []
     for p in p_grid:
         try:
-            t_mat, boundary = facts.transform(p), facts.boundary(p).completed()
+            t_mat = facts.transform(p)
+            boundary = fov.fov_boundary(t_mat, facts.n_angles)
         except InvalidParams as exc:  # M_p or its scaled norm overflows
             evidence.append(Evidence("fov-in-dy", index=p, note=f"skipped: {exc}"))
             continue

@@ -55,4 +55,5 @@ def test_traced_certify_runs_every_stage_hook(monkeypatch):
     # the dense oracle decides the first pair, the p = 0 sweep the second
     assert verdicts["spd"] == STABLE_FOR_THIS_STEP
     assert verdicts["spd-small"] == UNCONDITIONALLY_STABLE
-    assert metrics["fov.sweep.useful_frac"] == 1.0 / 4.0
+    # of the first pair's three unconditional and three step sweeps none decides
+    assert metrics["fov.sweep.useful_frac"] == 1.0 / 7.0

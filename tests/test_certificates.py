@@ -301,7 +301,7 @@ class TestSimdiag:
         s = ThetaScheme(theta=1.0, u=0.0, m=3, tau=1.0)
         with pytest.raises(errors.NotSimultaneouslyDiagonalizable):
             stability.simdiag_pairs(a, b)
-        assert stability.oracle_stability(a, b, s).certified_unstable
+        assert stability.oracle_stability(a, b, s).spectral_radius >= 1.0 + stability.ROOT_TOL
         assert stability.certify(a, b, s).verdict == CERTIFIED_UNSTABLE
         # with A = I the same B is one exact Jordan mode, stable like the oracle
         rep = stability.certify(np.eye(2), b, s)
@@ -365,9 +365,10 @@ def test_certify_computes_each_shared_fact_once(monkeypatch):
     rep = stability.certify(a, b, scheme())
     swept = [e.check for e in rep.evidence if e.check in ("fov-unit-disk", "fov-in-dy")]
     assert swept == ["fov-unit-disk"] * 3 + ["fov-in-dy"] * 3
-    # one transform and one sweep per p; eigenvalues of A^{-1} B and of the
-    # dense W; one eigendecomposition of A for the mode stage, the gate and p = 1
-    assert calls == {"transformed_matrix": 3, "fov_boundary": 3, "general_eigenvalues": 2,
+    # one transform per p, and a sweep per p in each stage; eigenvalues of
+    # A^{-1} B and of the dense W; one eigendecomposition of A for the mode
+    # stage, the gate and p = 1
+    assert calls == {"transformed_matrix": 3, "fov_boundary": 6, "general_eigenvalues": 2,
                      "hermitian_eigen": 1}
 
 
@@ -397,18 +398,35 @@ def test_certified_p0_solves_only_the_first_directions(monkeypatch):
     assert len(solved) <= fov.MIN_ANGLES // 2 + 1
 
 
-def test_certify_solves_no_direction_twice(monkeypatch):
+def test_step_stage_sweeps_the_full_grid(monkeypatch):
     # the pair of test_certify_computes_each_shared_fact_once: every p is
-    # refined, then completed by the step stage to the full real sweep
+    # refined by the unconditional stage, then swept in full by the step stage
     gen = np.random.default_rng(0)
     q = orthogonal(gen, 6)
     a = (q * np.linspace(1.0, 3.0, 6)) @ q.T
     b = gen.standard_normal((6, 6))
     b *= 0.9 / np.max(np.abs(np.linalg.eigvals(np.linalg.solve(a, b))))
-    solved = count_solves(monkeypatch)
-    rep = stability.certify(a, b, scheme())
-    assert [e.index for e in rep.evidence if e.check == "fov-in-dy"] == list(P_GRID)
-    assert len(solved) == len(set(solved)) == len(P_GRID) * (fov.DEFAULT_ANGLES // 2 + 1)
+    sch = scheme()
+    solved, full_sweeps, original = count_solves(monkeypatch), [], fov.fov_boundary
+
+    def sweep(m, n_angles, radius=None):
+        start = len(solved)
+        boundary = original(m, n_angles, radius)
+        if radius is None:
+            full_sweeps.append(solved[start:])
+        return boundary
+
+    monkeypatch.setattr(fov, "fov_boundary", sweep)
+    rep = stability.certify(a, b, sch)
+    entries = [e for e in rep.evidence if e.check == "fov-in-dy"]
+    assert [e.index for e in entries] == list(P_GRID)
+    assert len(full_sweeps) == len(P_GRID)
+    lam_max = float(linalg.hermitian_eigen(a).values[-1])
+    for entry, directions in zip(entries, full_sweeps):
+        assert len(directions) == len(set(directions)) == fov.DEFAULT_ANGLES // 2 + 1
+        points = original(fov.transformed_matrix(a, b, entry.index), fov.DEFAULT_ANGLES).points
+        radii = stability._dy_radii(-lam_max, points, sch, sch.h)[0]
+        assert entry.margin == 1.0 - float(np.max(radii))
 
 
 def test_certify_decomposes_hermitian_a_once(monkeypatch):

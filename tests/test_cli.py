@@ -425,6 +425,21 @@ class TestFovCommand:
         captured = capsys.readouterr()
         assert "--matrix-b" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("p, code, err", [
+        ("1e308", 3, "numerical failure in fov: matrix contains NaN or Inf entries\n"),
+        ("nan", 2, "error: bad p nan: p must be finite\n"),
+        ("-inf", 2, "error: bad p -inf: p must be finite\n"),
+    ])
+    def test_p_out_of_range_exits_without_a_warning(self, tmp_path, capsys, p, code, err):
+        # A^{p/2 - 1} overflows at p = 1e308; a non-finite p is refused as
+        # check --p-grid refuses it (pytest turns warnings into errors)
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        write_matrix(a_path, np.array([[2.0, 0.5], [0.5, 1.0]]))
+        write_matrix(b_path, np.array([[0.3, -0.2], [0.4, 0.1]]))
+        assert cli.main(["fov", "--matrix", str(a_path), "--matrix-b", str(b_path),
+                         f"--p={p}"]) == code
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("a, reason", [
         ([[2.0, 1.0], [0.0, 3.0]], "relative symmetry violation"),
         ([[1.0, 0.0], [0.0, -1.0]], "smallest eigenvalue"),
@@ -547,6 +562,26 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert code == 3 and err.startswith("numerical failure in solve")
         assert "Warning" not in err and not out.exists()
+
+    @pytest.mark.parametrize("argv, names", [
+        (["example1", "--l", "452"], "l = 452"),
+        (["example1", "--l", "450"], "l = 450"),
+        (["example1", "--l=-452"], "l = -452"),
+        (["example1", "--tau", "1e4", "--t-end", "2e4"], "t = -tau = -10000 (l = -0.1)"),
+        (["example1", "--lambda1", "1e308"], "coefficient -1e+308"),
+        (["example2", "--lam", "1e308"], "coefficient 1e+308"),
+    ])
+    def test_overflowing_problem_parameter_exit_3(self, tmp_path, capsys, argv, names):
+        # the coupling e^(l pi / 2), the history e^(l t) or the Laplacian's
+        # spectrum would overflow: refused before anything is stepped
+        out = tmp_path / "summary.json"
+        code = cli.main(["solve", "--grid-m", "10", "--m", "2", "--t-end", "1",
+                         "-o", str(out), "--problem", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("numerical failure in solve: ")
+        assert names in captured.err and captured.err.endswith("overflows\n")
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
 
     def test_zero_history_zero_trajectory(self, tmp_path):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
@@ -877,3 +912,38 @@ def test_cli_call_loads_scipy_only_where_it_is_used(tmp_path, capsys, name, load
     if name == "check-non-commuting":
         assert cli.main(argv) == 0
         assert json.loads(done.stdout) == json.loads(capsys.readouterr().out)
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    # each call in one process prints what it prints run alone, and the
+    # parser (the top level and its five subcommands) is built once
+    write_matrix(tmp_path / "m.json", np.array([[1.0, 2.0], [0.0, -1.0]]))
+    calls = [
+        _footprint_call(tmp_path, "check-example1"),
+        _footprint_call(tmp_path, "solve-example1"),
+        _footprint_call(tmp_path, "region"),
+        ["fov", "--matrix", str(tmp_path / "m.json"), "--n", "16"],
+        ["region", "--m", "5"],
+        ["--help"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the --help width, in and out of process
+    built = []
+    original = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **k: built.append(1) or original(self, *a, **k))
+    cli.build_parser.cache_clear()
+    in_process = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    cli.build_parser.cache_clear()
+    assert len(built) == 6
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv, got in zip(calls, in_process):
+        done = subprocess.run([sys.executable, "-m", "ddestab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert got == (done.returncode, done.stdout, done.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0]

@@ -199,25 +199,29 @@ class TestAdaptiveOuterRadius:
                         or np.all(gaps[arcs >= radius] == 1)), (n_angles, radius)
 
     @pytest.mark.parametrize("n_angles", [9, 64, 100])
-    def test_completed_is_the_full_sweep(self, n_angles):
+    def test_refined_points_are_full_sweep_points(self, n_angles):
+        # a refined sweep solves some directions of the full grid, each to
+        # the point and support the full sweep finds there
         for m in seeded_matrices():
             full = fov.fov_boundary(m, n_angles)
-            done = fov.fov_boundary(m, n_angles, 1.0).completed()
-            for name in ("points", "angles", "support", "indices"):
-                assert getattr(done, name).tobytes() == getattr(full, name).tobytes()
+            refined = fov.fov_boundary(m, n_angles, 1.0)
+            for name in ("points", "support"):
+                assert (getattr(refined, name).tobytes()
+                        == getattr(full, name)[refined.indices].tobytes())
 
     def test_solves_each_direction_at_most_once(self, monkeypatch):
-        # a real M solves only the directions 0 .. pi; completing a refined
-        # sweep solves the rest of them and none again
+        # a real M solves only the directions 0 .. pi: a refined sweep some
+        # of them, the full sweep every one, and neither any twice
         m = np.random.default_rng(2).standard_normal((10, 10))
         m /= fine_radius(m, 512)
         solved = []
         original = linalg.largest_eigenpair
         monkeypatch.setattr(linalg, "largest_eigenpair",
                             lambda h: solved.append(h.tobytes()) or original(h))
-        refined = fov.fov_boundary(m, 64, 1.0)
-        assert len(solved) < 33
-        refined.completed()
+        fov.fov_boundary(m, 64, 1.0)
+        assert len(solved) == len(set(solved)) < 33
+        solved.clear()
+        fov.fov_boundary(m, 64)
         assert len(solved) == len(set(solved)) == 33
 
 

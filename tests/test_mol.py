@@ -96,6 +96,25 @@ class TestExample1:
                 with pytest.raises(errors.InvalidParams):
                     mol.build_example1(5, *args)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"l": 452.0}, r"e\^\(l pi / 2\) at l = 452 overflows"),
+        ({"l": 450.0}, r"coupling .* at l = 450 overflows"),
+        ({"l": -452.0}, r"history e\^\(l t\) at t = -tau = -1.5708 \(l = -452\) overflows"),
+        ({"tau": 1e4}, r"history .* \(l = -0.1\) overflows"),
+        ({"lambda1": 1e308}, r"coefficient -1e\+308 times the Laplacian's spectrum at dx = 0.2"),
+        ({"lambda2": 1e307}, r"coefficient -1e\+307 times .* overflows"),
+    ])
+    def test_refuses_parameters_that_overflow(self, kwargs, match):
+        with pytest.raises(errors.InvalidParams, match=match):
+            mol.build_example1(10, **kwargs)
+
+    def test_largest_parameters_in_range_build(self):
+        # just inside each refusal: the coupling, the history and the spectrum
+        for kwargs in ({"l": 445.0}, {"l": -451.0}, {"tau": 7000.0}, {"lambda1": 1e305}):
+            problem = mol.build_example1(10, **kwargs)
+            assert np.all(np.isfinite(problem.dde.b))
+            assert np.all(np.isfinite(problem.dde.history(-problem.tau)))
+
 
 class TestExample2:
     def test_m2_reduces_to_single_unknown(self):
@@ -153,6 +172,11 @@ class TestExample2:
                 mol.build_example2(4, lam, mu, 1.0)
             with pytest.raises(errors.InvalidParams):
                 mol.example2_condition(100, lam, mu)
+
+    def test_refuses_a_diffusion_that_overflows(self):
+        with pytest.raises(errors.InvalidParams,
+                           match=r"coefficient 1e\+308 times the Laplacian's spectrum"):
+            mol.build_example2(10, 1e308, 3.0, 1.0)
 
     def test_condition_fails_for_small_diffusion(self):
         assert not mol.example2_condition(100, 1e-4, 3.0).holds

@@ -374,8 +374,7 @@ class TestCompanionMatrix:
         b = np.array([[-30.0, -27.0, 33.0], [-3.0, -96.0, 75.0], [-3.0, -111.0, 90.0]])
         assert stability.oracle_stability(a, b, scheme(m=2)).stable
         v50 = stability.oracle_stability(a, b, scheme(m=50))
-        assert v50.spectral_radius >= 1.0
-        assert v50.certified_unstable
+        assert v50.spectral_radius >= 1.0 + stability.ROOT_TOL
 
     def test_dimension_and_shift_structure(self, rng):
         n, m = 3, 4

@@ -63,6 +63,14 @@ The snapshot holds what the command line prints and writes for:
   finite but whose first block row of W overflows, so the dense W is
   skipped;
 * ``solve`` given options that the chosen problem does not read;
+* parameters whose numbers overflow: ``solve-l-overflow`` (example1 at
+  ``--l 452``, whose e^(l pi / 2) overflows), ``solve-history-overflow``
+  (example1 at ``--tau 1e4``, whose history e^(l t) overflows at t =
+  -tau), ``solve-lambda-overflow`` (example1 at ``--lambda1 1e308``, whose
+  Laplacian spectrum overflows), and a p of an SPD A whose A^{p/2 - 1}
+  overflows or is not finite: ``fov-p-overflow`` (``--p 1e308``),
+  ``fov-p-nan`` (``--p nan``) and ``check-p-overflow`` (``--p-grid
+  1e308``);
 * ``check-pair-NAME``: ``check`` with an A file of ``[re, im]`` pairs
   whose entry 2 is not a pair of finite numbers: a pair holding a list
   (``pair-list``), a pair of one-element lists (``pair-of-lists``), the
@@ -239,6 +247,16 @@ def snapshot(ddestab, seed: int) -> None:
 
     run(main, "check-p-grid-nan", ["check", "--matrix-a", "spd.json", "--matrix-b",
                                    "b.json", "--tau", "1", "--m", "2", "--p-grid", "nan"])
+    run(main, "check-p-overflow", ["check", "--matrix-a", "spd.json", "--matrix-b",
+                                   "b.json", "--tau", "1", "--m", "2", "--p-grid", "1e308"])
+    spd_b = ["fov", "--matrix", "spd.json", "--matrix-b", "b.json", "--n", "16"]
+    run(main, "fov-p-overflow", spd_b + ["--p", "1e308"])
+    run(main, "fov-p-nan", spd_b + ["--p", "nan"])
+    ex1 = ["solve", "--problem", "example1", "--grid-m", "10", "--m", "2", "--t-end", "1"]
+    run(main, "solve-l-overflow", ex1 + ["--l", "452"])
+    run(main, "solve-history-overflow", ["solve", "--problem", "example1", "--grid-m", "10",
+                                         "--m", "2", "--tau", "1e4", "--t-end", "2e4"])
+    run(main, "solve-lambda-overflow", ex1 + ["--lambda1", "1e308"])
     Path("rows-float.json").write_text(
         '{"rows": 2.5, "cols": 2, "entries": [1, 0, 0, 1]}', encoding="utf-8")
     run(main, "fov-rows-float", ["fov", "--matrix", "rows-float.json", "--n", "8"])
